@@ -13,13 +13,13 @@ from rcpca import (
     SolverConfig,
     build_blockset,
     build_metrics,
-    fixed_point_residual_original,
     load_block,
     preset,
     solve,
     verify_stationary,
 )
 from rcpca.errors import UnsupportedVerificationError
+from rcpca.solver import stationary_residual
 
 DATA = Path(__file__).resolve().parents[1] / "data" / "demo"
 
@@ -52,7 +52,7 @@ def main():
             stat = f"{verify_stationary(p, sol, bs).residual:.1e}"
         except UnsupportedVerificationError:
             metrics = build_metrics(bs, modes)
-            stat = f"{fixed_point_residual_original(sol, bs, metrics, p.m):.1e}*"
+            stat = f"{stationary_residual(sol.y_super, bs, metrics, p.m):.1e}*"
         contrib = np.array2string(sol.contributions, precision=3)
         print(
             f"{name:<22}{p.m:>4g}{sol.psi_final:>12.6f}{sol.trace.iterations:>7}"

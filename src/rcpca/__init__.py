@@ -31,13 +31,10 @@ from .methods import (
 )
 from .metrics import (
     ModeSelector,
-    Projector,
     ShrinkageMetric,
     build_metric,
     build_metrics,
-    inv_sqrt_apply,
     mode_tau,
-    projection_operator,
 )
 from .solver import (
     GradientOracle,
@@ -47,18 +44,9 @@ from .solver import (
     TransformedProblem,
     auxiliary_solve,
     contributions,
-    covariance_criterion,
-    criterion,
-    fixed_point_residual_original,
-    gradient,
-    gram_matrix,
-    init_v,
-    iterate,
     solve,
     solve_matrices,
     sphere_maximize,
-    stationary_residual,
-    superblock_from_block_components,
     transform,
 )
 
@@ -72,13 +60,10 @@ __all__ = [
     "load_block",
     "sample_cov",
     "ModeSelector",
-    "Projector",
     "ShrinkageMetric",
     "build_metric",
     "build_metrics",
-    "inv_sqrt_apply",
     "mode_tau",
-    "projection_operator",
     "GradientOracle",
     "Solution",
     "SolverConfig",
@@ -86,18 +71,9 @@ __all__ = [
     "TransformedProblem",
     "auxiliary_solve",
     "contributions",
-    "covariance_criterion",
-    "criterion",
-    "fixed_point_residual_original",
-    "gradient",
-    "gram_matrix",
-    "init_v",
-    "iterate",
     "solve",
     "solve_matrices",
     "sphere_maximize",
-    "stationary_residual",
-    "superblock_from_block_components",
     "transform",
     "MethodPreset",
     "ModeGuidance",

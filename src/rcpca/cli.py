@@ -84,13 +84,6 @@ def _parse_config_file(path: str) -> dict[str, str]:
         values[key] = value
     return values
 
-_CONFIG_KEYS = {
-    "blocks", "ids", "preset", "split", "m", "tau", "tau_super", "scale",
-    "delimiter", "id_column", "epsilon", "max_iter", "init", "init_file",
-    "seed", "starts", "deflate", "components", "out", "strict", "assert",
-}
-
-
 def _bool(value: str) -> bool:
     if value.lower() in ("true", "yes", "1", "on"):
         return True
@@ -99,53 +92,48 @@ def _bool(value: str) -> bool:
     raise ConfigError(f"expected a boolean, got {value!r}")
 
 
+def _csv_list(value: str) -> list[str]:
+    return [v.strip() for v in value.split(",") if v.strip()]
+
+
+def _floats(value: str) -> list[float]:
+    return [float(v) for v in _csv_list(value)]
+
+
+# config-file key -> (RunConfig field, parser); the field names double as
+# the argparse destinations of the matching flags
+_CONFIG_KEYS = {
+    "blocks": ("blocks", _csv_list),
+    "ids": ("ids", _csv_list),
+    "preset": ("preset", str),
+    "split": ("split", int),
+    "m": ("m", float),
+    "tau": ("tau", _floats),
+    "tau_super": ("tau_super", float),
+    "scale": ("scale", str),
+    "delimiter": ("delimiter", str),
+    "id_column": ("id_column", _bool),
+    "epsilon": ("epsilon", float),
+    "max_iter": ("max_iter", int),
+    "init": ("init", str),
+    "init_file": ("init_file", str),
+    "seed": ("seed", int),
+    "starts": ("starts", int),
+    "deflate": ("deflate", str),
+    "components": ("components", int),
+    "out": ("out", str),
+    "strict": ("strict", _bool),
+    "assert": ("assert_level", str),
+}
+
+
 def _apply_config_file(cfg: RunConfig, values: dict[str, str]):
     for key, value in values.items():
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
+        name, parse = _CONFIG_KEYS[key]
         try:
-            if key == "blocks":
-                cfg.blocks = [v.strip() for v in value.split(",") if v.strip()]
-            elif key == "ids":
-                cfg.ids = [v.strip() for v in value.split(",") if v.strip()]
-            elif key == "preset":
-                cfg.preset = value
-            elif key == "split":
-                cfg.split = int(value)
-            elif key == "m":
-                cfg.m = float(value)
-            elif key == "tau":
-                cfg.tau = [float(v) for v in value.split(",") if v.strip()]
-            elif key == "tau_super":
-                cfg.tau_super = float(value)
-            elif key == "scale":
-                cfg.scale = value
-            elif key == "delimiter":
-                cfg.delimiter = value
-            elif key == "id_column":
-                cfg.id_column = _bool(value)
-            elif key == "epsilon":
-                cfg.epsilon = float(value)
-            elif key == "max_iter":
-                cfg.max_iter = int(value)
-            elif key == "init":
-                cfg.init = value
-            elif key == "init_file":
-                cfg.init_file = value
-            elif key == "seed":
-                cfg.seed = int(value)
-            elif key == "starts":
-                cfg.starts = int(value)
-            elif key == "deflate":
-                cfg.deflate = value
-            elif key == "components":
-                cfg.components = int(value)
-            elif key == "out":
-                cfg.out = value
-            elif key == "strict":
-                cfg.strict = _bool(value)
-            elif key == "assert":
-                cfg.assert_level = value
+            setattr(cfg, name, parse(value))
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from None
 
@@ -154,20 +142,10 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         _apply_config_file(cfg, _parse_config_file(args.config))
-    for attr, key in [
-        ("blocks", "blocks"), ("ids", "ids"), ("preset", "preset"),
-        ("split", "split"), ("m", "m"), ("tau", "tau"), ("tau_super", "tau_super"),
-        ("scale", "scale"), ("delimiter", "delimiter"), ("id_column", "id_column"),
-        ("epsilon", "epsilon"), ("max_iter", "max_iter"), ("init", "init"),
-        ("init_file", "init_file"), ("seed", "seed"), ("starts", "starts"),
-        ("deflate", "deflate"), ("components", "components"), ("out", "out"),
-        ("assert_level", "assert_level"),
-    ]:
-        value = getattr(args, attr)
+    for name, _ in _CONFIG_KEYS.values():
+        value = getattr(args, name)
         if value is not None:
-            setattr(cfg, key, value)
-    if args.strict:
-        cfg.strict = True
+            setattr(cfg, name, value)
     return cfg
 
 
@@ -476,13 +454,9 @@ def _mode_name(tau: float) -> str:
     return f"shrinkage {tau:g}"
 
 
-def _csv_list(value: str) -> list[str]:
-    return [v.strip() for v in value.split(",") if v.strip()]
-
-
 def _float_list(value: str) -> list[float]:
     try:
-        return [float(v) for v in value.split(",") if v.strip()]
+        return _floats(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {value!r}")
 
@@ -512,7 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--delimiter", choices=["comma", "tab"], help="cell delimiter")
     p_run.add_argument("--id-column", dest="id_column", action="store_const", const=True,
                        help="first column holds row identifiers")
-    p_run.add_argument("--epsilon", type=float, help="convergence threshold (default 1e-10)")
+    p_run.add_argument("--epsilon", type=float,
+                       help="convergence threshold: absolute bound on the per-iteration "
+                            "psi increment, at covariance scale (default 1e-10)")
     p_run.add_argument("--max-iter", dest="max_iter", type=int, help="iteration cap")
     p_run.add_argument("--init", choices=["eigen", "random", "file"], help="start vector")
     p_run.add_argument("--init-file", dest="init_file", help="file with the start vector")
@@ -522,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="deflation strategy for higher ranks")
     p_run.add_argument("--components", type=int, help="number of components to extract")
     p_run.add_argument("--out", help="output directory")
-    p_run.add_argument("--strict", action="store_true",
+    p_run.add_argument("--strict", action="store_const", const=True,
                        help="exit 3 when any rank fails to converge")
     p_run.add_argument("--assert", dest="assert_level", choices=["off", "cheap", "full"],
                        help="runtime verification level")

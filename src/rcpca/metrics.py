@@ -1,4 +1,4 @@
-"""Shrinkage metrics and projectors.
+"""Shrinkage metrics.
 
 For a centered n x J matrix X and shrinkage constant tau in [0, 1], the
 metric is M = tau*I + (1 - tau)*(1/n) X'X. tau = 1 (Mode A) normalizes the
@@ -6,12 +6,13 @@ weight vector, tau = 0 (Mode B) normalizes the component variance, and
 intermediate values interpolate between the two (Ledoit-Wolf style
 shrinkage of the block covariance).
 
-M, its inverse and inverse square root all come from one symmetric
-eigendecomposition, cached on the metric object. At tau = 0 a rank-deficient
-matrix gets Moore-Penrose semantics: eigenvalues below the rank tolerance
-are treated as exact zeros and the corresponding directions annihilated.
-Metrics are immutable; building metrics for distinct blocks is a pure
-function of the inputs.
+A metric is stored once, as the eigenpairs of one symmetric
+eigendecomposition; powers of M (M^(-1/2), M^(-1), M itself) are applied to
+vectors or matrices on demand and never formed as J x J matrices. At
+tau = 0 a rank-deficient matrix gets Moore-Penrose semantics: eigenvalues
+below the rank tolerance are treated as exact zeros, and negative powers
+annihilate the corresponding directions. Metrics are immutable; building
+metrics for distinct blocks is a pure function of the inputs.
 """
 
 from __future__ import annotations
@@ -66,21 +67,33 @@ class ModeSelector:
 
 @dataclass(frozen=True, eq=False)
 class ShrinkageMetric:
-    """M = tau*I + (1-tau)*(1/n) X'X with cached inverse and inverse root."""
+    """M = tau*I + (1-tau)*(1/n) X'X, kept as its eigenpairs."""
 
     tau: float
-    m_matrix: np.ndarray
     eigenvalues: np.ndarray  # descending
     eigenvectors: np.ndarray  # columns aligned with eigenvalues
-    inv: np.ndarray
-    inv_sqrt: np.ndarray
     rank_tolerance: float
-    rank: int
+    rank: int  # leading eigenpairs kept by negative powers
     pseudo: bool  # True when tau = 0 dropped null directions
 
     @property
     def dim(self) -> int:
-        return self.m_matrix.shape[0]
+        return self.eigenvectors.shape[0]
+
+    def apply(self, x: np.ndarray, power: float) -> np.ndarray:
+        """M^power applied to a vector or to the columns of a J x k matrix.
+
+        Computes V diag(lambda^power) V' x; for power < 0 only the leading
+        `rank` eigenpairs take part, so null directions are annihilated.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.shape[0] != self.dim:
+            raise DimensionError(f"expected {self.dim} rows, got {x.shape[0]}")
+        keep = self.rank if power < 0 else self.dim
+        vecs = self.eigenvectors[:, :keep]
+        # transposed so that the eigenvalue scaling broadcasts over columns
+        coef = (vecs.T @ x).T * self.eigenvalues[:keep] ** power
+        return vecs @ coef.T
 
 
 def _as_matrix(data) -> np.ndarray:
@@ -121,32 +134,21 @@ def build_metric(
 
     if tau > 0.0:
         # strictly positive definite: smallest eigenvalue >= tau
-        inv_vals = 1.0 / vals
         rank = j
-        pseudo = False
     else:
-        cutoff = rank_tolerance * top
-        keep = vals > cutoff
-        rank = int(keep.sum())
+        rank = int((vals > rank_tolerance * top).sum())
         if rank == n:
             raise ModeBInfeasibleError(
                 f"Mode B is infeasible: rank(X) = {rank} equals the number of "
                 "rows; use tau > 0 instead"
             )
-        inv_vals = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
-        pseudo = rank < j
-    inv = (vecs * inv_vals) @ vecs.T
-    inv_sqrt = (vecs * np.sqrt(inv_vals)) @ vecs.T
     return ShrinkageMetric(
         tau=tau,
-        m_matrix=m,
         eigenvalues=vals,
         eigenvectors=vecs,
-        inv=(inv + inv.T) / 2.0,
-        inv_sqrt=(inv_sqrt + inv_sqrt.T) / 2.0,
         rank_tolerance=rank_tolerance,
         rank=rank,
-        pseudo=pseudo,
+        pseudo=rank < j,
     )
 
 
@@ -166,57 +168,3 @@ def build_metrics(
     ]
     out.append(build_metric(blockset.superblock, modes.superblock_tau, rank_tolerance))
     return out
-
-
-def inv_sqrt_apply(metric: ShrinkageMetric, w: np.ndarray) -> np.ndarray:
-    """Apply M^(-1/2) to a vector or J x k matrix of columns."""
-    w = np.asarray(w, dtype=float)
-    if w.shape[0] != metric.dim:
-        raise DimensionError(f"expected {metric.dim} rows, got {w.shape[0]}")
-    return metric.inv_sqrt @ w
-
-
-@dataclass(frozen=True, eq=False)
-class Projector:
-    """Orthogonal projector onto the column space of a matrix."""
-
-    basis: np.ndarray  # n x r, orthonormal columns
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape[0] != self.basis.shape[0]:
-            raise DimensionError(
-                f"expected {self.basis.shape[0]} rows, got {v.shape[0]}"
-            )
-        return self.basis @ (self.basis.T @ v)
-
-    def as_matrix(self) -> np.ndarray:
-        return self.basis @ self.basis.T
-
-    @property
-    def rank(self) -> int:
-        return self.basis.shape[1]
-
-
-def projection_operator(
-    data,
-    rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
-) -> Projector:
-    """Projector X (X'X)^+ X' onto the column space of X.
-
-    The result is invariant to the choice of generalized inverse, which is
-    what makes Mode B usable on column-rank-deficient blocks. Full row rank
-    is rejected: the projector would be the identity and Mode B meaningless.
-    """
-    x = _as_matrix(data)
-    n = x.shape[0]
-    u, s, _ = np.linalg.svd(x, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        raise DataError("cannot project onto the column space of a zero matrix")
-    rank = int((s > rank_tolerance * s[0]).sum())
-    if rank == n:
-        raise ModeBInfeasibleError(
-            f"rank(X) = {rank} equals the number of rows; the projector is the "
-            "identity and Mode B is meaningless, use shrinkage (tau > 0)"
-        )
-    return Projector(basis=u[:, :rank].copy())

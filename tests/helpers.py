@@ -1,15 +1,22 @@
-"""Shared random-instance builders for the test suite.
+"""Shared random-instance builders and reference oracles for the test suite.
 
 Generated blocks are standardized and divided by the square root of the
 total variable count, which keeps criterion values O(1): the tight absolute
 tolerances asserted on traces are only meaningful on that scale.
+`scaled_blockset` gives the same instances at other scales.
+
+The per-block loops below are the reference implementation of the
+criterion and its gradient that the stacked operator is checked against.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from rcpca import ModeSelector, build_blockset, from_matrix
+from rcpca.errors import SingularGradientError
 
 M_GRID = (1.0, 1.5, 2.0, 3.0, 4.0)
 TAU_GRID = (0.0, 0.3, 1.0)
@@ -75,3 +82,67 @@ def latent_blockset(seed, n=20, js=(3, 2, 4), noise=0.4):
         data = np.outer(factor, loadings) + noise * rng.standard_normal((n, j))
         blocks.append(from_matrix(f"b{k + 1}", data, scale=True))
     return build_blockset(blocks)
+
+
+def scaled_blockset(blockset, factor):
+    """The same blocks with every entry multiplied by factor."""
+    return build_blockset([
+        from_matrix(b.id, b.matrix * factor, scale=False) for b in blockset.blocks
+    ])
+
+
+# ---------------------------------------------------------------------------
+# reference oracles
+
+
+def q_blocks(problem):
+    """The Q_b / n segments of a TransformedProblem, one matrix per block."""
+    return np.split(problem.stacked, problem.offsets[1:-1])
+
+
+def reference_criterion(qs, v, m):
+    """sum_b ||Q_b v||^m, one block at a time."""
+    return float(sum(np.linalg.norm(q @ v) ** m for q in qs))
+
+
+def reference_gradient(qs, v, m):
+    """m * sum_b ||Q_b v||^(m-2) Q_b'Q_b v, one block at a time."""
+    g = np.zeros(qs[0].shape[1])
+    for b, q in enumerate(qs):
+        qv = q @ v
+        nrm = float(np.linalg.norm(qv))
+        if nrm <= 1e-14 * max(1.0, float(np.abs(q).max()) * math.sqrt(q.size)):
+            if m < 2.0:
+                raise SingularGradientError(
+                    f"block {b + 1}: ||Q v|| vanished and m = {m} < 2 makes the "
+                    "gradient singular there"
+                )
+            continue  # for m >= 2 the term is continuous at 0 and contributes 0
+        g += nrm ** (m - 2.0) * (q.T @ qv)
+    return m * g
+
+
+def reference_gram(qs):
+    """sum_b Q_b'Q_b, whose dominant eigenvector is the eigen start."""
+    g = np.zeros((qs[0].shape[1], qs[0].shape[1]))
+    for q in qs:
+        g += q.T @ q
+    return g
+
+
+def superblock_from_block_components(solution, blockset, metrics, m):
+    """Rebuild the superblock component from the block components.
+
+    At a fixed point the superblock component equals the image of
+    sum_b cov(y_b, y_super)^(m-1) y_b under the superblock operator; with a
+    Mode B superblock the operator drops and the image is the standardized
+    weighted sum itself (for m = 1, the plain standardized sum).
+    """
+    z = np.zeros(blockset.n)
+    for cov, y_b in zip(solution.covs, solution.y_blocks):
+        z += cov ** (m - 1.0) * y_b
+    met = metrics[-1]
+    t = blockset.superblock.T @ z
+    num = blockset.superblock @ met.apply(t, -1.0)
+    den = float(np.linalg.norm(met.apply(t, -0.5)))
+    return num / den

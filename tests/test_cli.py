@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rcpca import load_block, build_blockset, sample_cov
-from rcpca.cli import main
+from rcpca.cli import RunConfig, _build_run_config, build_parser, main
 
 DEMO = Path(__file__).resolve().parents[1] / "data" / "demo"
 DEMO_BLOCKS = f"{DEMO / 'process.csv'},{DEMO / 'quality.csv'}"
@@ -145,6 +145,54 @@ class TestRun:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus = 1\n")
         assert main(["run", "--config", str(cfg)]) == 1
+
+    def test_config_file_sets_every_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "blocks = a.csv, b.csv\n"
+            "ids = x,y  # trailing comment\n"
+            "preset = sumcor\n"
+            "split = 2\n"
+            "m = 3\n"
+            "tau = 0.5, 1\n"
+            "tau_super = 0.25\n"
+            "scale = unit\n"
+            "delimiter = tab\n"
+            "id_column = yes\n"
+            "epsilon = 1e-8\n"
+            "max_iter = 50\n"
+            "init = file\n"
+            "init_file = v0.txt\n"
+            "seed = 4\n"
+            "starts = 3\n"
+            "deflate = own\n"
+            "components = 2\n"
+            "out = results\n"
+            "strict = on\n"
+            "assert = full\n"
+        )
+        args = build_parser().parse_args(["run", "--config", str(cfg)])
+        assert _build_run_config(args) == RunConfig(
+            blocks=["a.csv", "b.csv"], ids=["x", "y"], preset="sumcor", split=2,
+            m=3.0, tau=[0.5, 1.0], tau_super=0.25, scale="unit", delimiter="tab",
+            id_column=True, epsilon=1e-8, max_iter=50, init="file",
+            init_file="v0.txt", seed=4, starts=3, deflate="own", components=2,
+            out="results", strict=True, assert_level="full",
+        )
+        args = build_parser().parse_args(
+            ["run", "--config", str(cfg), "--seed", "9", "--tau", "0.1"]
+        )
+        overridden = _build_run_config(args)
+        assert (overridden.seed, overridden.tau, overridden.strict) == (9, [0.1], True)
+
+    @pytest.mark.parametrize("line", ["tau = a,b", "seed = x"])
+    def test_unparsable_config_value(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["run", "--config", str(cfg)]) == 1
+        key = line.split(" ")[0]
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: config key {key!r}"), err
 
     def test_deflation_writes_higher_ranks(self, tmp_path):
         out = tmp_path / "out"

@@ -3,13 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcpca import (
-    ModeSelector,
-    build_metric,
-    from_matrix,
-    inv_sqrt_apply,
-    projection_operator,
-)
+from rcpca import ModeSelector, build_metric, from_matrix
 from rcpca.errors import DimensionError, ModeBInfeasibleError
 
 
@@ -18,24 +12,34 @@ def random_block_matrix(seed, n=12, j=4):
     return from_matrix("x", rng.standard_normal((n, j))).matrix
 
 
+def power(met, p):
+    """M^p of a metric as a dense matrix."""
+    return met.apply(np.eye(met.dim), p)
+
+
+def projector(x):
+    """X M^+ X' / n from the Mode B metric: the projector onto col(X)."""
+    return x @ build_metric(x, tau=0.0).apply(x.T, -1.0) / x.shape[0]
+
+
 class TestBuildMetric:
     def test_mode_a_is_identity(self):
         x = random_block_matrix(0)
         met = build_metric(x, tau=1.0)
-        np.testing.assert_allclose(met.m_matrix, np.eye(4), atol=1e-12)
-        np.testing.assert_allclose(met.inv, np.eye(4), atol=1e-12)
-        np.testing.assert_allclose(met.inv_sqrt, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(power(met, 1.0), np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(power(met, -1.0), np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(power(met, -0.5), np.eye(4), atol=1e-12)
 
     def test_mode_b_single_column(self):
         x = np.array([[1.0], [-1.0]])
         met = build_metric(x, tau=0.0)
-        np.testing.assert_allclose(met.m_matrix, [[1.0]])
-        np.testing.assert_allclose(met.inv, [[1.0]])
+        np.testing.assert_allclose(power(met, 1.0), [[1.0]])
+        np.testing.assert_allclose(power(met, -1.0), [[1.0]])
 
     def test_half_shrinkage_single_column(self):
         x = np.array([[1.0], [-1.0]])
         met = build_metric(x, tau=0.5)
-        np.testing.assert_allclose(met.m_matrix, [[1.0]])
+        np.testing.assert_allclose(power(met, 1.0), [[1.0]])
 
     def test_tau_out_of_range(self):
         with pytest.raises(ValueError):
@@ -49,11 +53,11 @@ class TestBuildMetric:
     @given(st.integers(0, 10**6), st.floats(0.0, 1.0))
     def test_continuum_is_affine_in_tau(self, seed, tau):
         x = random_block_matrix(seed)
-        m_a = build_metric(x, 1.0).m_matrix
+        m_a = power(build_metric(x, 1.0), 1.0)
         m_b_raw = (x.T @ x) / x.shape[0]
         met = build_metric(x, tau) if tau > 0 else build_metric(x, 0.0)
         np.testing.assert_allclose(
-            met.m_matrix, tau * m_a + (1 - tau) * m_b_raw, atol=1e-12
+            power(met, 1.0), tau * m_a + (1 - tau) * m_b_raw, atol=1e-12
         )
 
     @settings(max_examples=25, deadline=None)
@@ -61,12 +65,13 @@ class TestBuildMetric:
     def test_inverse_and_root_are_consistent(self, seed, tau):
         x = random_block_matrix(seed)
         met = build_metric(x, tau)
+        inv_sqrt = power(met, -0.5)
         if tau > 0:
             np.testing.assert_allclose(
-                met.inv_sqrt @ met.m_matrix @ met.inv_sqrt, np.eye(4), atol=1e-8
+                inv_sqrt @ power(met, 1.0) @ inv_sqrt, np.eye(4), atol=1e-8
             )
             assert met.eigenvalues.min() >= tau - 1e-10
-        np.testing.assert_allclose(met.inv_sqrt @ met.inv_sqrt, met.inv, atol=1e-8)
+        np.testing.assert_allclose(inv_sqrt @ inv_sqrt, power(met, -1.0), atol=1e-8)
 
     def test_pseudo_inverse_on_rank_deficient_mode_b(self):
         # two perfectly collinear columns: rank 1 out of 2
@@ -77,8 +82,9 @@ class TestBuildMetric:
         assert met.pseudo
         assert met.rank == 1
         # inverse annihilates the null space: M M^+ M = M
+        m_mat = power(met, 1.0)
         np.testing.assert_allclose(
-            met.m_matrix @ met.inv @ met.m_matrix, met.m_matrix, atol=1e-10
+            m_mat @ power(met, -1.0) @ m_mat, m_mat, atol=1e-10
         )
 
 
@@ -86,7 +92,7 @@ class TestInvSqrtApply:
     def test_identity_metric_leaves_w(self):
         met = build_metric(random_block_matrix(3), tau=1.0)
         w = np.arange(8.0).reshape(4, 2)
-        np.testing.assert_allclose(inv_sqrt_apply(met, w), w, atol=1e-12)
+        np.testing.assert_allclose(met.apply(w, -0.5), w, atol=1e-12)
 
     def test_diagonal_metric(self):
         # (1/n) X'X = diag(4, 1) for this block
@@ -97,49 +103,53 @@ class TestInvSqrtApply:
             [0.0, -np.sqrt(2.0)],
         ])
         met = build_metric(x, tau=0.0)
-        np.testing.assert_allclose(met.m_matrix, np.diag([4.0, 1.0]), atol=1e-12)
+        np.testing.assert_allclose(power(met, 1.0), np.diag([4.0, 1.0]), atol=1e-12)
         np.testing.assert_allclose(
-            inv_sqrt_apply(met, np.eye(2)), np.diag([0.5, 1.0]), atol=1e-12
+            met.apply(np.eye(2), -0.5), np.diag([0.5, 1.0]), atol=1e-12
         )
 
     def test_null_space_annihilated(self):
         # (1/n) X'X = diag(1, 0)
         x = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
         met = build_metric(x, tau=0.0)
-        np.testing.assert_allclose(met.m_matrix, np.diag([1.0, 0.0]), atol=1e-12)
+        np.testing.assert_allclose(power(met, 1.0), np.diag([1.0, 0.0]), atol=1e-12)
         np.testing.assert_allclose(
-            inv_sqrt_apply(met, np.array([0.0, 1.0])), [0.0, 0.0], atol=1e-12
+            met.apply(np.array([0.0, 1.0]), -0.5), [0.0, 0.0], atol=1e-12
         )
 
     def test_dimension_mismatch(self):
         met = build_metric(random_block_matrix(4), tau=1.0)
         with pytest.raises(DimensionError):
-            inv_sqrt_apply(met, np.zeros(5))
+            met.apply(np.zeros(5), -0.5)
 
 
 class TestProjector:
     def test_single_column_hand_value(self):
-        proj = projection_operator(np.array([[1.0], [-1.0]]))
         np.testing.assert_allclose(
-            proj.as_matrix(), [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12
+            projector(np.array([[1.0], [-1.0]])), [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12
         )
 
     def test_full_row_rank_rejected(self):
         with pytest.raises(ModeBInfeasibleError):
-            projection_operator(np.eye(2))
+            projector(np.eye(2))
 
     def test_identity_on_column_space(self):
         x = random_block_matrix(5, n=10, j=3)
-        proj = projection_operator(x)
-        np.testing.assert_allclose(proj(x), x, atol=1e-10)
+        np.testing.assert_allclose(projector(x) @ x, x, atol=1e-10)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))
     def test_symmetric_idempotent(self, seed):
         x = random_block_matrix(seed, n=9, j=4)
-        p = projection_operator(x).as_matrix()
+        p = projector(x)
         np.testing.assert_allclose(p, p.T, atol=1e-10)
         np.testing.assert_allclose(p @ p, p, atol=1e-10)
+
+    def test_rank_of_collinear_block(self):
+        base = np.array([1.0, -1.0, 2.0, -2.0, 0.5, -0.5])
+        x = np.column_stack([base, 2 * base, base[::-1]])
+        x = x - x.mean(axis=0)
+        assert np.trace(projector(x)) == pytest.approx(2.0, abs=1e-10)
 
 
 class TestModeSelector:

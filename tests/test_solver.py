@@ -7,9 +7,14 @@ from helpers import (
     M_GRID,
     full_rank_blockset,
     latent_blockset,
+    q_blocks,
     random_blockset,
     random_m,
     random_modes,
+    reference_criterion,
+    reference_gradient,
+    reference_gram,
+    superblock_from_block_components,
 )
 from rcpca import (
     GradientOracle,
@@ -20,19 +25,10 @@ from rcpca import (
     build_blockset,
     build_metrics,
     contributions,
-    covariance_criterion,
-    criterion,
-    fixed_point_residual_original,
     from_matrix,
-    gradient,
-    gram_matrix,
-    init_v,
-    iterate,
     sample_cov,
     solve,
     sphere_maximize,
-    stationary_residual,
-    superblock_from_block_components,
     transform,
 )
 from rcpca.errors import (
@@ -41,12 +37,18 @@ from rcpca.errors import (
     SingularGradientError,
     UndefinedContributionsError,
 )
+from rcpca.solver import _eigen_start, _given_start, _random_start, stationary_residual
 
 
 def problem_from_qs(qs, m, n=1):
-    """Problem built directly from Q matrices (P matrices unused by the ops)."""
-    qs = tuple(np.asarray(q, dtype=float) for q in qs)
-    return TransformedProblem(p_matrices=(), q_matrices=qs, m=m, n=n)
+    """Problem built directly from Q matrices."""
+    return TransformedProblem([np.asarray(q, dtype=float) for q in qs], m, n)
+
+
+def step(problem, v):
+    """One normalized-gradient iteration of the maximizer from v."""
+    cfg = SolverConfig(m=problem.m, max_iter=1, assert_level="off")
+    return sphere_maximize(problem, cfg, v, problem.m)[0]
 
 
 class TestTransform:
@@ -56,8 +58,8 @@ class TestTransform:
         problem = transform(bs, metrics, 2.0)
         for b in range(2):
             np.testing.assert_allclose(
-                problem.q_matrices[b],
-                bs.blocks[b].matrix.T @ bs.superblock,
+                q_blocks(problem)[b],
+                bs.blocks[b].matrix.T @ bs.superblock / bs.n,
                 atol=1e-12,
             )
 
@@ -66,13 +68,13 @@ class TestTransform:
         metrics = build_metrics(bs, ModeSelector.uniform("A", "A", 1))
         problem = transform(bs, metrics, 2.0)
         x = bs.blocks[0].matrix
-        np.testing.assert_allclose(problem.q_matrices[0], x.T @ x, atol=1e-12)
+        np.testing.assert_allclose(q_blocks(problem)[0], x.T @ x / bs.n, atol=1e-12)
 
     def test_single_column_mode_b(self):
         bs = build_blockset([from_matrix("x", [[1.0], [-1.0]])])
         metrics = build_metrics(bs, ModeSelector.uniform("B", "B", 1))
         problem = transform(bs, metrics, 2.0)
-        np.testing.assert_allclose(problem.q_matrices[0], [[2.0]], atol=1e-12)
+        np.testing.assert_allclose(q_blocks(problem)[0], [[1.0]], atol=1e-12)
 
     def test_zero_block_does_not_contribute(self):
         good = from_matrix("good", np.random.default_rng(0).standard_normal((6, 2)))
@@ -91,20 +93,20 @@ class TestCriterion:
     def test_identity_q_any_m(self):
         for m in M_GRID:
             problem = problem_from_qs([np.eye(2)], m=m)
-            assert criterion(problem, np.array([1.0, 0.0])) == pytest.approx(1.0)
+            assert problem.value(np.array([1.0, 0.0])) == pytest.approx(1.0)
 
     def test_two_identity_blocks(self):
         problem = problem_from_qs([np.eye(2), np.eye(2)], m=3.0)
         v = np.array([0.6, 0.8])
-        assert criterion(problem, v) == pytest.approx(2.0)
+        assert problem.value(v) == pytest.approx(2.0)
 
     def test_diagonal_fourth_power(self):
         problem = problem_from_qs([np.diag([2.0, 1.0])], m=4.0)
-        assert criterion(problem, np.array([1.0, 0.0])) == pytest.approx(16.0)
+        assert problem.value(np.array([1.0, 0.0])) == pytest.approx(16.0)
 
     def test_covariance_scale(self):
         problem = problem_from_qs([np.diag([2.0, 1.0])], m=4.0, n=2)
-        assert covariance_criterion(problem, np.array([1.0, 0.0])) == pytest.approx(1.0)
+        assert problem.value(np.array([1.0, 0.0])) == pytest.approx(1.0)
 
 
 class TestGradient:
@@ -115,12 +117,12 @@ class TestGradient:
         v = rng.standard_normal(4)
         v /= np.linalg.norm(v)
         expected = 2.0 * sum(q.T @ (q @ v) for q in qs)
-        np.testing.assert_allclose(gradient(problem, v), expected, atol=1e-12)
+        np.testing.assert_allclose(problem.grad(v), expected, atol=1e-12)
 
     def test_identity_q_m3(self):
         problem = problem_from_qs([np.eye(2)], m=3.0)
         np.testing.assert_allclose(
-            gradient(problem, np.array([1.0, 0.0])), [3.0, 0.0], atol=1e-12
+            problem.grad(np.array([1.0, 0.0])), [3.0, 0.0], atol=1e-12
         )
 
     def test_finite_differences(self):
@@ -131,12 +133,12 @@ class TestGradient:
             problem = problem_from_qs(qs, m=m)
             v = rng.standard_normal(5)
             v /= np.linalg.norm(v)
-            g = gradient(problem, v)
+            g = problem.grad(v)
             fd = np.empty(5)
             for i in range(5):
                 e = np.zeros(5)
                 e[i] = h
-                fd[i] = (criterion(problem, v + e) - criterion(problem, v - e)) / (2 * h)
+                fd[i] = (problem.value(v + e) - problem.value(v - e)) / (2 * h)
             assert np.linalg.norm(fd - g) / np.linalg.norm(g) <= 1e-6
 
     @settings(max_examples=40, deadline=None)
@@ -148,44 +150,80 @@ class TestGradient:
         problem = problem_from_qs(qs, m=m)
         v = rng.standard_normal(4)
         v /= np.linalg.norm(v)
-        psi = criterion(problem, v)
-        assert v @ gradient(problem, v) == pytest.approx(m * psi, rel=1e-10)
+        psi = problem.value(v)
+        assert v @ problem.grad(v) == pytest.approx(m * psi, rel=1e-10)
 
     def test_singular_for_m_below_two(self):
         problem = problem_from_qs([np.array([[1.0, 0.0]])], m=1.5)
         with pytest.raises(SingularGradientError, match="block 1"):
-            gradient(problem, np.array([0.0, 1.0]))
+            problem.grad(np.array([0.0, 1.0]))
 
     def test_zero_term_continuous_for_m_three(self):
         problem = problem_from_qs([np.array([[1.0, 0.0]])], m=3.0)
         np.testing.assert_allclose(
-            gradient(problem, np.array([0.0, 1.0])), [0.0, 0.0], atol=1e-12
+            problem.grad(np.array([0.0, 1.0])), [0.0, 0.0], atol=1e-12
         )
+
+
+class TestStackedOperator:
+    def test_matches_per_block_reference(self):
+        rng = np.random.default_rng(12)
+        for m in M_GRID:
+            for _ in range(20):
+                dim = int(rng.integers(1, 7))
+                qs = [
+                    rng.standard_normal((int(rng.integers(1, 6)), dim))
+                    for _ in range(int(rng.integers(1, 6)))
+                ]
+                n = int(rng.integers(1, 50))
+                problem = problem_from_qs(qs, m=m, n=n)
+                ref = [q / n for q in qs]
+                v = rng.standard_normal(dim)
+                v /= np.linalg.norm(v)
+                psi = reference_criterion(ref, v, m)
+                assert abs(problem.value(v) - psi) <= 1e-12 * psi
+                g = reference_gradient(ref, v, m)
+                assert np.linalg.norm(problem.grad(v) - g) <= 1e-12 * np.linalg.norm(g)
+
+            # a zero segment adds nothing for m >= 2 and is singular below
+            qs = [rng.standard_normal((3, 4)), np.zeros((2, 4)), rng.standard_normal((1, 4))]
+            problem = problem_from_qs(qs, m=m)
+            v = rng.standard_normal(4)
+            v /= np.linalg.norm(v)
+            if m >= 2.0:
+                g = reference_gradient(qs, v, m)
+                assert np.linalg.norm(problem.grad(v) - g) <= 1e-12 * np.linalg.norm(g)
+                assert problem.value(v) == pytest.approx(
+                    reference_criterion(qs, v, m), rel=1e-12
+                )
+            else:
+                with pytest.raises(SingularGradientError, match="block 2"):
+                    problem.grad(v)
 
 
 class TestInitV:
     def test_eigen_start_diagonal(self):
         problem = problem_from_qs([np.diag([2.0, 1.0])], m=2.0)
-        v = init_v(problem, "eigen")
+        v = _eigen_start(problem)[0]
         assert abs(abs(v[0]) - 1.0) <= 1e-12
         assert abs(v[1]) <= 1e-12
 
     def test_random_is_deterministic(self):
         problem = problem_from_qs([np.diag([2.0, 1.0])], m=2.0)
-        v1 = init_v(problem, "random", seed=42)
-        v2 = init_v(problem, "random", seed=42)
+        v1 = _random_start(problem, 42)
+        v2 = _random_start(problem, 42)
         np.testing.assert_array_equal(v1, v2)
 
     def test_given_is_normalized(self):
         problem = problem_from_qs([np.eye(2)], m=2.0)
         np.testing.assert_allclose(
-            init_v(problem, np.array([3.0, 4.0])), [0.6, 0.8], atol=1e-12
+            _given_start(problem, np.array([3.0, 4.0])), [0.6, 0.8], atol=1e-12
         )
 
     def test_given_with_zero_criterion(self):
         problem = problem_from_qs([np.array([[1.0, 0.0]])], m=2.0)
         with pytest.raises(BadStartError):
-            init_v(problem, np.array([0.0, 1.0]))
+            _given_start(problem, np.array([0.0, 1.0]))
 
 
 class TestIterate:
@@ -193,15 +231,15 @@ class TestIterate:
         problem = problem_from_qs([np.diag([2.0, 1.0])], m=2.0)
         v = np.array([1.0, 1.0]) / np.sqrt(2.0)
         expected = np.array([4.0, 1.0]) / np.sqrt(17.0)
-        np.testing.assert_allclose(iterate(problem, v), expected, atol=1e-12)
+        np.testing.assert_allclose(step(problem, v), expected, atol=1e-12)
 
     def test_dominant_eigenvector_is_fixed(self):
         rng = np.random.default_rng(4)
         qs = [rng.standard_normal((3, 4)) for _ in range(2)]
         problem = problem_from_qs(qs, m=2.0)
-        _, vecs = np.linalg.eigh(gram_matrix(problem))
+        _, vecs = np.linalg.eigh(reference_gram(qs))
         v = vecs[:, -1]
-        out = iterate(problem, v)
+        out = step(problem, v)
         assert min(np.linalg.norm(out - v), np.linalg.norm(out + v)) <= 1e-10
 
     def test_orthogonal_q_leaves_v(self):
@@ -210,7 +248,7 @@ class TestIterate:
         for m in M_GRID:
             problem = problem_from_qs([q], m=m)
             v = np.array([0.6, 0.8])
-            np.testing.assert_allclose(iterate(problem, v), v, atol=1e-12)
+            np.testing.assert_allclose(step(problem, v), v, atol=1e-12)
 
 
 class TestSphereMaximize:
@@ -218,7 +256,7 @@ class TestSphereMaximize:
         c = np.array([3.0, 4.0])
         oracle = GradientOracle(value=lambda v: float(c @ v), grad=lambda v: c)
         cfg = SolverConfig(epsilon=1e-12, assert_level="full")
-        v, trace = sphere_maximize(oracle, cfg, v0=np.array([1.0, 0.0]))
+        v, trace = sphere_maximize(oracle, cfg, np.array([1.0, 0.0]), 1.0)
         np.testing.assert_allclose(v, [0.6, 0.8], atol=1e-12)
         assert trace.converged
         assert trace.iterations <= 2
@@ -229,7 +267,7 @@ class TestSphereMaximize:
             value=lambda v: float(v @ a @ v), grad=lambda v: 2.0 * (a @ v)
         )
         cfg = SolverConfig(epsilon=1e-14, assert_level="full", max_iter=200)
-        v, trace = sphere_maximize(oracle, cfg, v0=np.array([0.6, 0.8]))
+        v, trace = sphere_maximize(oracle, cfg, np.array([0.6, 0.8]), 2.0)
         assert abs(abs(v[0]) - 1.0) <= 1e-7
         assert trace.converged
 
@@ -239,7 +277,7 @@ class TestSphereMaximize:
             value=lambda v: float(v @ a @ v), grad=lambda v: 2.0 * (a @ v)
         )
         cfg = SolverConfig(epsilon=1e-12, assert_level="full")
-        v, trace = sphere_maximize(oracle, cfg, v0=np.array([1.0, 0.0]))
+        v, trace = sphere_maximize(oracle, cfg, np.array([1.0, 0.0]), 2.0)
         assert trace.iterations == 1
         assert all(s <= 1e-12 for s in trace.step_norm)
 
@@ -249,14 +287,14 @@ class TestSphereMaximize:
             value=lambda v: float(v @ a @ v), grad=lambda v: 2.0 * (a @ v)
         )
         cfg = SolverConfig(epsilon=1e-16, max_iter=2)
-        _, trace = sphere_maximize(oracle, cfg, v0=np.array([0.6, 0.8]))
+        _, trace = sphere_maximize(oracle, cfg, np.array([0.6, 0.8]), 2.0)
         assert not trace.converged
         assert trace.iterations == 2
 
     def test_zero_start_rejected(self):
         oracle = GradientOracle(value=lambda v: 1.0, grad=lambda v: v)
         with pytest.raises(BadStartError):
-            sphere_maximize(oracle, SolverConfig(), v0=np.zeros(2))
+            sphere_maximize(oracle, SolverConfig(), np.zeros(2), 1.0)
 
 
 class TestSolve:
@@ -301,7 +339,7 @@ class TestSolve:
             sol = solve(bs, modes, cfg)
             metrics = build_metrics(bs, modes)
             for w, met in zip(sol.w_blocks + [sol.w_super], metrics):
-                assert w @ met.m_matrix @ w == pytest.approx(1.0, abs=1e-8)
+                assert w @ met.apply(w, 1.0) == pytest.approx(1.0, abs=1e-8)
             assert np.linalg.norm(sol.v_super) == pytest.approx(1.0, abs=1e-12)
 
     @settings(max_examples=30, deadline=None)
@@ -341,7 +379,7 @@ class TestSolve:
             sol = solve(bs, modes, cfg)
             metrics = build_metrics(bs, modes)
             problem = transform(bs, metrics, 2.0)
-            vals, vecs = np.linalg.eigh(gram_matrix(problem))
+            vals, vecs = np.linalg.eigh(reference_gram(q_blocks(problem)))
             if (vals[-1] - vals[-2]) / vals[-1] < 1e-3:
                 continue
             cos = abs(vecs[:, -1] @ sol.v_super)
@@ -403,7 +441,7 @@ class TestBackMapping:
         cfg = SolverConfig(m=2.0, epsilon=1e-13, assert_level="full", max_iter=50_000)
         sol = solve(bs, modes, cfg)
         metrics = build_metrics(bs, modes)
-        r_orig = fixed_point_residual_original(sol, bs, metrics, 2.0)
+        r_orig = stationary_residual(sol.y_super, bs, metrics, 2.0)
         assert r_orig <= 1e-6
         assert abs(r_orig - sol.fixed_point_residual) <= 1e-8
 
