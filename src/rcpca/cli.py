@@ -9,9 +9,11 @@ error, 3 non-convergence under --strict, 4 violated internal guarantee.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,12 +86,13 @@ def _parse_config_file(path: str) -> dict[str, str]:
         values[key] = value
     return values
 
+
 def _bool(value: str) -> bool:
     if value.lower() in ("true", "yes", "1", "on"):
         return True
     if value.lower() in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {value!r}")
 
 
 def _csv_list(value: str) -> list[str]:
@@ -97,44 +100,65 @@ def _csv_list(value: str) -> list[str]:
 
 
 def _floats(value: str) -> list[float]:
-    return [float(v) for v in _csv_list(value)]
+    try:
+        return [float(v) for v in _csv_list(value)]
+    except ValueError:
+        # argparse prints this text as is; a ValueError would name the function
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {value!r}"
+        ) from None
 
 
-# config-file key -> (RunConfig field, parser); the field names double as
-# the argparse destinations of the matching flags
-_CONFIG_KEYS = {
-    "blocks": ("blocks", _csv_list),
-    "ids": ("ids", _csv_list),
-    "preset": ("preset", str),
-    "split": ("split", int),
-    "m": ("m", float),
-    "tau": ("tau", _floats),
-    "tau_super": ("tau_super", float),
-    "scale": ("scale", str),
-    "delimiter": ("delimiter", str),
-    "id_column": ("id_column", _bool),
-    "epsilon": ("epsilon", float),
-    "max_iter": ("max_iter", int),
-    "init": ("init", str),
-    "init_file": ("init_file", str),
-    "seed": ("seed", int),
-    "starts": ("starts", int),
-    "deflate": ("deflate", str),
-    "components": ("components", int),
-    "out": ("out", str),
-    "strict": ("strict", _bool),
-    "assert": ("assert_level", str),
+class _Option(NamedTuple):
+    field: str  # RunConfig field, also the argparse destination
+    parse: Callable[[str], Any]  # _bool makes the flag a store_const switch
+    choices: tuple[str, ...] | None
+    help: str
+
+
+# config key -> option; the flag is "--" plus the key with "_" replaced by "-"
+_OPTIONS = {
+    "blocks": _Option("blocks", _csv_list, None, "comma-separated block files"),
+    "ids": _Option("ids", _csv_list, None, "comma-separated block names"),
+    "preset": _Option("preset", str, None, "method preset name (see: rcpca explain)"),
+    "split": _Option("split", int, None, "block count for mixed presets"),
+    "m": _Option("m", float, None, "criterion exponent (>= 1)"),
+    "tau": _Option("tau", _floats, None, "per-block shrinkage in [0,1]; one value broadcasts"),
+    "tau_super": _Option("tau_super", float, None, "superblock shrinkage in [0,1]"),
+    "scale": _Option("scale", str, ("none", "unit"),
+                     "unit-variance scaling of the columns (default none)"),
+    "delimiter": _Option("delimiter", str, tuple(_DELIMITERS), "cell delimiter"),
+    "id_column": _Option("id_column", _bool, None, "first column holds row identifiers"),
+    "epsilon": _Option("epsilon", float, None,
+                       "convergence threshold: absolute bound on the per-iteration "
+                       "psi increment, at covariance scale (default 1e-10)"),
+    "max_iter": _Option("max_iter", int, None, "iteration cap"),
+    "init": _Option("init", str, ("eigen", "random", "file"), "start vector"),
+    "init_file": _Option("init_file", str, None, "file with the start vector"),
+    "seed": _Option("seed", int, None, "seed for random starts"),
+    "starts": _Option("starts", int, None, "number of multi-starts"),
+    "deflate": _Option("deflate", str, ("global", "block", "loading", "own"),
+                       "deflation strategy for higher ranks"),
+    "components": _Option("components", int, None, "number of components to extract"),
+    "out": _Option("out", str, None, "output directory"),
+    "strict": _Option("strict", _bool, None, "exit 3 when any rank fails to converge"),
+    "assert": _Option("assert_level", str, ("off", "cheap", "full"),
+                      "runtime verification level"),
 }
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _apply_config_file(cfg: RunConfig, values: dict[str, str]):
     for key, value in values.items():
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTIONS:
             raise ConfigError(f"unknown config key {key!r}")
-        name, parse = _CONFIG_KEYS[key]
+        option = _OPTIONS[key]
         try:
-            setattr(cfg, name, parse(value))
-        except ValueError as exc:
+            setattr(cfg, option.field, option.parse(value))
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from None
 
 
@@ -142,14 +166,15 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         _apply_config_file(cfg, _parse_config_file(args.config))
-    for name, _ in _CONFIG_KEYS.values():
-        value = getattr(args, name)
+    for option in _OPTIONS.values():
+        value = getattr(args, option.field)
         if value is not None:
-            setattr(cfg, name, value)
+            setattr(cfg, option.field, value)
     return cfg
 
 
-def _validate(cfg: RunConfig) -> None:
+def _validate(cfg: RunConfig) -> MethodPreset | None:
+    """Check the configuration; return the preset with m and split filled in."""
     if not cfg.blocks:
         raise ConfigError("no block files given (--blocks f1.csv,f2.csv)")
     for path in cfg.blocks:
@@ -160,83 +185,67 @@ def _validate(cfg: RunConfig) -> None:
     ids = cfg.ids or [Path(p).stem for p in cfg.blocks]
     if len(set(ids)) != len(ids):
         raise ConfigError(f"block ids must be unique, got {ids}")
+    entry = None
     if cfg.preset is not None:
-        entry = preset(cfg.preset)
+        base = preset(cfg.preset)
         if cfg.tau is not None or cfg.tau_super is not None:
             raise ConfigError("--preset and explicit --tau/--tau-super are mutually exclusive")
-        if cfg.m is not None and entry.m is not None:
-            raise ConfigError(
-                f"--preset {cfg.preset} fixes m = {entry.m:g}; --m is mutually exclusive"
-            )
-        if cfg.m is None and entry.m is None:
+        if cfg.m is None and base.m is None:
             raise ConfigError(f"--preset {cfg.preset} leaves m free; pass --m")
+        if cfg.split is None and base.tau_blocks is None:
+            raise ConfigError(f"--preset {cfg.preset} needs --split")
+        # CatalogError (exit 1) for an m or a split that the preset fixes
+        entry = preset(cfg.preset, m=cfg.m, split=cfg.split)
     else:
         if cfg.m is None:
             raise ConfigError("pass either --preset or an explicit --m with --tau/--tau-super")
         if cfg.tau is None or cfg.tau_super is None:
             raise ConfigError("explicit runs need --m, --tau and --tau-super")
-    if cfg.scale not in ("none", "unit"):
-        raise ConfigError(f"--scale must be none or unit, got {cfg.scale!r}")
-    if cfg.delimiter not in _DELIMITERS:
-        raise ConfigError(f"--delimiter must be comma or tab, got {cfg.delimiter!r}")
-    if cfg.init not in ("eigen", "random", "file"):
-        raise ConfigError(f"--init must be eigen, random or file, got {cfg.init!r}")
+        if cfg.split is not None:
+            raise ConfigError("--split applies to mixed presets only; explicit runs set --tau")
+    for key, option in _OPTIONS.items():
+        value = getattr(cfg, option.field)
+        if option.choices is not None and value not in option.choices:
+            allowed = ", ".join(option.choices[:-1]) + " or " + option.choices[-1]
+            raise ConfigError(f"{_flag(key)} must be {allowed}, got {value!r}")
     if cfg.init == "file" and not cfg.init_file:
         raise ConfigError("--init file needs --init-file PATH")
-    if cfg.deflate not in ("global", "block", "loading", "own"):
-        raise ConfigError(f"--deflate must be global, block, loading or own")
     if cfg.components < 1:
         raise ConfigError("--components must be at least 1")
-    if cfg.assert_level not in ("off", "cheap", "full"):
-        raise ConfigError("--assert must be off, cheap or full")
+    return entry
 
 
 def _load_blocks(cfg: RunConfig) -> BlockSet:
     ids = cfg.ids or [Path(p).stem for p in cfg.blocks]
+    delimiter, scale = _DELIMITERS[cfg.delimiter], cfg.scale == "unit"
     blocks = [
-        load_block(
-            path,
-            id=bid,
-            delimiter=_DELIMITERS[cfg.delimiter],
-            scale=cfg.scale == "unit",
-            id_column=cfg.id_column,
-        )
+        load_block(path, id=bid, delimiter=delimiter, scale=scale, id_column=cfg.id_column)
         for path, bid in zip(cfg.blocks, ids)
     ]
     return build_blockset(blocks)
 
 
 def _solver_config(cfg: RunConfig, entry: MethodPreset | None) -> SolverConfig:
-    m = entry.m if entry is not None and entry.m is not None else cfg.m
+    m = entry.m if entry is not None else cfg.m
     if cfg.init == "file":
         path = Path(cfg.init_file)
         if not path.exists():
             raise DataError(f"start-vector file not found: {cfg.init_file}")
         try:
-            init = np.array(
-                [float(line) for line in path.read_text().split()], dtype=float
-            )
+            values = [float(s) for s in path.read_text().split()]
         except ValueError:
             raise DataError(f"start-vector file {cfg.init_file} must hold numbers") from None
+        if not all(map(math.isfinite, values)):
+            raise DataError(f"start-vector file {cfg.init_file} must hold finite numbers")
+        init = np.array(values, dtype=float)
     else:
         init = cfg.init
-    return SolverConfig(
-        m=float(m),
-        epsilon=cfg.epsilon,
-        max_iter=cfg.max_iter,
-        init=init,
-        seed=cfg.seed,
-        n_starts=cfg.starts,
-        assert_level=cfg.assert_level,
-    )
+    return SolverConfig(m=float(m), epsilon=cfg.epsilon, max_iter=cfg.max_iter, init=init,
+                        seed=cfg.seed, n_starts=cfg.starts, assert_level=cfg.assert_level)
 
 
 def _modes(cfg: RunConfig, entry: MethodPreset | None, n_blocks: int) -> ModeSelector:
     if entry is not None:
-        if entry.tau_blocks is None and entry.split is None:
-            if cfg.split is None:
-                raise ConfigError(f"preset {entry.name} needs --split")
-            entry = preset(entry.name, split=cfg.split)
         return entry.selector(n_blocks)
     taus = cfg.tau
     if len(taus) == 1:
@@ -249,6 +258,13 @@ def _modes(cfg: RunConfig, entry: MethodPreset | None, n_blocks: int) -> ModeSel
         raise ConfigError(str(exc)) from None
 
 
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write one result table; str cells pass through, numbers go through _fmt."""
+    lines = [",".join(header)]
+    lines += [",".join(c if isinstance(c, str) else _fmt(c) for c in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def _write_outputs(
     out_dir: Path,
     cfg: RunConfig,
@@ -259,70 +275,32 @@ def _write_outputs(
 ) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     row_ids = blockset.row_ids or tuple(str(i + 1) for i in range(blockset.n))
-    n = blockset.n
 
     for r, sol in enumerate(result.solutions, start=1):
-        for b, block in enumerate(blockset.blocks):
-            lines = ["variable,weight"]
-            lines += [
-                f"{name},{_fmt(w)}"
-                for name, w in zip(block.columns, sol.w_blocks[b])
-            ]
-            (out_dir / f"rank{r}_weights_{block.id}.csv").write_text(
-                "\n".join(lines) + "\n", encoding="utf-8"
-            )
-        lines = ["variable,weight"]
-        lines += [
-            f"{name},{_fmt(w)}"
-            for name, w in zip(blockset.superblock_columns, sol.w_super)
-        ]
-        (out_dir / f"rank{r}_weights_superblock.csv").write_text(
-            "\n".join(lines) + "\n", encoding="utf-8"
-        )
-
-        header = "row_id," + ",".join(blockset.ids) + ",superblock"
-        lines = [header]
-        for i in range(n):
-            cells = [row_ids[i]]
-            cells += [_fmt(sol.y_blocks[b][i]) for b in range(blockset.n_blocks)]
-            cells.append(_fmt(sol.y_super[i]))
-            lines.append(",".join(cells))
-        (out_dir / f"rank{r}_components.csv").write_text(
-            "\n".join(lines) + "\n", encoding="utf-8"
-        )
-
-        y_norm = np.linalg.norm(sol.y_super)
-        lines = ["block,cov,cor,contribution"]
-        for b, block in enumerate(blockset.blocks):
-            yb = sol.y_blocks[b]
-            cor = float(yb @ sol.y_super) / (np.linalg.norm(yb) * y_norm)
-            lines.append(
-                f"{block.id},{_fmt(sol.covs[b])},{_fmt(cor)},{_fmt(sol.contributions[b])}"
-            )
-        (out_dir / f"rank{r}_blocks.csv").write_text(
-            "\n".join(lines) + "\n", encoding="utf-8"
-        )
-
-        lines = ["variable,correlation"]
-        for j, name in enumerate(blockset.superblock_columns):
-            col = blockset.superblock[:, j]
+        ys, y_norm, trace = sol.y_super, np.linalg.norm(sol.y_super), sol.trace
+        for block, w in zip(blockset.blocks, sol.w_blocks):
+            _write_csv(out_dir / f"rank{r}_weights_{block.id}.csv", ("variable", "weight"),
+                       zip(block.columns, w))
+        _write_csv(out_dir / f"rank{r}_weights_superblock.csv", ("variable", "weight"),
+                   zip(blockset.superblock_columns, sol.w_super))
+        _write_csv(out_dir / f"rank{r}_components.csv", ("row_id", *blockset.ids, "superblock"),
+                   zip(row_ids, *sol.y_blocks, ys))
+        _write_csv(out_dir / f"rank{r}_blocks.csv", ("block", "cov", "cor", "contribution"), [
+            (block.id, cov, float(yb @ ys) / (np.linalg.norm(yb) * y_norm), contribution)
+            for block, yb, cov, contribution
+            in zip(blockset.blocks, sol.y_blocks, sol.covs, sol.contributions)
+        ])
+        correlations = []
+        for name, col in zip(blockset.superblock_columns, blockset.superblock.T):
             cn = np.linalg.norm(col)
-            cor = float(col @ sol.y_super) / (cn * y_norm) if cn > 0 else 0.0
-            lines.append(f"{name},{_fmt(cor)}")
-        (out_dir / f"rank{r}_variable_correlations.csv").write_text(
-            "\n".join(lines) + "\n", encoding="utf-8"
-        )
-
-        lines = ["iteration,psi,step_norm,bound"]
-        lines.append(f"0,{_fmt(sol.trace.psi[0])},,")
-        for s in range(sol.trace.iterations):
-            lines.append(
-                f"{s + 1},{_fmt(sol.trace.psi[s + 1])},"
-                f"{_fmt(sol.trace.step_norm[s])},{_fmt(sol.trace.bound[s])}"
-            )
-        (out_dir / f"rank{r}_trace.csv").write_text(
-            "\n".join(lines) + "\n", encoding="utf-8"
-        )
+            correlations.append((name, float(col @ ys) / (cn * y_norm) if cn > 0 else 0.0))
+        _write_csv(out_dir / f"rank{r}_variable_correlations.csv", ("variable", "correlation"),
+                   correlations)
+        _write_csv(out_dir / f"rank{r}_trace.csv", ("iteration", "psi", "step_norm", "bound"), [
+            ("0", trace.psi[0], "", ""),
+            *((str(s + 1), trace.psi[s + 1], trace.step_norm[s], trace.bound[s])
+              for s in range(trace.iterations)),
+        ])
 
     manifest = [
         f"preset = {cfg.preset or '(explicit)'}",
@@ -344,29 +322,21 @@ def _write_outputs(
         f"achieved_rank = {result.achieved_rank}",
         f"converged = {str(all(s.trace.converged for s in result.solutions)).lower()}",
     ]
-    for r, sol in enumerate(result.solutions, start=1):
-        manifest.append(f"rank{r}_psi_final = {_fmt(sol.psi_final)}")
-        manifest.append(f"rank{r}_fixed_point_residual = {_fmt(sol.fixed_point_residual)}")
-        manifest.append(f"rank{r}_iterations = {sol.trace.iterations}")
-        manifest.append(f"rank{r}_converged = {str(sol.trace.converged).lower()}")
     all_warnings = list(result.warnings)
     for r, sol in enumerate(result.solutions, start=1):
+        manifest += [
+            f"rank{r}_psi_final = {_fmt(sol.psi_final)}",
+            f"rank{r}_fixed_point_residual = {_fmt(sol.fixed_point_residual)}",
+            f"rank{r}_iterations = {sol.trace.iterations}",
+            f"rank{r}_converged = {str(sol.trace.converged).lower()}",
+        ]
         all_warnings += [f"rank{r}: {w}" for w in sol.trace.warnings]
     manifest.append(f"warnings = {'; '.join(all_warnings) if all_warnings else '(none)'}")
     (out_dir / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="utf-8")
 
 
 def run(cfg: RunConfig) -> int:
-    _validate(cfg)
-    entry = None
-    if cfg.preset:
-        base = preset(cfg.preset)
-        kwargs = {}
-        if base.m is None:
-            kwargs["m"] = cfg.m
-        if base.tau_blocks is None and cfg.split is not None:
-            kwargs["split"] = cfg.split
-        entry = preset(cfg.preset, **kwargs) if kwargs else base
+    entry = _validate(cfg)
     blockset = _load_blocks(cfg)
     modes = _modes(cfg, entry, blockset.n_blocks)
     solver_cfg = _solver_config(cfg, entry)
@@ -454,13 +424,6 @@ def _mode_name(tau: float) -> str:
     return f"shrinkage {tau:g}"
 
 
-def _float_list(value: str) -> list[float]:
-    try:
-        return _floats(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {value!r}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rcpca",
@@ -472,36 +435,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an analysis and write result files")
     p_run.add_argument("--config", help="key = value config file; flags override it")
-    p_run.add_argument("--blocks", type=_csv_list, help="comma-separated block files")
-    p_run.add_argument("--ids", type=_csv_list, help="comma-separated block names")
-    p_run.add_argument("--preset", help="method preset name (see: rcpca explain)")
-    p_run.add_argument("--split", type=int, help="block count for mixed presets")
-    p_run.add_argument("--m", type=float, help="criterion exponent (>= 1)")
-    p_run.add_argument("--tau", type=_float_list,
-                       help="per-block shrinkage in [0,1]; one value broadcasts")
-    p_run.add_argument("--tau-super", dest="tau_super", type=float,
-                       help="superblock shrinkage in [0,1]")
-    p_run.add_argument("--scale", choices=["none", "unit"],
-                       help="unit-variance scaling of the columns (default none)")
-    p_run.add_argument("--delimiter", choices=["comma", "tab"], help="cell delimiter")
-    p_run.add_argument("--id-column", dest="id_column", action="store_const", const=True,
-                       help="first column holds row identifiers")
-    p_run.add_argument("--epsilon", type=float,
-                       help="convergence threshold: absolute bound on the per-iteration "
-                            "psi increment, at covariance scale (default 1e-10)")
-    p_run.add_argument("--max-iter", dest="max_iter", type=int, help="iteration cap")
-    p_run.add_argument("--init", choices=["eigen", "random", "file"], help="start vector")
-    p_run.add_argument("--init-file", dest="init_file", help="file with the start vector")
-    p_run.add_argument("--seed", type=int, help="seed for random starts")
-    p_run.add_argument("--starts", type=int, help="number of multi-starts")
-    p_run.add_argument("--deflate", choices=["global", "block", "loading", "own"],
-                       help="deflation strategy for higher ranks")
-    p_run.add_argument("--components", type=int, help="number of components to extract")
-    p_run.add_argument("--out", help="output directory")
-    p_run.add_argument("--strict", action="store_const", const=True,
-                       help="exit 3 when any rank fails to converge")
-    p_run.add_argument("--assert", dest="assert_level", choices=["off", "cheap", "full"],
-                       help="runtime verification level")
+    for key, option in _OPTIONS.items():
+        if option.parse is _bool:
+            p_run.add_argument(_flag(key), dest=option.field, action="store_const",
+                               const=True, help=option.help)
+        else:
+            p_run.add_argument(_flag(key), dest=option.field, type=option.parse,
+                               choices=option.choices, help=option.help)
     p_run.set_defaults(func=lambda args: run(_build_run_config(args)))
 
     p_exp = sub.add_parser(

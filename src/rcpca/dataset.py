@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -167,6 +168,21 @@ def from_matrix(
     return _preprocess(data, id, columns, row_ids, scale)
 
 
+def _cell(block_id: str, row: int, column: str, text: str) -> float:
+    s = text.strip()
+    if not s:
+        raise ParseError(f"block {block_id!r}: missing value at row {row}, column {column!r}")
+    try:
+        value = float(s)
+    except ValueError:
+        raise ParseError(
+            f"block {block_id!r}: non-numeric value {s!r} at row {row}, column {column!r}"
+        ) from None
+    if not math.isfinite(value):
+        raise ParseError(f"block {block_id!r}: non-finite value at row {row}, column {column!r}")
+    return value
+
+
 def load_block(
     source,
     id: str | None = None,
@@ -178,8 +194,11 @@ def load_block(
     """Load one block from a delimiter-separated text table.
 
     The first row must hold column names. When ``id_column`` is true the
-    first column carries row identifiers. Cells must parse as finite
-    numbers; missing values are rejected rather than imputed.
+    first column carries row identifiers. Every other cell is read with
+    Python ``float`` syntax (``1``, ``-2.5``, ``3e-4``); whitespace around a
+    cell, a name or a row id is ignored. Empty cells are rejected rather
+    than imputed, and ``nan``/``inf`` are rejected. The first fault in file
+    order is reported, with its row and column.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
@@ -211,27 +230,10 @@ def load_block(
             raise ParseError(
                 f"block {id!r}: row {i} has {len(row)} fields, expected {len(header)}"
             )
-        cells = row[1:] if id_column else row
         if id_column:
             row_ids.append(row[0].strip())
-        for j, cell in enumerate(cells):
-            s = cell.strip()
-            if not s:
-                raise ParseError(
-                    f"block {id!r}: missing value at row {i}, column {columns[j]!r}"
-                )
-            try:
-                value = float(s)
-            except ValueError:
-                raise ParseError(
-                    f"block {id!r}: non-numeric value {s!r} at row {i}, "
-                    f"column {columns[j]!r}"
-                ) from None
-            if not np.isfinite(value):
-                raise ParseError(
-                    f"block {id!r}: non-finite value at row {i}, column {columns[j]!r}"
-                )
-            data[i - 2, j] = value
+            row = row[1:]
+        data[i - 2] = [_cell(id, i, name, text) for name, text in zip(columns, row)]
     if data.shape[0] < 2:
         raise DimensionError(f"block {id!r}: need at least 2 data rows")
     return _preprocess(data, id, columns, row_ids, scale)

@@ -52,13 +52,14 @@ class TestRun:
         assert code == 2
         assert "nope_missing.csv" in capsys.readouterr().err
 
-    def test_preset_and_m_are_mutually_exclusive(self, tmp_path):
+    def test_preset_and_m_are_mutually_exclusive(self, tmp_path, capsys):
         code = main([
             "run", "--blocks", DEMO_BLOCKS, "--id-column",
             "--preset", "consensus_pca", "--m", "3",
             "--out", str(tmp_path / "o"),
         ])
         assert code == 1
+        assert "fixes m = 2" in capsys.readouterr().err
 
     def test_preset_and_tau_are_mutually_exclusive(self, tmp_path):
         code = main([
@@ -220,6 +221,65 @@ class TestRun:
 
         monkeypatch.setattr(cli, "extract", boom)
         assert run_demo(tmp_path / "o") == 4
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_init_file_must_be_finite(self, tmp_path, capsys, bad):
+        vec = tmp_path / "v0.txt"
+        vec.write_text("\n".join([bad] + ["0.3"] * 8) + "\n")
+        assert run_demo(tmp_path / "o", "--init", "file", "--init-file", str(vec)) == 2
+        err = capsys.readouterr().err
+        assert f"start-vector file {vec} must hold finite numbers" in err, err
+
+    def test_split_with_fixed_preset_exits_1(self, tmp_path, capsys):
+        assert run_demo(tmp_path / "o", "--split", "1") == 1
+        assert "takes no split" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_split_with_explicit_run_exits_1(self, tmp_path, capsys):
+        code = main([
+            "run", "--blocks", DEMO_BLOCKS, "--id-column",
+            "--m", "2", "--tau", "1", "--tau-super", "1", "--split", "1",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert "--split" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_mixed_preset_needs_split(self, tmp_path):
+        common = ["run", "--blocks", DEMO_BLOCKS, "--id-column", "--scale", "unit",
+                  "--preset", "mixed_carroll"]
+        assert main([*common, "--out", str(tmp_path / "o")]) == 1
+        assert main([*common, "--split", "1", "--out", str(tmp_path / "ok")]) == 0
+        assert "tau_blocks = 0,1" in (tmp_path / "ok" / "manifest.txt").read_text()
+
+    def test_bad_tau_flag_message(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["run", "--tau", "a"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --tau: expected comma-separated numbers, got 'a'" in err, err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--scale", "log"), ("--delimiter", "semicolon"),
+                        ("--init", "zeros"), ("--deflate", "none"), ("--assert", "all")],
+    )
+    def test_flag_choices_are_enforced(self, capsys, flag, value):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", flag, value])
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("scale = log", "--scale must be none or unit, got 'log'"),
+         ("delimiter = semicolon", "--delimiter must be comma or tab, got 'semicolon'"),
+         ("init = zeros", "--init must be eigen, random or file, got 'zeros'")],
+    )
+    def test_config_choices_are_enforced(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"blocks = {DEMO_BLOCKS}\npreset = consensus_pca\n{line}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
 
     def test_explicit_tau_run(self, tmp_path):
         code = main([

@@ -73,6 +73,35 @@ class TestLoadBlock:
         assert block.columns == ("x",)
         np.testing.assert_allclose(block.matrix[:, 0], [1.0, -1.0])
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x,y\n1,2\n1,\n", "block 'a': missing value at row 3, column 'y'"),
+            ("x,y\n1,2\n1, \n", "block 'a': missing value at row 3, column 'y'"),
+            ("x,y\n1,2\n1,oops\n", "block 'a': non-numeric value 'oops' at row 3, column 'y'"),
+            ("x,y\n1,2\nnan,1\n", "block 'a': non-finite value at row 3, column 'x'"),
+            ("x,y\n1,2\n3,-inf\n", "block 'a': non-finite value at row 3, column 'y'"),
+            ("x,y\n1,2\n1\n", "block 'a': row 3 has 1 fields, expected 2"),
+            # the first fault in file order wins: the cell on row 3, not row 5
+            ("x,y\n1,2\n1, zz \n3,4\n5\n",
+             "block 'a': non-numeric value 'zz' at row 3, column 'y'"),
+            ("x,y\n1,2\n1,2,3\n1,oops\n", "block 'a': row 3 has 3 fields, expected 2"),
+        ],
+    )
+    def test_parse_error_messages(self, tmp_path, text, message):
+        path = write_csv(tmp_path, "a.csv", text)
+        with pytest.raises(ParseError) as info:
+            load_block(path)
+        assert str(info.value) == message
+
+    def test_padded_cells_and_id_column_are_stripped(self, tmp_path):
+        path = write_csv(tmp_path, "a.csv", " id , x ,y\n r1 , 3 ,\t1e0\nr2,  1,-1 \n")
+        block = load_block(path, id_column=True)
+        assert block.preprocessing.row_ids == ("r1", "r2")
+        assert block.columns == ("x", "y")
+        np.testing.assert_allclose(block.preprocessing.means, [2.0, 0.0])
+        np.testing.assert_allclose(block.matrix, [[1.0, 1.0], [-1.0, -1.0]])
+
     def test_file_like_source(self):
         block = load_block(io.StringIO("x\n4\n0\n"), id="mem")
         np.testing.assert_allclose(block.matrix[:, 0], [2.0, -2.0])
