@@ -67,8 +67,11 @@ class RunConfig:
     assert_level: str = "cheap"
 
 
+_NUMBER = "%.12g"  # every number the CLI writes: the result tables and the manifest
+
+
 def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+    return _NUMBER % x
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -212,6 +215,14 @@ def _validate(cfg: RunConfig) -> MethodPreset | None:
         raise ConfigError("--init file needs --init-file PATH")
     if cfg.components < 1:
         raise ConfigError("--components must be at least 1")
+    if cfg.starts < 1:
+        raise ConfigError("--starts must be at least 1")
+    if cfg.max_iter < 1:
+        raise ConfigError("--max-iter must be at least 1")
+    if not cfg.epsilon > 0.0:
+        raise ConfigError(f"--epsilon must be positive, got {cfg.epsilon!r}")
+    if cfg.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {cfg.seed}")
     return entry
 
 
@@ -259,9 +270,21 @@ def _modes(cfg: RunConfig, entry: MethodPreset | None, n_blocks: int) -> ModeSel
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write one result table; str cells pass through, numbers go through _fmt."""
+    """Write one result table; str cells pass through, numbers take _NUMBER.
+
+    Each row is formatted by one % string built from the types of its cells,
+    and rows whose cells have the same types share it.
+    """
+    formats: dict[tuple[type, ...], str] = {}
     lines = [",".join(header)]
-    lines += [",".join(c if isinstance(c, str) else _fmt(c) for c in row) for row in rows]
+    for row in rows:
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = ",".join(
+                "%s" if issubclass(k, str) else _NUMBER for k in kinds
+            )
+        lines.append(fmt % tuple(row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

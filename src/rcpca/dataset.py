@@ -11,9 +11,11 @@ threads.
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
+import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -193,50 +195,63 @@ def load_block(
 ) -> Block:
     """Load one block from a delimiter-separated text table.
 
-    The first row must hold column names. When ``id_column`` is true the
-    first column carries row identifiers. Every other cell is read with
-    Python ``float`` syntax (``1``, ``-2.5``, ``3e-4``); whitespace around a
-    cell, a name or a row id is ignored. Empty cells are rejected rather
-    than imputed, and ``nan``/``inf`` are rejected. The first fault in file
-    order is reported, with its row and column.
+    ``source`` is a path to a UTF-8 file or an open text stream. The first
+    row must hold column names. When ``id_column`` is true the first column
+    carries row identifiers. Every other cell is read with Python ``float``
+    syntax (``1``, ``-2.5``, ``3e-4``); whitespace around a cell, a name or
+    a row id is ignored. Empty cells are rejected rather than imputed, and
+    ``nan``/``inf`` are rejected. Rows that are blank or hold only empty
+    cells are skipped. The table is read in one pass, and the first fault
+    in file order is reported with its column and its row, numbered as a
+    line of the file (skipped lines count).
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
         if id is None:
             id = path.stem
-        text = path.read_text(encoding="utf-8")
+        opened = path.open(encoding="utf-8")
     else:
-        text = source.read()
+        opened = contextlib.nullcontext(source)
         if id is None:
             id = "block"
-    rows = list(csv.reader(io.StringIO(text), delimiter=delimiter))
-    rows = [r for r in rows if r and any(c.strip() for c in r)]
-    if len(rows) < 2:
-        raise ParseError(f"block {id!r}: need a header row plus data rows")
-    header = [c.strip() for c in rows[0]]
-    if id_column:
-        if len(header) < 2:
+    with opened as lines:
+        reader = csv.reader(lines, delimiter=delimiter)
+        rows = (r for r in reader if any(c.strip() for c in r))
+        header, first = next(rows, None), next(rows, None)
+        if first is None:
+            raise ParseError(f"block {id!r}: need a header row plus data rows")
+        header = [c.strip() for c in header]
+        if id_column and len(header) < 2:
             raise ParseError(f"block {id!r}: id column declared but only one column present")
-        columns = header[1:]
-    else:
-        columns = header
-    if not columns:
-        raise ParseError(f"block {id!r}: header row has no variable names")
+        columns = header[1:] if id_column else header
 
-    data = np.empty((len(rows) - 1, len(columns)), dtype=float)
-    row_ids: list[str] | None = [] if id_column else None
-    for i, row in enumerate(rows[1:], start=2):  # line numbers are 1-based
-        if len(row) != len(header):
-            raise ParseError(
-                f"block {id!r}: row {i} has {len(row)} fields, expected {len(header)}"
-            )
-        if id_column:
-            row_ids.append(row[0].strip())
-            row = row[1:]
-        data[i - 2] = [_cell(id, i, name, text) for name, text in zip(columns, row)]
-    if data.shape[0] < 2:
+        data = array("d")
+        row_ids: list[str] | None = [] if id_column else None
+        for row in itertools.chain((first,), rows):
+            line = reader.line_num  # the file line that ends this row
+            if len(row) != len(header):
+                raise ParseError(
+                    f"block {id!r}: row {line} has {len(row)} fields, expected {len(header)}"
+                )
+            if id_column:
+                row_ids.append(row[0].strip())
+                row = row[1:]
+            try:
+                values = list(map(float, row))
+                ok = all(map(math.isfinite, values))
+            except ValueError:
+                ok = False
+            if not ok:
+                # float() strips a subset of the whitespace str.strip() removes
+                # (not \x1c-\x1f) and rejects '', so every cell it accepts _cell
+                # accepts with the same value. A row it fails is read again by
+                # _cell, which names the first fault or returns the values.
+                values = [_cell(id, line, name, text) for name, text in zip(columns, row)]
+            data.fromlist(values)
+    if len(data) < 2 * len(columns):
         raise DimensionError(f"block {id!r}: need at least 2 data rows")
-    return _preprocess(data, id, columns, row_ids, scale)
+    matrix = np.frombuffer(data, dtype=float).reshape(-1, len(columns))
+    return _preprocess(matrix, id, columns, row_ids, scale)
 
 
 def build_blockset(blocks: Iterable[Block]) -> BlockSet:

@@ -281,6 +281,19 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"configuration error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [(("--starts", "0"), "--starts must be at least 1"),
+         (("--max-iter", "0"), "--max-iter must be at least 1"),
+         (("--epsilon", "0"), "--epsilon must be positive, got 0.0"),
+         (("--epsilon", "-1"), "--epsilon must be positive, got -1.0"),
+         (("--init", "random", "--seed", "-1"), "--seed must be non-negative, got -1")],
+    )
+    def test_solver_values_are_checked(self, tmp_path, capsys, extra, message):
+        assert run_demo(tmp_path / "o", *extra) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_explicit_tau_run(self, tmp_path):
         code = main([
             "run", "--blocks", DEMO_BLOCKS, "--ids", "process,quality",

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcpca import build_blockset, from_matrix, load_block, sample_cov
+from rcpca.dataset import _cell
 from rcpca.errors import (
     DataError,
     DegenerateColumnError,
@@ -86,6 +87,11 @@ class TestLoadBlock:
             ("x,y\n1,2\n1, zz \n3,4\n5\n",
              "block 'a': non-numeric value 'zz' at row 3, column 'y'"),
             ("x,y\n1,2\n1,2,3\n1,oops\n", "block 'a': row 3 has 3 fields, expected 2"),
+            # rows are numbered as file lines, so skipped blank lines count
+            ("x,y\n1,2\n\n1,oops\n", "block 'a': non-numeric value 'oops' at row 4, column 'y'"),
+            ("x,y\r\n1,2\r\n\r\n1,oops\r\n",
+             "block 'a': non-numeric value 'oops' at row 4, column 'y'"),
+            ("x,y\n\n1,2\n , \n1\n", "block 'a': row 5 has 1 fields, expected 2"),
         ],
     )
     def test_parse_error_messages(self, tmp_path, text, message):
@@ -93,6 +99,51 @@ class TestLoadBlock:
         with pytest.raises(ParseError) as info:
             load_block(path)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text, id_column, message",
+        [
+            ("", False, "block 'a': need a header row plus data rows"),
+            ("x,y\n", False, "block 'a': need a header row plus data rows"),
+            ("\n,\nx,y\n\n", False, "block 'a': need a header row plus data rows"),
+            ("id\nr1\nr2\n", True, "block 'a': id column declared but only one column present"),
+        ],
+    )
+    def test_table_shape_messages(self, tmp_path, text, id_column, message):
+        path = write_csv(tmp_path, "a.csv", text)
+        with pytest.raises(ParseError) as info:
+            load_block(path, id_column=id_column)
+        assert str(info.value) == message
+
+    def test_quoted_numeric_cells(self, tmp_path):
+        path = write_csv(tmp_path, "a.csv", 'x,"y"\n"1.5",2\n0.5," 4 "\n')
+        block = load_block(path)
+        assert block.columns == ("x", "y")
+        np.testing.assert_array_equal(block.preprocessing.means, [1.0, 3.0])
+
+    def test_blank_and_empty_cell_rows_are_skipped(self, tmp_path):
+        path = write_csv(tmp_path, "a.csv", "\nx,y\n\n1,2\n,\n,,\n \t, \n3,6\n\n")
+        block = load_block(path)
+        assert block.n == 2
+        np.testing.assert_array_equal(block.matrix, [[-1.0, -2.0], [1.0, 2.0]])
+
+    # \x1c is stripped by str.strip() but not by float()
+    @pytest.mark.parametrize(
+        "cell",
+        [" 1 ", "\t2", "\xa03", "\x1c4", "1_000", "", " ", "nan", "-inf", "1e400", "0x10"],
+    )
+    def test_cells_read_as_cell_reads_them(self, cell):
+        text = f"x,y\n1,{cell}\n1,{cell}\n"
+        try:
+            expected = _cell("a", 2, "y", cell)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as info:
+                load_block(io.StringIO(text), id="a")
+            assert str(info.value) == str(exc)
+        else:
+            # the mean of two equal values is that value, exactly
+            block = load_block(io.StringIO(text), id="a")
+            assert block.preprocessing.means[1] == expected
 
     def test_padded_cells_and_id_column_are_stripped(self, tmp_path):
         path = write_csv(tmp_path, "a.csv", " id , x ,y\n r1 , 3 ,\t1e0\nr2,  1,-1 \n")

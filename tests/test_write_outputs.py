@@ -15,10 +15,11 @@ PYTHONPATH.
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from rcpca import DeflationStrategy, ModeSelector, MultiSolution, Solution, SolverTrace
 from rcpca import build_blockset, from_matrix
-from rcpca.cli import RunConfig, _write_outputs
+from rcpca.cli import RunConfig, _write_csv, _write_outputs
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "write_outputs"
 
@@ -113,6 +114,26 @@ def test_write_outputs_matches_golden_files(tmp_path):
     assert written == sorted(p.name for p in GOLDEN.iterdir())
     for name in written:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [("a", float("nan")), ("b", float("inf")), ("c", float("-inf"))],
+        [("a", np.float64(0.1)), ("b", np.float64(-1e-300)), ("c", np.float64("nan"))],
+        [("a", 3), ("b", -(10**20)), ("c", 0)],
+        # the cell types change from row to row, as in the trace table
+        [("0", 0.5, "", ""), ("1", 0.25, np.float64(1e-7), 2), (2.0, "x", 3, np.inf)],
+    ],
+    ids=["non-finite", "float64", "int", "mixed-rows"],
+)
+def test_write_csv_matches_per_cell_format(tmp_path, rows):
+    path = tmp_path / "table.csv"
+    _write_csv(path, ("h1", "h2"), rows)
+    expected = "h1,h2\n" + "".join(
+        ",".join(c if isinstance(c, str) else f"{c:.12g}" for c in row) + "\n" for row in rows
+    )
+    assert path.read_bytes() == expected.encode("utf-8")
 
 
 if __name__ == "__main__":
