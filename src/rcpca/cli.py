@@ -78,8 +78,12 @@ def _parse_config_file(path: str) -> dict[str, str]:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path} is not UTF-8 text; save it as UTF-8") from None
     values: dict[str, str] = {}
-    for i, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+    for i, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -188,6 +192,8 @@ def _validate(cfg: RunConfig) -> MethodPreset | None:
     ids = cfg.ids or [Path(p).stem for p in cfg.blocks]
     if len(set(ids)) != len(ids):
         raise ConfigError(f"block ids must be unique, got {ids}")
+    if cfg.m is not None and not (cfg.m >= 1.0 and math.isfinite(cfg.m)):
+        raise ConfigError(f"--m must be a finite number >= 1, got {cfg.m!r}")
     entry = None
     if cfg.preset is not None:
         base = preset(cfg.preset)

@@ -185,6 +185,15 @@ def _cell(block_id: str, row: int, column: str, text: str) -> float:
     return value
 
 
+def _decoded(lines, block_id: str):
+    try:
+        yield from lines
+    except UnicodeDecodeError:
+        raise ParseError(
+            f"block {block_id!r}: the file is not UTF-8 text; save it as UTF-8"
+        ) from None
+
+
 def load_block(
     source,
     id: str | None = None,
@@ -195,9 +204,10 @@ def load_block(
 ) -> Block:
     """Load one block from a delimiter-separated text table.
 
-    ``source`` is a path to a UTF-8 file or an open text stream. The first
-    row must hold column names. When ``id_column`` is true the first column
-    carries row identifiers. Every other cell is read with Python ``float``
+    ``source`` is a path to a UTF-8 file or an open text stream; text that
+    does not decode as UTF-8 raises ParseError. The first row must hold
+    column names. When ``id_column`` is true the first column carries row
+    identifiers. Every other cell is read with Python ``float``
     syntax (``1``, ``-2.5``, ``3e-4``); whitespace around a cell, a name or
     a row id is ignored. Empty cells are rejected rather than imputed, and
     ``nan``/``inf`` are rejected. Rows that are blank or hold only empty
@@ -215,7 +225,7 @@ def load_block(
         if id is None:
             id = "block"
     with opened as lines:
-        reader = csv.reader(lines, delimiter=delimiter)
+        reader = csv.reader(_decoded(lines, id), delimiter=delimiter)
         rows = (r for r in reader if any(c.strip() for c in r))
         header, first = next(rows, None), next(rows, None)
         if first is None:

@@ -109,8 +109,8 @@ def extract(
     if rank < 1:
         raise ValueError("rank must be at least 1")
 
-    mats = [b.matrix.copy() for b in blockset.blocks]
-    smat = blockset.superblock.copy()
+    mats = [b.matrix for b in blockset.blocks]
+    smat = blockset.superblock
     ids = list(blockset.ids)
     orig_norms = [np.linalg.norm(m) for m in mats]
 

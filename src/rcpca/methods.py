@@ -12,6 +12,7 @@ The catalog is immutable static data; every operation here is pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -146,8 +147,8 @@ def preset(name: str, *, m: float | None = None, split: int | None = None) -> Me
     if m is not None:
         if entry.m is not None:
             raise CatalogError(f"preset {name!r} fixes m = {entry.m:g}; do not pass m")
-        if m < 1.0:
-            raise CatalogError(f"exponent m must be >= 1, got {m}")
+        if not (m >= 1.0 and math.isfinite(m)):
+            raise CatalogError(f"exponent m must be finite and >= 1, got {m}")
         entry = replace(entry, m=float(m))
     if split is not None:
         if entry.tau_blocks is not None:

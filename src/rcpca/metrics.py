@@ -72,7 +72,6 @@ class ShrinkageMetric:
     tau: float
     eigenvalues: np.ndarray  # descending
     eigenvectors: np.ndarray  # columns aligned with eigenvalues
-    rank_tolerance: float
     rank: int  # leading eigenpairs kept by negative powers
     pseudo: bool  # True when tau = 0 dropped null directions
 
@@ -105,11 +104,7 @@ def _as_matrix(data) -> np.ndarray:
     return x
 
 
-def build_metric(
-    data,
-    tau: float,
-    rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
-) -> ShrinkageMetric:
+def build_metric(data, tau: float) -> ShrinkageMetric:
     """Construct the shrinkage metric of a block (or raw matrix).
 
     tau = 0 requires rank(X) < n: with full row rank every centered vector
@@ -136,7 +131,7 @@ def build_metric(
         # strictly positive definite: smallest eigenvalue >= tau
         rank = j
     else:
-        rank = int((vals > rank_tolerance * top).sum())
+        rank = int((vals > DEFAULT_RANK_TOLERANCE * top).sum())
         if rank == n:
             raise ModeBInfeasibleError(
                 f"Mode B is infeasible: rank(X) = {rank} equals the number of "
@@ -146,25 +141,17 @@ def build_metric(
         tau=tau,
         eigenvalues=vals,
         eigenvectors=vecs,
-        rank_tolerance=rank_tolerance,
         rank=rank,
         pseudo=rank < j,
     )
 
 
-def build_metrics(
-    blockset: BlockSet,
-    modes: ModeSelector,
-    rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
-) -> list[ShrinkageMetric]:
+def build_metrics(blockset: BlockSet, modes: ModeSelector) -> list[ShrinkageMetric]:
     """Metrics for every block plus the superblock, in that order."""
     if len(modes.block_taus) != blockset.n_blocks:
         raise DimensionError(
             f"{len(modes.block_taus)} block taus for {blockset.n_blocks} blocks"
         )
-    out = [
-        build_metric(b.matrix, tau, rank_tolerance)
-        for b, tau in zip(blockset.blocks, modes.block_taus)
-    ]
-    out.append(build_metric(blockset.superblock, modes.superblock_tau, rank_tolerance))
+    out = [build_metric(b.matrix, tau) for b, tau in zip(blockset.blocks, modes.block_taus)]
+    out.append(build_metric(blockset.superblock, modes.superblock_tau))
     return out

@@ -13,14 +13,15 @@ G(u, v) = psi(v) + grad(v)'(u - v) on the sphere at each step) and every
 limit point is a fixed point of the iteration, i.e. a stationary point of
 the constrained problem.
 
-`TransformedProblem` is the one evaluator of psi and its gradient. It
-stacks the Q_b / n into a single matrix, so psi is one matvec and the
-gradient one more transposed matvec. The 1/n keeps psi on the covariance
-scale (sum_b cov(y_b, y_super)^m); the iteration itself is scale-invariant,
-and the solver's slacks are relative to psi.
-
-A solve is deterministic given its configuration and never modifies the
-problem it reads.
+`TransformedProblem` is the one evaluator of psi and its gradient, and
+`sphere_maximize` the one ascent loop. The operator stacks its segments
+into a single matrix, so psi is one matvec and the gradient one more
+transposed matvec. It serves the v-space problem (segments Q_b / n, psi =
+sum_b cov(y_b, y_super)^m) and the superblock-free n-space problem on the
+component itself (segments P_b' / sqrt(n), psi = sum_b cov(y_b, y)^m at
+y = sqrt(n) v). The iteration is scale-invariant, and the solver's slacks
+are relative to psi. A solve is deterministic given its configuration and
+never modifies the problem it reads.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataset import BlockSet, sample_cov
+from .dataset import BlockSet
 from .errors import (
     AllStartsFailedError,
     BadStartError,
@@ -50,22 +51,21 @@ _ROUNDOFF_TOL = 1e-14
 
 
 class TransformedProblem:
-    """psi(v) = sum_b ||Q_b v / n||^m and its gradient, on the covariance scale.
+    """psi(v) = sum_b ||Q_b v / scale||^m and its gradient.
 
-    The Q_b / n are stacked row-wise into one (sum J_b) x J matrix;
+    The Q_b / scale are stacked row-wise into one (sum J_b) x dim matrix;
     offsets[b]:offsets[b + 1] are the rows of block b.
     """
 
-    def __init__(self, q_matrices: Sequence[np.ndarray], m: float, n: int = 1):
-        if m < 1.0:
-            raise ValueError(f"exponent m must be >= 1, got {m}")
+    def __init__(self, q_matrices: Sequence[np.ndarray], m: float, scale: float = 1):
+        if not (m >= 1.0 and math.isfinite(m)):
+            raise ValueError(f"exponent m must be finite and >= 1, got {m}")
         if len({q.shape[1] for q in q_matrices}) > 1:
             raise DimensionError("Q matrices disagree on the superblock dimension")
-        self.stacked = np.vstack(q_matrices) / n
+        self.stacked = np.vstack(q_matrices) / scale
         self.offsets = np.cumsum([0] + [q.shape[0] for q in q_matrices])
         self.m = m
-        self.n = n
-        # ||Q_b v / n|| at or below this counts as zero in the gradient
+        # ||Q_b v / scale|| at or below this counts as zero in the gradient
         self._zero_tol = np.array([
             _ROUNDOFF_TOL * np.abs(seg).max() * math.sqrt(seg.size)
             for seg in np.split(self.stacked, self.offsets[1:-1])
@@ -126,8 +126,8 @@ class SolverConfig:
     assert_level: str = "cheap"
 
     def __post_init__(self):
-        if self.m < 1.0:
-            raise ValueError(f"exponent m must be >= 1, got {self.m}")
+        if not (self.m >= 1.0 and math.isfinite(self.m)):
+            raise ValueError(f"exponent m must be finite and >= 1, got {self.m}")
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
         if self.max_iter < 1:
@@ -208,19 +208,33 @@ def _transform(mats, smat, ids, metrics, m) -> TransformedProblem:
             f"need {len(mats) + 1} metrics (blocks plus superblock), got {len(metrics)}"
         )
     ids = ids if ids is not None else [str(b + 1) for b in range(len(mats))]
-    p_super = metrics[-1].apply(smat.T, -0.5).T
+    p_super = next(_half_images([smat], metrics[-1:])).T
     super_norm = np.linalg.norm(p_super)
     qs = []
-    for b, (mat, met) in enumerate(zip(mats, metrics)):
-        pb = met.apply(mat.T, -0.5).T
-        q = pb.T @ p_super
-        if np.linalg.norm(q) <= 1e-14 * np.linalg.norm(pb) * super_norm:
+    for b, pb_t in enumerate(_half_images(mats, metrics[:-1])):
+        q = pb_t @ p_super
+        if np.linalg.norm(q) <= 1e-14 * np.linalg.norm(pb_t) * super_norm:
             raise NonContributingBlockError(
                 f"block {ids[b]!r} has zero cross-product with the superblock "
                 "and cannot contribute; drop it from the analysis"
             )
         qs.append(q)
     return TransformedProblem(qs, m, smat.shape[0])
+
+
+def _half_images(mats, metrics):
+    """P_b' = M_b^(-1/2) X_b' (J_b x n), one block at a time."""
+    for mat, met in zip(mats, metrics):
+        yield met.apply(mat.T, -0.5)
+
+
+def _component_problem(mats, metrics, m) -> TransformedProblem:
+    """The superblock-free n-space problem: segments P_b' / sqrt(n).
+
+    At a unit v its value is sum_b cov(y_b, y)^m with y = sqrt(n) v.
+    """
+    n = mats[0].shape[0]
+    return TransformedProblem(list(_half_images(mats, metrics)), m, math.sqrt(n))
 
 
 def _eigen_start(problem: TransformedProblem) -> tuple[np.ndarray, bool]:
@@ -493,22 +507,6 @@ def contributions(covs: Sequence[float], m: float) -> np.ndarray:
 # stationary-equation diagnostics
 
 
-def _stationary_image(y, mats, metrics, m):
-    """Inner sum of the fixed-point map applied to a superblock component."""
-    z = np.zeros_like(y)
-    for b, (mat, met) in enumerate(zip(mats, metrics[:-1])):
-        t = mat.T @ y
-        half_norm = float(np.linalg.norm(met.apply(t, -0.5)))
-        if half_norm == 0.0:
-            if m < 2.0:
-                raise SingularGradientError(
-                    f"block {b + 1}: cross-term vanished with m = {m} < 2"
-                )
-            continue
-        z += half_norm ** (m - 2.0) * (mat @ met.apply(t, -1.0))
-    return z
-
-
 def stationary_residual(
     y: np.ndarray,
     blockset: BlockSet,
@@ -517,17 +515,21 @@ def stationary_residual(
 ) -> float:
     """Unit-normalized distance between y and its fixed-point image.
 
-    Zero exactly at solutions of the original-coordinate stationary
-    equation; this is the method's signature and should agree with the
-    transformed-space fixed-point residual at convergence.
+    The image is the superblock operator applied to the gradient of the
+    superblock-free problem at y, which points along
+    sum_b ||P_b'y||^(m-2) X_b M_b^(-1) X_b' y. The residual is zero exactly
+    at solutions of the original-coordinate stationary equation; this is
+    the method's signature and should agree with the transformed-space
+    fixed-point residual at convergence.
     """
     mats = [b.matrix for b in blockset.blocks]
-    z = _stationary_image(y, mats, metrics, m)
+    y_unit = y / np.linalg.norm(y)
+    z = _component_problem(mats, metrics[:-1], m).grad(y_unit)
     img = blockset.superblock @ metrics[-1].apply(blockset.superblock.T @ z, -1.0)
     img_norm = np.linalg.norm(img)
     if img_norm == 0.0:
         return float(np.sqrt(2.0))
-    return float(np.linalg.norm(img / img_norm - y / np.linalg.norm(y)))
+    return float(np.linalg.norm(img / img_norm - y_unit))
 
 
 def auxiliary_solve(
@@ -538,50 +540,22 @@ def auxiliary_solve(
     max_iter: int = 10_000,
     y0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, list[float]]:
-    """Fixed-point iteration on the component itself, superblock-free.
+    """Superblock-free solve on the component itself.
 
-    Iterates the stationary map of the auxiliary-variable formulation: the
-    unit-variance component is repeatedly replaced by the standardized
-    weighted sum of block images. With a Mode B superblock this targets the
-    same solutions as the explicit-superblock solve. Returns the component,
-    the number of iterations and the per-iteration criterion values.
+    Runs sphere_maximize on the n-space problem, whose normalized-gradient
+    step replaces the component by the standardized weighted sum of block
+    images; with a Mode B superblock this targets the same solutions as the
+    explicit-superblock solve. epsilon bounds the per-iteration increase of
+    sum_b cov(y_b, y)^m, as in SolverConfig. Returns the unit-variance
+    component, the number of iterations and the per-iteration criterion
+    values.
     """
     mats = [b.matrix for b in blockset.blocks]
-    n = blockset.n
     metrics = [build_metric(mat, tau) for mat, tau in zip(mats, block_taus)]
-    metrics.append(None)  # _stationary_image only touches block metrics
-
     if y0 is None:
         # deterministic start: leading left singular vector of the superblock
         u, _, _ = np.linalg.svd(blockset.superblock, full_matrices=False)
         y0 = u[:, 0]
-    y = np.asarray(y0, dtype=float).ravel()
-    y = y / math.sqrt(sample_cov(y, y))
-
-    def crit(yv):
-        total = 0.0
-        for mat, met in zip(mats, metrics[:-1]):
-            half_norm = np.linalg.norm(met.apply(mat.T @ yv, -0.5))
-            total += (half_norm / n) ** m
-        return float(total)
-
-    values = [crit(y)]
-    if not values[0] > 0.0:
-        raise BadStartError("criterion is zero at the start component")
-    iterations = 0
-    for _ in range(max_iter):
-        z = _stationary_image(y, mats, metrics, m)
-        var = sample_cov(z, z)
-        if var == 0.0:
-            raise SingularGradientError("fixed-point image vanished")
-        y_new = z / math.sqrt(var)
-        val = crit(y_new)
-        dval = val - values[-1]
-        values.append(val)
-        iterations += 1
-        if dval < -_MONOTONE_TOL * values[-2]:
-            raise InternalAssertionError(f"criterion decreased by {-dval:.3e}")
-        y = y_new
-        if dval <= epsilon:
-            break
-    return y, iterations, values
+    config = SolverConfig(m=m, epsilon=epsilon, max_iter=max_iter)
+    v, trace = sphere_maximize(_component_problem(mats, metrics, m), config, y0, m)
+    return math.sqrt(blockset.n) * v, trace.iterations, trace.psi

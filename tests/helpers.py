@@ -6,7 +6,8 @@ tolerances asserted on traces are only meaningful on that scale.
 `scaled_blockset` gives the same instances at other scales.
 
 The per-block loops below are the reference implementation of the
-criterion and its gradient that the stacked operator is checked against.
+criterion and its gradient that the stacked operator is checked against,
+in the v-space problem and in the superblock-free n-space problem.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import math
 
 import numpy as np
 
-from rcpca import ModeSelector, build_blockset, from_matrix
-from rcpca.errors import SingularGradientError
+from rcpca import ModeSelector, build_blockset, build_metric, from_matrix, sample_cov
+from rcpca.errors import BadStartError, InternalAssertionError, SingularGradientError
 
 M_GRID = (1.0, 1.5, 2.0, 3.0, 4.0)
 TAU_GRID = (0.0, 0.3, 1.0)
@@ -146,3 +147,70 @@ def superblock_from_block_components(solution, blockset, metrics, m):
     num = blockset.superblock @ met.apply(t, -1.0)
     den = float(np.linalg.norm(met.apply(t, -0.5)))
     return num / den
+
+
+def reference_stationary_image(y, mats, metrics, m):
+    """sum_b ||M_b^(-1/2) X_b'y||^(m-2) X_b M_b^(-1) X_b'y, one block at a time.
+
+    Only the block metrics are read; a vanished term (exactly zero) raises
+    for m < 2 and is skipped for m >= 2.
+    """
+    z = np.zeros_like(y)
+    for b, (mat, met) in enumerate(zip(mats, metrics[:-1])):
+        t = mat.T @ y
+        half_norm = float(np.linalg.norm(met.apply(t, -0.5)))
+        if half_norm == 0.0:
+            if m < 2.0:
+                raise SingularGradientError(
+                    f"block {b + 1}: cross-term vanished with m = {m} < 2"
+                )
+            continue
+        z += half_norm ** (m - 2.0) * (mat @ met.apply(t, -1.0))
+    return z
+
+
+def reference_auxiliary_solve(blockset, block_taus, m, epsilon=1e-12, max_iter=10_000, y0=None):
+    """The superblock-free fixed-point iteration as its own loop.
+
+    The unit-variance component is replaced by the standardized stationary
+    image until sum_b cov(y_b, y)^m rises by no more than epsilon. Returns
+    the component, the iteration count and the per-iteration values.
+    """
+    mats = [b.matrix for b in blockset.blocks]
+    n = blockset.n
+    metrics = [build_metric(mat, tau) for mat, tau in zip(mats, block_taus)]
+    metrics.append(None)  # reference_stationary_image only touches block metrics
+
+    if y0 is None:
+        u, _, _ = np.linalg.svd(blockset.superblock, full_matrices=False)
+        y0 = u[:, 0]
+    y = np.asarray(y0, dtype=float).ravel()
+    y = y / math.sqrt(sample_cov(y, y))
+
+    def crit(yv):
+        total = 0.0
+        for mat, met in zip(mats, metrics[:-1]):
+            half_norm = np.linalg.norm(met.apply(mat.T @ yv, -0.5))
+            total += (half_norm / n) ** m
+        return float(total)
+
+    values = [crit(y)]
+    if not values[0] > 0.0:
+        raise BadStartError("criterion is zero at the start component")
+    iterations = 0
+    for _ in range(max_iter):
+        z = reference_stationary_image(y, mats, metrics, m)
+        var = sample_cov(z, z)
+        if var == 0.0:
+            raise SingularGradientError("fixed-point image vanished")
+        y_new = z / math.sqrt(var)
+        val = crit(y_new)
+        dval = val - values[-1]
+        values.append(val)
+        iterations += 1
+        if dval < -1e-12 * values[-2]:
+            raise InternalAssertionError(f"criterion decreased by {-dval:.3e}")
+        y = y_new
+        if dval <= epsilon:
+            break
+    return y, iterations, values

@@ -294,6 +294,39 @@ class TestRun:
         assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "extra, shown",
+        [(("--m", "0.5", "--tau", "1", "--tau-super", "1"), "0.5"),
+         (("--m", "nan", "--tau", "1", "--tau-super", "1"), "nan"),
+         (("--m", "inf", "--tau", "1", "--tau-super", "1"), "inf"),
+         (("--m", "nan", "--preset", "redundancy_blocks"), "nan")],
+    )
+    def test_m_is_checked(self, tmp_path, capsys, extra, shown):
+        code = main(["run", "--blocks", DEMO_BLOCKS, "--id-column", *extra,
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"configuration error: --m must be a finite number >= 1, got {shown}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_block_file_not_utf8_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"a,b\n1,2\ncaf\xe9,3\n4,5\n")
+        code = main(["run", "--blocks", f"{DEMO / 'process.csv'},{bad}", "--id-column",
+                     "--preset", "consensus_pca", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: block 'bad': the file is not UTF-8 text"), err
+
+    def test_config_file_not_utf8_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"preset = caf\xe9\n")
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"configuration error: config file {cfg} is not UTF-8 text; save it as UTF-8\n"
+        )
+
     def test_explicit_tau_run(self, tmp_path):
         code = main([
             "run", "--blocks", DEMO_BLOCKS, "--ids", "process,quality",

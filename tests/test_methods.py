@@ -79,6 +79,11 @@ class TestCatalog:
         with pytest.raises(CatalogError):
             preset("consensus_pca", m=3.0)
 
+    @pytest.mark.parametrize("m", [float("nan"), float("inf"), 0.5])
+    def test_free_m_must_be_finite_and_at_least_one(self, m):
+        with pytest.raises(CatalogError, match="finite and >= 1"):
+            preset("redundancy_blocks", m=m)
+
 
 class TestVerifyStationary:
     def test_consensus_pca_fixed_point(self):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     M_GRID,
+    TAU_GRID,
     full_rank_blockset,
     latent_blockset,
     q_blocks,
@@ -13,7 +14,9 @@ from helpers import (
     random_modes,
     reference_criterion,
     reference_gradient,
+    reference_auxiliary_solve,
     reference_gram,
+    reference_stationary_image,
     superblock_from_block_components,
 )
 from rcpca import (
@@ -23,6 +26,7 @@ from rcpca import (
     TransformedProblem,
     auxiliary_solve,
     build_blockset,
+    build_metric,
     build_metrics,
     contributions,
     from_matrix,
@@ -37,7 +41,13 @@ from rcpca.errors import (
     SingularGradientError,
     UndefinedContributionsError,
 )
-from rcpca.solver import _eigen_start, _given_start, _random_start, stationary_residual
+from rcpca.solver import (
+    _component_problem,
+    _eigen_start,
+    _given_start,
+    _random_start,
+    stationary_residual,
+)
 
 
 def problem_from_qs(qs, m, n=1):
@@ -87,6 +97,13 @@ class TestTransform:
     def test_m_below_one_rejected(self):
         with pytest.raises(ValueError):
             problem_from_qs([np.eye(2)], m=0.5)
+
+    @pytest.mark.parametrize("m", [float("nan"), float("inf"), 0.5])
+    def test_m_must_be_finite_and_at_least_one(self, m):
+        with pytest.raises(ValueError, match="finite and >= 1"):
+            problem_from_qs([np.eye(2)], m=m)
+        with pytest.raises(ValueError, match="finite and >= 1"):
+            SolverConfig(m=m)
 
 
 class TestCriterion:
@@ -199,6 +216,48 @@ class TestStackedOperator:
             else:
                 with pytest.raises(SingularGradientError, match="block 2"):
                     problem.grad(v)
+
+
+class TestComponentOperator:
+    """The n-space operator's gradient points along the stationary image."""
+
+    @staticmethod
+    def cos_deficit(a, b):
+        return 1.0 - float(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
+
+    def test_gradient_is_parallel_to_reference_image(self):
+        for m in M_GRID:
+            for tau in TAU_GRID:
+                for seed in range(8):
+                    bs = random_blockset(seed + 1300)
+                    mats = [b.matrix for b in bs.blocks]
+                    metrics = [build_metric(x, tau) for x in mats] + [None]
+                    y = np.random.default_rng(seed).standard_normal(bs.n)
+                    y -= y.mean()
+                    g = _component_problem(mats, metrics[:-1], m).grad(y / np.linalg.norm(y))
+                    z = reference_stationary_image(y, mats, metrics, m)
+                    assert self.cos_deficit(g, z) <= 1e-12, (m, tau, seed)
+
+    def test_vanished_block_term(self):
+        # X_1'y is exactly zero: block 1 lives on rows 0-1, y on rows 2-5
+        rng = np.random.default_rng(14)
+        bs = build_blockset([
+            from_matrix("zero", [[1.0], [-1.0], [0.0], [0.0], [0.0], [0.0]]),
+            from_matrix("live", rng.standard_normal((6, 2))),
+        ])
+        mats = [b.matrix for b in bs.blocks]
+        metrics = [build_metric(x, 0.5) for x in mats] + [None]
+        y = np.array([0.0, 0.0, 3.0, -1.0, -1.0, -1.0])
+        for m in M_GRID:
+            problem = _component_problem(mats, metrics[:-1], m)
+            if m >= 2.0:
+                z = reference_stationary_image(y, mats, metrics, m)
+                assert self.cos_deficit(problem.grad(y / np.linalg.norm(y)), z) <= 1e-12
+            else:
+                with pytest.raises(SingularGradientError, match="block 1"):
+                    reference_stationary_image(y, mats, metrics, m)
+                with pytest.raises(SingularGradientError, match="block 1"):
+                    problem.grad(y / np.linalg.norm(y))
 
 
 class TestInitV:
@@ -551,6 +610,42 @@ class TestAuxiliarySolve:
         )
         assert cos >= 1 - 1e-6
         assert np.all(np.diff(values) >= -1e-12)
+
+    @staticmethod
+    def assert_matches_reference(bs, taus, m, **kwargs):
+        y, iterations, values = auxiliary_solve(bs, taus, m, **kwargs)
+        y_ref, iterations_ref, values_ref = reference_auxiliary_solve(bs, taus, m, **kwargs)
+        assert iterations == iterations_ref
+        assert len(values) == len(values_ref) == iterations + 1
+        for val, ref in zip(values, values_ref):
+            assert abs(val - ref) <= 1e-12 * ref
+        cos = abs(y @ y_ref) / (np.linalg.norm(y) * np.linalg.norm(y_ref))
+        assert cos >= 1 - 1e-12
+        assert sample_cov(y, y) == pytest.approx(1.0, rel=1e-12)
+
+    def test_matches_reference_loop(self):
+        bs = full_rank_blockset(27)
+        modes = ModeSelector.uniform("B", "B", bs.n_blocks)
+        self.assert_matches_reference(bs, modes.block_taus, 2.0, epsilon=1e-14)
+
+    def test_matches_reference_loop_on_criterion_10_instances(self):
+        # the 20 instances and starts of acceptance criterion 10
+        for seed in range(20):
+            js = [(3, 2, 4), (2, 2, 3), (4, 3, 2)][seed % 3]
+            bs = (
+                latent_blockset(seed + 800, n=20, js=js)
+                if seed % 2
+                else full_rank_blockset(seed + 800, n=20, js=js)
+            )
+            block_mode = "A" if seed % 4 < 2 else "B"
+            m = 1.0 if seed % 3 == 0 else 2.0
+            modes = ModeSelector.uniform(block_mode, "B", bs.n_blocks)
+            metrics = build_metrics(bs, modes)
+            v0, _ = _eigen_start(transform(bs, metrics, m))
+            y0 = bs.superblock @ metrics[-1].apply(v0, -0.5)
+            self.assert_matches_reference(
+                bs, modes.block_taus, m, epsilon=1e-13, max_iter=200_000, y0=y0
+            )
 
 
 class TestContributions:
