@@ -42,7 +42,6 @@ from .solver import (
     SolverConfig,
     SolverTrace,
     TransformedProblem,
-    auxiliary_solve,
     contributions,
     solve,
     solve_matrices,
@@ -69,7 +68,6 @@ __all__ = [
     "SolverConfig",
     "SolverTrace",
     "TransformedProblem",
-    "auxiliary_solve",
     "contributions",
     "solve",
     "solve_matrices",

@@ -100,10 +100,11 @@ def extract(
 ) -> MultiSolution:
     """Extract up to `rank` components under a deflation strategy.
 
-    The achievable rank is capped at the smallest block rank; when the
-    request exceeds it, the result is truncated with a warning rather than
-    failing. Mode B on the superblock combined with the `own` strategy is
-    allowed but flagged: the orthogonality guarantees are weaker there.
+    The achievable rank is capped at the smallest block rank, read from
+    the rank-1 metric factors; when the request exceeds it, the result is
+    truncated with a warning rather than failing. Mode B on the superblock
+    combined with the `own` strategy is allowed but flagged: the
+    orthogonality guarantees are weaker there.
     """
     strategy = DeflationStrategy(strategy)
     if rank < 1:
@@ -115,14 +116,6 @@ def extract(
     orig_norms = [np.linalg.norm(m) for m in mats]
 
     warnings: list[str] = []
-    cap = min(int(np.linalg.matrix_rank(m)) for m in mats)
-    target = rank
-    if rank > cap:
-        target = cap
-        warnings.append(
-            f"requested {rank} components but the smallest block rank is {cap}; "
-            f"returning {cap}"
-        )
     if strategy is DeflationStrategy.OWN and modes.superblock_tau == 0.0:
         warnings.append(
             "own-component deflation with a Mode B superblock: orthogonality "
@@ -130,10 +123,17 @@ def extract(
         )
 
     solutions: list[Solution] = []
-    for r in range(target):
+    target = rank
+    for r in range(rank):
         sol = solve_matrices(mats, smat, modes, config, ids=ids)
         solutions.append(sol)
-        if r + 1 == target:
+        if r == 0 and rank > (cap := min(sol.block_ranks)):
+            target = cap
+            warnings.insert(0, (
+                f"requested {rank} components but the smallest block rank is {cap}; "
+                f"returning {cap}"
+            ))
+        if r + 1 >= target:
             break
         if strategy is DeflationStrategy.GLOBAL:
             mats = [deflate(m, sol.y_super) for m in mats]

@@ -6,13 +6,16 @@ weight vector, tau = 0 (Mode B) normalizes the component variance, and
 intermediate values interpolate between the two (Ledoit-Wolf style
 shrinkage of the block covariance).
 
-A metric is stored once, as the eigenpairs of one symmetric
-eigendecomposition; powers of M (M^(-1/2), M^(-1), M itself) are applied to
-vectors or matrices on demand and never formed as J x J matrices. At
-tau = 0 a rank-deficient matrix gets Moore-Penrose semantics: eigenvalues
-below the rank tolerance are treated as exact zeros, and negative powers
-annihilate the corresponding directions. Metrics are immutable; building
-metrics for distinct blocks is a pure function of the inputs.
+A metric is stored once, as a thin factor: an orthonormal basis V of the
+row space of X (J x r, r <= min(n - 1, J) for centered X) and M's
+eigenvalues on it. On the orthogonal complement M is tau*I, so powers of M
+(M^(-1/2), M^(-1), M itself) are applied to vectors or matrices on demand
+and never formed as J x J matrices. The factor comes from the smaller Gram
+matrix, X'X when J <= n and XX' otherwise, so a block with thousands of
+variables on tens of rows costs an n x n eigendecomposition. At tau = 0 a
+rank-deficient matrix gets Moore-Penrose semantics: negative powers
+annihilate the complement. Metrics are immutable; building metrics for
+distinct blocks is a pure function of the inputs.
 """
 
 from __future__ import annotations
@@ -67,13 +70,19 @@ class ModeSelector:
 
 @dataclass(frozen=True, eq=False)
 class ShrinkageMetric:
-    """M = tau*I + (1-tau)*(1/n) X'X, kept as its eigenpairs."""
+    """M = tau*I + (1-tau)*(1/n) X'X, kept as a thin factor.
+
+    M = V diag(eigenvalues) V' + tau*(I - V V'), with V = eigenvectors.
+    """
 
     tau: float
-    eigenvalues: np.ndarray  # descending
-    eigenvectors: np.ndarray  # columns aligned with eigenvalues
-    rank: int  # leading eigenpairs kept by negative powers
+    eigenvalues: np.ndarray  # descending, tau + (1 - tau) * s^2 / n
+    eigenvectors: np.ndarray  # J x rank, orthonormal, spanning the row space of X
     pseudo: bool  # True when tau = 0 dropped null directions
+
+    @property
+    def rank(self) -> int:
+        return self.eigenvalues.size
 
     @property
     def dim(self) -> int:
@@ -82,17 +91,22 @@ class ShrinkageMetric:
     def apply(self, x: np.ndarray, power: float) -> np.ndarray:
         """M^power applied to a vector or to the columns of a J x k matrix.
 
-        Computes V diag(lambda^power) V' x; for power < 0 only the leading
-        `rank` eigenpairs take part, so null directions are annihilated.
+        Computes V diag(lambda^power - tau^power) V' x + tau^power x; at
+        tau = 0 the complement term is dropped, so negative powers
+        annihilate null directions.
         """
         x = np.asarray(x, dtype=float)
         if x.shape[0] != self.dim:
             raise DimensionError(f"expected {self.dim} rows, got {x.shape[0]}")
-        keep = self.rank if power < 0 else self.dim
-        vecs = self.eigenvectors[:, :keep]
+        rest = self.tau**power if self.tau > 0.0 else 0.0
         # transposed so that the eigenvalue scaling broadcasts over columns
-        coef = (vecs.T @ x).T * self.eigenvalues[:keep] ** power
-        return vecs @ coef.T
+        coef = (self.eigenvectors.T @ x).T * (self.eigenvalues**power - rest)
+        out = self.eigenvectors @ coef.T
+        return out + rest * x if rest else out
+
+    def image(self, x: np.ndarray) -> np.ndarray:
+        """P' = M^(-1/2) X' in the factor's coordinates: diag(lambda^(-1/2)) V'X', rank x n."""
+        return (self.eigenvectors * self.eigenvalues**-0.5).T @ x.T
 
 
 def _as_matrix(data) -> np.ndarray:
@@ -107,42 +121,43 @@ def _as_matrix(data) -> np.ndarray:
 def build_metric(data, tau: float) -> ShrinkageMetric:
     """Construct the shrinkage metric of a block (or raw matrix).
 
+    The factor is the eigendecomposition of X'X/n when J <= n, and of
+    XX'/n = U diag(s^2/n) U' otherwise, with V = X'U/s. Gram eigenvalues at
+    or below the rank cut-off times the largest one are dropped. For
+    tau > 0 the cut-off is roundoff, max(n, J) * machine epsilon: M is tau
+    on a dropped direction, and only directions that are zero at roundoff
+    go. For tau = 0 it is DEFAULT_RANK_TOLERANCE, and the dropped
+    directions get pseudo-inverse semantics.
+
     tau = 0 requires rank(X) < n: with full row rank every centered vector
     lies in the column space and Mode B degenerates, so regularization is
-    rejected with a pointer toward tau > 0. Column-rank deficiency at
-    tau = 0 switches to pseudo-inverse semantics.
+    rejected with a pointer toward tau > 0.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
     x = _as_matrix(data)
     n, j = x.shape
-    m = (x.T @ x) / n
-    if tau > 0.0:
-        m = tau * np.eye(j) + (1.0 - tau) * m
-    m = (m + m.T) / 2.0  # enforce exact symmetry before eigh
-    vals, vecs = np.linalg.eigh(m)
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    top = vals[0]
-    if top <= 0.0:
+    wide = j > n
+    gram = (x @ x.T if wide else x.T @ x) / n
+    vals, vecs = np.linalg.eigh((gram + gram.T) / 2.0)  # exact symmetry for eigh
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    if tau == 0.0 and vals[0] <= 0.0:
         raise DataError("metric is identically zero (zero block with tau = 0)")
-
-    if tau > 0.0:
-        # strictly positive definite: smallest eigenvalue >= tau
-        rank = j
-    else:
-        rank = int((vals > DEFAULT_RANK_TOLERANCE * top).sum())
-        if rank == n:
-            raise ModeBInfeasibleError(
-                f"Mode B is infeasible: rank(X) = {rank} equals the number of "
-                "rows; use tau > 0 instead"
-            )
+    cut = DEFAULT_RANK_TOLERANCE if tau == 0.0 else max(n, j) * np.finfo(float).eps
+    rank = int((vals > cut * vals[0]).sum())
+    if tau == 0.0 and rank == n:
+        raise ModeBInfeasibleError(
+            f"Mode B is infeasible: rank(X) = {rank} equals the number of "
+            "rows; use tau > 0 instead"
+        )
+    vals, vecs = vals[:rank], vecs[:, :rank]
+    if wide:
+        vecs = (x.T @ vecs) / np.sqrt(n * vals)
     return ShrinkageMetric(
         tau=tau,
-        eigenvalues=vals,
-        eigenvectors=vecs,
-        rank=rank,
-        pseudo=rank < j,
+        eigenvalues=tau + (1.0 - tau) * vals,
+        eigenvectors=np.ascontiguousarray(vecs),
+        pseudo=tau == 0.0 and rank < j,
     )
 
 

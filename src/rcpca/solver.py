@@ -13,15 +13,18 @@ G(u, v) = psi(v) + grad(v)'(u - v) on the sphere at each step) and every
 limit point is a fixed point of the iteration, i.e. a stationary point of
 the constrained problem.
 
-`TransformedProblem` is the one evaluator of psi and its gradient, and
-`sphere_maximize` the one ascent loop. The operator stacks its segments
-into a single matrix, so psi is one matvec and the gradient one more
-transposed matvec. It serves the v-space problem (segments Q_b / n, psi =
-sum_b cov(y_b, y_super)^m) and the superblock-free n-space problem on the
-component itself (segments P_b' / sqrt(n), psi = sum_b cov(y_b, y)^m at
-y = sqrt(n) v). The iteration is scale-invariant, and the solver's slacks
-are relative to psi. A solve is deterministic given its configuration and
-never modifies the problem it reads.
+Every metric is a thin factor (V_b, lambda_b), so P_b = X_b V_b
+diag(lambda_b)^(-1/2) is n x r_b and the iterate lives in the superblock
+factor's coordinates c = V_super'v: the segments Q_b = P_b'P_super are
+r_b x r_super whether the blocks are tall or wide, and the back-map returns
+v = V_super c. `TransformedProblem` is the one evaluator of psi and its
+gradient, and `sphere_maximize` the one ascent loop. The operator stacks
+its segments into a single matrix, so psi is one matvec and the gradient
+one more transposed matvec; with segments P_b' it also gives the direction
+of the stationary image that `stationary_residual` checks. The iteration is
+scale-invariant, and the solver's slacks are relative to psi. A solve is
+deterministic given its configuration and never modifies the problem it
+reads.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ _ROUNDOFF_TOL = 1e-14
 class TransformedProblem:
     """psi(v) = sum_b ||Q_b v / scale||^m and its gradient.
 
-    The Q_b / scale are stacked row-wise into one (sum J_b) x dim matrix;
+    The Q_b / scale are stacked row-wise into one (sum r_b) x dim matrix;
     offsets[b]:offsets[b + 1] are the rows of block b.
     """
 
@@ -67,7 +70,7 @@ class TransformedProblem:
         self.m = m
         # ||Q_b v / scale|| at or below this counts as zero in the gradient
         self._zero_tol = np.array([
-            _ROUNDOFF_TOL * np.abs(seg).max() * math.sqrt(seg.size)
+            _ROUNDOFF_TOL * np.abs(seg).max(initial=0.0) * math.sqrt(seg.size)
             for seg in np.split(self.stacked, self.offsets[1:-1])
         ])
 
@@ -102,7 +105,9 @@ class SolverConfig:
     """Knobs of one solve.
 
     init is "eigen" (dominant eigenvector of sum(Q_b'Q_b)), "random"
-    (seeded draw, uniform on the sphere) or an explicit start vector.
+    (seeded draw, uniform on the sphere) or an explicit start vector; a
+    random or explicit start is J_super long and is projected onto the
+    superblock factor's coordinates.
     Additional starts beyond the first are random with seeds seed+1,
     seed+2, ... and the winner is the largest criterion value (ties keep
     the earliest start).
@@ -173,7 +178,10 @@ class GradientOracle:
 
 @dataclass(frozen=True, eq=False)
 class Solution:
-    """Converged weights, components and diagnostics of one rank."""
+    """Converged weights, components and diagnostics of one rank.
+
+    block_ranks holds the factor rank of each block metric.
+    """
 
     v_super: np.ndarray
     w_super: np.ndarray
@@ -185,6 +193,7 @@ class Solution:
     psi_final: float
     fixed_point_residual: float
     trace: SolverTrace
+    block_ranks: tuple[int, ...] = ()
 
     @property
     def component_matrix(self) -> np.ndarray:
@@ -197,7 +206,7 @@ class Solution:
 
 
 def transform(blockset: BlockSet, metrics: Sequence[ShrinkageMetric], m: float) -> TransformedProblem:
-    """Build P_b = X_b M_b^(-1/2) and Q_b = P_b' P_super from metrics."""
+    """Build P_b = X_b M_b^(-1/2) and Q_b = P_b' P_super in the factors' coordinates."""
     mats = [b.matrix for b in blockset.blocks]
     return _transform(mats, blockset.superblock, blockset.ids, metrics, m)
 
@@ -208,10 +217,11 @@ def _transform(mats, smat, ids, metrics, m) -> TransformedProblem:
             f"need {len(mats) + 1} metrics (blocks plus superblock), got {len(metrics)}"
         )
     ids = ids if ids is not None else [str(b + 1) for b in range(len(mats))]
-    p_super = next(_half_images([smat], metrics[-1:])).T
+    p_super = metrics[-1].image(smat).T
     super_norm = np.linalg.norm(p_super)
     qs = []
-    for b, pb_t in enumerate(_half_images(mats, metrics[:-1])):
+    for b, (mat, met) in enumerate(zip(mats, metrics)):
+        pb_t = met.image(mat)  # one block's r_b x n image at a time
         q = pb_t @ p_super
         if np.linalg.norm(q) <= 1e-14 * np.linalg.norm(pb_t) * super_norm:
             raise NonContributingBlockError(
@@ -222,21 +232,6 @@ def _transform(mats, smat, ids, metrics, m) -> TransformedProblem:
     return TransformedProblem(qs, m, smat.shape[0])
 
 
-def _half_images(mats, metrics):
-    """P_b' = M_b^(-1/2) X_b' (J_b x n), one block at a time."""
-    for mat, met in zip(mats, metrics):
-        yield met.apply(mat.T, -0.5)
-
-
-def _component_problem(mats, metrics, m) -> TransformedProblem:
-    """The superblock-free n-space problem: segments P_b' / sqrt(n).
-
-    At a unit v its value is sum_b cov(y_b, y)^m with y = sqrt(n) v.
-    """
-    n = mats[0].shape[0]
-    return TransformedProblem(list(_half_images(mats, metrics)), m, math.sqrt(n))
-
-
 def _eigen_start(problem: TransformedProblem) -> tuple[np.ndarray, bool]:
     """Dominant eigenvector of sum_b Q_b'Q_b, and whether it is numerically multiple."""
     vals, vecs = np.linalg.eigh(problem.stacked.T @ problem.stacked)
@@ -245,30 +240,28 @@ def _eigen_start(problem: TransformedProblem) -> tuple[np.ndarray, bool]:
     return v, degenerate
 
 
-def _random_start(problem: TransformedProblem, seed: int) -> np.ndarray:
+def _random_start(problem: TransformedProblem, basis: np.ndarray, seed: int) -> np.ndarray:
+    """Seeded draw, uniform on the J-sphere, projected onto the basis."""
     rng = np.random.default_rng(seed)
     for _ in range(100):
-        v = rng.standard_normal(problem.dim)
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0:
-            continue
-        v = v / nrm
-        if problem.value(v) > 0.0:
-            return v
+        c = basis.T @ rng.standard_normal(basis.shape[0])
+        nrm = np.linalg.norm(c)
+        if nrm > 0.0 and problem.value(c / nrm) > 0.0:
+            return c / nrm
     raise BadStartError("could not draw a start with positive criterion value")
 
 
-def _given_start(problem: TransformedProblem, vec: np.ndarray) -> np.ndarray:
+def _given_start(problem: TransformedProblem, basis: np.ndarray, vec: np.ndarray) -> np.ndarray:
     v = np.asarray(vec, dtype=float).ravel()
-    if v.shape[0] != problem.dim:
-        raise DimensionError(f"start vector has length {v.shape[0]}, expected {problem.dim}")
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
+    if v.shape[0] != basis.shape[0]:
+        raise DimensionError(f"start vector has length {v.shape[0]}, expected {basis.shape[0]}")
+    if np.linalg.norm(v) == 0.0:
         raise BadStartError("start vector is zero")
-    v = v / nrm
-    if not problem.value(v) > 0.0:
+    c = basis.T @ v
+    nrm = np.linalg.norm(c)
+    if not (nrm > 0.0 and problem.value(c / nrm) > 0.0):
         raise BadStartError("criterion is zero at the given start vector")
-    return v
+    return c / nrm
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +390,7 @@ def solve_matrices(
     metrics.append(build_metric(smat, modes.superblock_tau))
     problem = _transform(mats, smat, names, metrics, config.m)
 
+    basis = metrics[-1].eigenvectors
     warnings: list[str] = []
     for b, met in enumerate(metrics[:-1]):
         if met.pseudo:
@@ -410,30 +404,30 @@ def solve_matrices(
         try:
             if k == 0:
                 if isinstance(config.init, np.ndarray):
-                    v0 = _given_start(problem, config.init)
+                    c0 = _given_start(problem, basis, config.init)
                 elif config.init == "eigen":
-                    v0, degenerate = _eigen_start(problem)
+                    c0, degenerate = _eigen_start(problem)
                     if degenerate:
                         warnings.append(
                             "top eigenvalue of the start operator is numerically "
                             "multiple; the iterate sequence may not be unique"
                         )
                 else:
-                    v0 = _random_start(problem, config.seed)
+                    c0 = _random_start(problem, basis, config.seed)
             else:
-                v0 = _random_start(problem, config.seed + k)
-            v, trace = sphere_maximize(problem, config, v0, config.m)
+                c0 = _random_start(problem, basis, config.seed + k)
+            c, trace = sphere_maximize(problem, config, c0, config.m)
         except (SingularGradientError, BadStartError) as exc:
             last_failure = exc
             continue
-        results.append((trace.psi[-1], k, v, trace))
+        results.append((trace.psi[-1], k, c, trace))
     if not results:
         raise AllStartsFailedError(f"every start failed; last failure: {last_failure}")
     best = results[0]
     for cand in results[1:]:
         if cand[0] > best[0]:
             best = cand
-    _, _, v, trace = best
+    _, _, c, trace = best
     trace.warnings.extend(warnings)
 
     if metrics[-1].pseudo:
@@ -444,16 +438,17 @@ def solve_matrices(
         )
         trace.warnings.append(warnings_txt)
 
-    return _back_map(v, trace, mats, smat, metrics, config.m)
+    return _back_map(c, trace, mats, smat, metrics, config.m)
 
 
-def _back_map(v, trace, mats, smat, metrics, m) -> Solution:
+def _back_map(c, trace, mats, smat, metrics, m) -> Solution:
     n = smat.shape[0]
-    w_super = metrics[-1].apply(v, -0.5)
+    sup = metrics[-1]
+    w_super = sup.eigenvectors @ (c * sup.eigenvalues**-0.5)
     # deterministic sign: the largest-magnitude superblock weight is positive
     pivot = int(np.argmax(np.abs(w_super)))
     if w_super[pivot] < 0.0:
-        v = -v
+        c = -c
         w_super = -w_super
     y_super = smat @ w_super
 
@@ -473,7 +468,7 @@ def _back_map(v, trace, mats, smat, metrics, m) -> Solution:
         covs[b] = half_norm / n
 
     return Solution(
-        v_super=v,
+        v_super=sup.eigenvectors @ c,
         w_super=w_super,
         y_super=y_super,
         w_blocks=w_blocks,
@@ -483,6 +478,7 @@ def _back_map(v, trace, mats, smat, metrics, m) -> Solution:
         psi_final=trace.psi[-1],
         fixed_point_residual=trace.fixed_point_residual,
         trace=trace,
+        block_ranks=tuple(met.rank for met in metrics[:-1]),
     )
 
 
@@ -515,47 +511,19 @@ def stationary_residual(
 ) -> float:
     """Unit-normalized distance between y and its fixed-point image.
 
-    The image is the superblock operator applied to the gradient of the
-    superblock-free problem at y, which points along
+    The image is P_super P_super' z, where z, the gradient at y of the
+    superblock-free criterion sum_b ||P_b'y||^m, points along
     sum_b ||P_b'y||^(m-2) X_b M_b^(-1) X_b' y. The residual is zero exactly
     at solutions of the original-coordinate stationary equation; this is
     the method's signature and should agree with the transformed-space
     fixed-point residual at convergence.
     """
-    mats = [b.matrix for b in blockset.blocks]
     y_unit = y / np.linalg.norm(y)
-    z = _component_problem(mats, metrics[:-1], m).grad(y_unit)
-    img = blockset.superblock @ metrics[-1].apply(blockset.superblock.T @ z, -1.0)
+    images = [met.image(b.matrix) for b, met in zip(blockset.blocks, metrics)]
+    z = TransformedProblem(images, m).grad(y_unit)
+    ps_t = metrics[-1].image(blockset.superblock)
+    img = ps_t.T @ (ps_t @ z)
     img_norm = np.linalg.norm(img)
     if img_norm == 0.0:
         return float(np.sqrt(2.0))
     return float(np.linalg.norm(img / img_norm - y_unit))
-
-
-def auxiliary_solve(
-    blockset: BlockSet,
-    block_taus: Sequence[float],
-    m: float,
-    epsilon: float = 1e-12,
-    max_iter: int = 10_000,
-    y0: np.ndarray | None = None,
-) -> tuple[np.ndarray, int, list[float]]:
-    """Superblock-free solve on the component itself.
-
-    Runs sphere_maximize on the n-space problem, whose normalized-gradient
-    step replaces the component by the standardized weighted sum of block
-    images; with a Mode B superblock this targets the same solutions as the
-    explicit-superblock solve. epsilon bounds the per-iteration increase of
-    sum_b cov(y_b, y)^m, as in SolverConfig. Returns the unit-variance
-    component, the number of iterations and the per-iteration criterion
-    values.
-    """
-    mats = [b.matrix for b in blockset.blocks]
-    metrics = [build_metric(mat, tau) for mat, tau in zip(mats, block_taus)]
-    if y0 is None:
-        # deterministic start: leading left singular vector of the superblock
-        u, _, _ = np.linalg.svd(blockset.superblock, full_matrices=False)
-        y0 = u[:, 0]
-    config = SolverConfig(m=m, epsilon=epsilon, max_iter=max_iter)
-    v, trace = sphere_maximize(_component_problem(mats, metrics, m), config, y0, m)
-    return math.sqrt(blockset.n) * v, trace.iterations, trace.psi

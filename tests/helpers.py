@@ -7,7 +7,8 @@ tolerances asserted on traces are only meaningful on that scale.
 
 The per-block loops below are the reference implementation of the
 criterion and its gradient that the stacked operator is checked against,
-in the v-space problem and in the superblock-free n-space problem.
+in the v-space problem and in the superblock-free n-space problem. The
+dense J-space metric and Q_b are the reference for the thin factors.
 """
 
 from __future__ import annotations
@@ -16,8 +17,18 @@ import math
 
 import numpy as np
 
-from rcpca import ModeSelector, build_blockset, build_metric, from_matrix, sample_cov
+from rcpca import (
+    GradientOracle,
+    ModeSelector,
+    SolverConfig,
+    build_blockset,
+    build_metric,
+    from_matrix,
+    sample_cov,
+    sphere_maximize,
+)
 from rcpca.errors import BadStartError, InternalAssertionError, SingularGradientError
+from rcpca.metrics import DEFAULT_RANK_TOLERANCE
 
 M_GRID = (1.0, 1.5, 2.0, 3.0, 4.0)
 TAU_GRID = (0.0, 0.3, 1.0)
@@ -67,14 +78,25 @@ def full_rank_blockset(seed, b=3, n=20, js=(3, 2, 4), scale=True):
     return random_blockset(seed, b=len(js), n=n, js=list(js), scale=scale)
 
 
-def latent_blockset(seed, n=20, js=(3, 2, 4), noise=0.4):
+def wide_blockset(seed):
+    """2-4 blocks on 8-20 rows, at least one with more columns than rows."""
+    rng = np.random.default_rng(seed + 60013)
+    b = int(rng.integers(2, 5))
+    n = int(rng.integers(8, 21))
+    js = [int(rng.integers(1, 3 * n)) for _ in range(b)]
+    js[int(rng.integers(b))] = int(rng.integers(n + 1, 3 * n + 1))
+    return random_blockset(seed, b=b, n=n, js=js)
+
+
+def latent_blockset(seed, n=20, js=(3, 2, 4), noise=0.4, full_rank=True):
     """Blocks sharing one latent factor: a strong consensus direction.
 
     The dominant eigenvalue is well separated, so solves converge fast and
     reach tiny fixed-point residuals; use these where a test asserts tight
-    identities at convergence.
+    identities at convergence. full_rank=True guarantees a superblock of
+    full column rank (total J <= n - 1); False admits wide blocks.
     """
-    assert sum(js) <= n - 1
+    assert sum(js) <= n - 1 or not full_rank
     rng = np.random.default_rng(seed)
     factor = rng.standard_normal(n)
     blocks = []
@@ -129,6 +151,47 @@ def reference_gram(qs):
     for q in qs:
         g += q.T @ q
     return g
+
+
+def reference_metric_power(x, tau, power):
+    """M^power of M = tau*I + (1-tau)*(1/n) X'X as a dense J x J matrix.
+
+    One eigendecomposition of M itself; at tau = 0 eigenvalues at or below
+    DEFAULT_RANK_TOLERANCE times the largest are null directions.
+    """
+    n, j = x.shape
+    vals, vecs = np.linalg.eigh(tau * np.eye(j) + (1.0 - tau) * (x.T @ x) / n)
+    if tau == 0.0:
+        keep = vals > DEFAULT_RANK_TOLERANCE * vals[-1]
+        vals, vecs = vals[keep], vecs[:, keep]
+    return (vecs * vals**power) @ vecs.T
+
+
+def reference_q_blocks(mats, smat, modes):
+    """Q_b / n = M_b^(-1/2) X_b' X_super M_super^(-1/2) / n, J_b x J_super each."""
+    p_super = smat @ reference_metric_power(smat, modes.superblock_tau, -0.5)
+    return [
+        reference_metric_power(x, tau, -0.5) @ (x.T @ p_super) / smat.shape[0]
+        for x, tau in zip(mats, modes.block_taus)
+    ]
+
+
+def reference_solve(blockset, modes, m, epsilon=1e-12, max_iter=10_000):
+    """The J-space solve from the eigen start on dense Q_b, block by block.
+
+    Returns the psi trace and the superblock component.
+    """
+    mats = [b.matrix for b in blockset.blocks]
+    qs = reference_q_blocks(mats, blockset.superblock, modes)
+    oracle = GradientOracle(
+        value=lambda v: reference_criterion(qs, v, m),
+        grad=lambda v: reference_gradient(qs, v, m),
+    )
+    v0 = np.linalg.eigh(reference_gram(qs))[1][:, -1]
+    cfg = SolverConfig(m=m, epsilon=epsilon, max_iter=max_iter)
+    v, trace = sphere_maximize(oracle, cfg, v0, m)
+    w_super = reference_metric_power(blockset.superblock, modes.superblock_tau, -0.5) @ v
+    return trace.psi, blockset.superblock @ w_super
 
 
 def superblock_from_block_components(solution, blockset, metrics, m):

@@ -6,7 +6,8 @@ stated inline and are absolute unless noted. Random instances keep
 criterion values O(1) (standardized columns, unit total-variable scaling)
 so the absolute trace tolerances are meaningful. The sweep also runs the
 same instances rescaled by 1e3 and 1e-3, plus unnormalized instances
-rescaled by 1e-8, where the monotonicity tolerance is relative to psi.
+rescaled by 1e-8, where the monotonicity tolerance is relative to psi, and
+normalized instances with blocks wider than they are tall.
 """
 
 import filecmp
@@ -26,15 +27,16 @@ from helpers import (
     random_blockset,
     random_m,
     random_modes,
+    reference_auxiliary_solve,
     reference_criterion,
     reference_gram,
     scaled_blockset,
+    wide_blockset,
 )
 from rcpca import (
     ModeSelector,
     SolverConfig,
     TransformedProblem,
-    auxiliary_solve,
     build_metrics,
     contributions,
     extract,
@@ -51,6 +53,8 @@ SWEEP_SCALES = (1.0, 1e3, 1e-3)
 # unnormalized instances at this scale, uniform Mode A, m = 2
 N_TINY = 50
 TINY_SCALE = 1e-8
+# normalized instances with at least one block of more columns than rows
+N_WIDE = 40
 DEMO = Path(__file__).resolve().parents[1] / "data" / "demo"
 
 # roundoff slack for inequalities whose two sides agree to machine precision
@@ -73,6 +77,9 @@ def _sweep_cases():
     for seed in range(N_TINY):
         bs = scaled_blockset(random_blockset(seed, normalize=False), TINY_SCALE)
         yield TINY_SCALE, seed, bs, ModeSelector.uniform("A", "A", bs.n_blocks), 2.0
+    for seed in range(N_WIDE):
+        bs = wide_blockset(seed)
+        yield 1.0, seed, bs, random_modes(seed, bs), random_m(seed)
 
 
 @pytest.fixture(scope="session")
@@ -102,7 +109,7 @@ def test_criterion_01_monotone_ascent(sweep):
             worst = min(worst, float(deltas.min(initial=0.0)))
         else:
             worst_rel = min(worst_rel, float((deltas / psi[:-1]).min(initial=0.0)))
-    expected = N_SWEEP * len(SWEEP_SCALES) + N_TINY
+    expected = N_SWEEP * len(SWEEP_SCALES) + N_TINY + N_WIDE
     ok = not failures and len(runs) == expected and worst >= -1e-12 and worst_rel >= -1e-12
     report(1, "criterion non-decreasing every iteration (tol 1e-12; 1e-12*psi rescaled)",
            ok, f"{len(runs)} runs, worst decrease {worst:.2e}, relative {worst_rel:.2e}")
@@ -146,7 +153,8 @@ def test_criterion_03_eigen_oracle_m2():
         cfg = SolverConfig(m=2.0, epsilon=1e-14, max_iter=100_000,
                            init="random", seed=seed)
         sol = solve(bs, modes, cfg)
-        cos = abs(vecs[:, -1] @ sol.v_super)
+        # the eigenvector is in the superblock factor's coordinates
+        cos = abs((metrics[-1].eigenvectors @ vecs[:, -1]) @ sol.v_super)
         worst = min(worst, cos)
     ok = worst >= 1 - 1e-8
     report(3, "m=2 solution matches dense eigensolver (|cos| >= 1-1e-8)", ok,
@@ -342,11 +350,11 @@ def test_criterion_10_mode_b_superblock_equivalence():
         m = 1.0 if seed % 3 == 0 else 2.0
         modes = ModeSelector.uniform(block_mode, "B", bs.n_blocks)
         metrics = build_metrics(bs, modes)
-        v0, _ = _eigen_start(transform(bs, metrics, m))
-        y0 = bs.superblock @ metrics[-1].apply(v0, -0.5)
+        c0, _ = _eigen_start(transform(bs, metrics, m))
+        y0 = metrics[-1].image(bs.superblock).T @ c0
         cfg = SolverConfig(m=m, epsilon=1e-13, max_iter=200_000)
         sol = solve(bs, modes, cfg)
-        y_aux, _, _ = auxiliary_solve(
+        y_aux, _, _ = reference_auxiliary_solve(
             bs, modes.block_taus, m, epsilon=1e-13, max_iter=200_000, y0=y0
         )
         cos = abs(y_aux @ sol.y_super) / (

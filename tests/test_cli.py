@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rcpca import load_block, build_blockset, sample_cov
+from rcpca import SolverConfig, build_blockset, extract, load_block, preset, sample_cov
 from rcpca.cli import RunConfig, _build_run_config, build_parser, main
 
 DEMO = Path(__file__).resolve().parents[1] / "data" / "demo"
@@ -335,6 +335,40 @@ class TestRun:
             "--out", str(tmp_path / "o"),
         ])
         assert code == 0
+
+
+class TestWideRun:
+    """Blocks with more columns than rows run end to end."""
+
+    @pytest.fixture(scope="class")
+    def wide_blocks(self, tmp_path_factory):
+        rng = np.random.default_rng(21)
+        factor = rng.standard_normal(30)
+        paths = []
+        for k in range(3):
+            data = np.outer(factor, rng.standard_normal(200)) + rng.standard_normal((30, 200))
+            path = tmp_path_factory.mktemp("wide") / f"block{k + 1}.csv"
+            header = ",".join(f"b{k + 1}_v{j}" for j in range(200))
+            np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.10g")
+            paths.append(str(path))
+        return paths
+
+    @pytest.mark.parametrize(
+        "name", ["consensus_pca", "hierarchical_pca", "gcca_carroll", "sumcor"]
+    )
+    def test_wide_blocks_exit_0(self, wide_blocks, tmp_path, name):
+        out = tmp_path / "out"
+        code = main(["run", "--blocks", ",".join(wide_blocks), "--scale", "unit",
+                     "--preset", name, "--out", str(out)])
+        assert code == 0
+        comp_rows = (out / "rank1_components.csv").read_text().splitlines()[1:]
+        y_cli = np.array([float(r.split(",")[-1]) for r in comp_rows])
+        bs = build_blockset([load_block(p, scale=True) for p in wide_blocks])
+        entry = preset(name)
+        lib = extract(bs, entry.selector(3), SolverConfig(m=entry.m), 1)
+        y_lib = lib.solutions[0].y_super
+        cos = abs(y_cli @ y_lib) / (np.linalg.norm(y_cli) * np.linalg.norm(y_lib))
+        assert cos >= 1 - 1e-8
 
 
 def run_demo_redundancy(out):

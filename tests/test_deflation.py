@@ -8,8 +8,10 @@ from rcpca import (
     DeflationStrategy,
     ModeSelector,
     SolverConfig,
+    build_blockset,
     deflate,
     extract,
+    from_matrix,
     solve,
 )
 
@@ -113,6 +115,30 @@ class TestExtract:
         assert ms.achieved_rank == 2
         assert ms.requested_rank == 5
         assert any("rank" in w for w in ms.warnings)
+
+    def test_duplicated_column_caps_like_matrix_rank(self):
+        rng = np.random.default_rng(11)
+        base = rng.standard_normal((12, 3))
+        bs = build_blockset([
+            from_matrix("dup", np.column_stack([base, base[:, 1]])),
+            from_matrix("full", rng.standard_normal((12, 5))),
+        ])
+        cap = min(int(np.linalg.matrix_rank(b.matrix)) for b in bs.blocks)
+        assert cap == 3
+        for tau in (0.0, 0.5, 1.0):
+            ms = extract(bs, ModeSelector.uniform(tau, 1.0, 2), CFG, 6, "global")
+            assert ms.achieved_rank == cap
+            assert ms.warnings == [
+                f"requested 6 components but the smallest block rank is {cap}; returning {cap}"
+            ]
+
+    def test_wide_block_caps_at_n_minus_one(self):
+        bs = random_blockset(12, b=2, n=8, js=[20, 30])
+        ms = extract(bs, ModeSelector.uniform("A", "A", 2), CFG, 10, "global")
+        assert ms.achieved_rank == 7
+        assert ms.warnings == [
+            "requested 10 components but the smallest block rank is 7; returning 7"
+        ]
 
     def test_mode_b_superblock_own_strategy_warns(self):
         bs = latent_blockset(7)

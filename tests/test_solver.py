@@ -16,6 +16,8 @@ from helpers import (
     reference_gradient,
     reference_auxiliary_solve,
     reference_gram,
+    reference_metric_power,
+    reference_solve,
     reference_stationary_image,
     superblock_from_block_components,
 )
@@ -24,7 +26,6 @@ from rcpca import (
     ModeSelector,
     SolverConfig,
     TransformedProblem,
-    auxiliary_solve,
     build_blockset,
     build_metric,
     build_metrics,
@@ -42,7 +43,6 @@ from rcpca.errors import (
     UndefinedContributionsError,
 )
 from rcpca.solver import (
-    _component_problem,
     _eigen_start,
     _given_start,
     _random_start,
@@ -66,9 +66,11 @@ class TestTransform:
         bs = random_blockset(0, b=2, n=10, js=[2, 3], normalize=False)
         metrics = build_metrics(bs, ModeSelector.uniform("A", "A", 2))
         problem = transform(bs, metrics, 2.0)
+        basis = metrics[-1].eigenvectors
         for b in range(2):
+            # segments are in the factors' coordinates: map them back to J-space
             np.testing.assert_allclose(
-                q_blocks(problem)[b],
+                metrics[b].eigenvectors @ q_blocks(problem)[b] @ basis.T,
                 bs.blocks[b].matrix.T @ bs.superblock / bs.n,
                 atol=1e-12,
             )
@@ -78,7 +80,10 @@ class TestTransform:
         metrics = build_metrics(bs, ModeSelector.uniform("A", "A", 1))
         problem = transform(bs, metrics, 2.0)
         x = bs.blocks[0].matrix
-        np.testing.assert_allclose(q_blocks(problem)[0], x.T @ x / bs.n, atol=1e-12)
+        basis = metrics[0].eigenvectors
+        np.testing.assert_allclose(
+            basis @ q_blocks(problem)[0] @ basis.T, x.T @ x / bs.n, atol=1e-12
+        )
 
     def test_single_column_mode_b(self):
         bs = build_blockset([from_matrix("x", [[1.0], [-1.0]])])
@@ -219,24 +224,28 @@ class TestStackedOperator:
 
 
 class TestComponentOperator:
-    """The n-space operator's gradient points along the stationary image."""
+    """stationary_residual measures the distance to the reference stationary image."""
 
     @staticmethod
-    def cos_deficit(a, b):
-        return 1.0 - float(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
+    def reference_residual(y, bs, modes, m):
+        mats = [b.matrix for b in bs.blocks]
+        metrics = [build_metric(x, tau) for x, tau in zip(mats, modes.block_taus)] + [None]
+        z = reference_stationary_image(y, mats, metrics, m)
+        s_mat = bs.superblock
+        img = s_mat @ (reference_metric_power(s_mat, modes.superblock_tau, -1.0) @ (s_mat.T @ z))
+        return float(np.linalg.norm(img / np.linalg.norm(img) - y / np.linalg.norm(y)))
 
     def test_gradient_is_parallel_to_reference_image(self):
         for m in M_GRID:
             for tau in TAU_GRID:
                 for seed in range(8):
                     bs = random_blockset(seed + 1300)
-                    mats = [b.matrix for b in bs.blocks]
-                    metrics = [build_metric(x, tau) for x in mats] + [None]
+                    modes = ModeSelector.uniform(tau, 0.3, bs.n_blocks)
                     y = np.random.default_rng(seed).standard_normal(bs.n)
                     y -= y.mean()
-                    g = _component_problem(mats, metrics[:-1], m).grad(y / np.linalg.norm(y))
-                    z = reference_stationary_image(y, mats, metrics, m)
-                    assert self.cos_deficit(g, z) <= 1e-12, (m, tau, seed)
+                    r = stationary_residual(y, bs, build_metrics(bs, modes), m)
+                    assert abs(r - self.reference_residual(y, bs, modes, m)) <= 1e-12, (
+                        m, tau, seed)
 
     def test_vanished_block_term(self):
         # X_1'y is exactly zero: block 1 lives on rows 0-1, y on rows 2-5
@@ -245,19 +254,52 @@ class TestComponentOperator:
             from_matrix("zero", [[1.0], [-1.0], [0.0], [0.0], [0.0], [0.0]]),
             from_matrix("live", rng.standard_normal((6, 2))),
         ])
-        mats = [b.matrix for b in bs.blocks]
-        metrics = [build_metric(x, 0.5) for x in mats] + [None]
+        modes = ModeSelector.uniform(0.5, 0.5, 2)
+        metrics = build_metrics(bs, modes)
         y = np.array([0.0, 0.0, 3.0, -1.0, -1.0, -1.0])
         for m in M_GRID:
-            problem = _component_problem(mats, metrics[:-1], m)
             if m >= 2.0:
-                z = reference_stationary_image(y, mats, metrics, m)
-                assert self.cos_deficit(problem.grad(y / np.linalg.norm(y)), z) <= 1e-12
+                r = stationary_residual(y, bs, metrics, m)
+                assert abs(r - self.reference_residual(y, bs, modes, m)) <= 1e-12
             else:
                 with pytest.raises(SingularGradientError, match="block 1"):
-                    reference_stationary_image(y, mats, metrics, m)
+                    self.reference_residual(y, bs, modes, m)
                 with pytest.raises(SingularGradientError, match="block 1"):
-                    problem.grad(y / np.linalg.norm(y))
+                    stationary_residual(y, bs, metrics, m)
+
+
+class TestThinFactor:
+    """The thin-factor solve against the dense J-space reference."""
+
+    SHAPES = {"wide": (10, [25, 14, 30]), "tall": (30, [4, 6, 3]), "mixed": (12, [3, 40, 7])}
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_matches_dense_reference(self, shape):
+        n, js = self.SHAPES[shape]
+        for m in M_GRID:
+            for tau in TAU_GRID:
+                for seed in range(2):
+                    bs = latent_blockset(seed + 1500, n=n, js=tuple(js), full_rank=False)
+                    # Mode B on a superblock of rank n - 1 is the identity on components
+                    modes = ModeSelector.uniform(tau, tau if sum(js) < n - 1 else 0.3, 3)
+                    cfg = SolverConfig(m=m, epsilon=1e-12, max_iter=20_000)
+                    sol = solve(bs, modes, cfg)
+                    psi_ref, y_ref = reference_solve(bs, modes, m, epsilon=1e-12, max_iter=20_000)
+                    assert abs(sol.psi_final - psi_ref[-1]) <= 1e-10 * psi_ref[-1]
+                    cos = abs(sol.y_super @ y_ref) / (
+                        np.linalg.norm(sol.y_super) * np.linalg.norm(y_ref)
+                    )
+                    assert 1.0 - cos <= 1e-10, (shape, m, tau, seed)
+
+    def test_wide_metric_matches_dense_powers(self):
+        x = random_blockset(1600, b=1, n=9, js=[20]).superblock
+        for tau in TAU_GRID:
+            met = build_metric(x, tau)
+            assert met.rank == 8  # centered: n - 1
+            for p in (1.0, -0.5, -1.0):
+                np.testing.assert_allclose(
+                    met.apply(np.eye(20), p), reference_metric_power(x, tau, p), atol=1e-10
+                )
 
 
 class TestInitV:
@@ -269,20 +311,20 @@ class TestInitV:
 
     def test_random_is_deterministic(self):
         problem = problem_from_qs([np.diag([2.0, 1.0])], m=2.0)
-        v1 = _random_start(problem, 42)
-        v2 = _random_start(problem, 42)
+        v1 = _random_start(problem, np.eye(2), 42)
+        v2 = _random_start(problem, np.eye(2), 42)
         np.testing.assert_array_equal(v1, v2)
 
     def test_given_is_normalized(self):
         problem = problem_from_qs([np.eye(2)], m=2.0)
         np.testing.assert_allclose(
-            _given_start(problem, np.array([3.0, 4.0])), [0.6, 0.8], atol=1e-12
+            _given_start(problem, np.eye(2), np.array([3.0, 4.0])), [0.6, 0.8], atol=1e-12
         )
 
     def test_given_with_zero_criterion(self):
         problem = problem_from_qs([np.array([[1.0, 0.0]])], m=2.0)
         with pytest.raises(BadStartError):
-            _given_start(problem, np.array([0.0, 1.0]))
+            _given_start(problem, np.eye(2), np.array([0.0, 1.0]))
 
 
 class TestIterate:
@@ -441,7 +483,7 @@ class TestSolve:
             vals, vecs = np.linalg.eigh(reference_gram(q_blocks(problem)))
             if (vals[-1] - vals[-2]) / vals[-1] < 1e-3:
                 continue
-            cos = abs(vecs[:, -1] @ sol.v_super)
+            cos = abs((metrics[-1].eigenvectors @ vecs[:, -1]) @ sol.v_super)
             assert cos >= 1 - 1e-8
 
 
@@ -599,12 +641,14 @@ class TestRankDeficientModeB:
 
 
 class TestAuxiliarySolve:
+    """The superblock-free loop and the explicit Mode B superblock solve."""
+
     def test_matches_explicit_superblock_solve(self):
         bs = full_rank_blockset(27)
         modes = ModeSelector.uniform("B", "B", bs.n_blocks)
         cfg = SolverConfig(m=2.0, epsilon=1e-14, max_iter=50_000)
         sol = solve(bs, modes, cfg)
-        y_aux, _, values = auxiliary_solve(bs, modes.block_taus, 2.0, epsilon=1e-14)
+        y_aux, _, values = reference_auxiliary_solve(bs, modes.block_taus, 2.0, epsilon=1e-14)
         cos = abs(y_aux @ sol.y_super) / (
             np.linalg.norm(y_aux) * np.linalg.norm(sol.y_super)
         )
@@ -612,21 +656,23 @@ class TestAuxiliarySolve:
         assert np.all(np.diff(values) >= -1e-12)
 
     @staticmethod
-    def assert_matches_reference(bs, taus, m, **kwargs):
-        y, iterations, values = auxiliary_solve(bs, taus, m, **kwargs)
-        y_ref, iterations_ref, values_ref = reference_auxiliary_solve(bs, taus, m, **kwargs)
-        assert iterations == iterations_ref
-        assert len(values) == len(values_ref) == iterations + 1
-        for val, ref in zip(values, values_ref):
-            assert abs(val - ref) <= 1e-12 * ref
-        cos = abs(y @ y_ref) / (np.linalg.norm(y) * np.linalg.norm(y_ref))
-        assert cos >= 1 - 1e-12
-        assert sample_cov(y, y) == pytest.approx(1.0, rel=1e-12)
+    def assert_residual_is_loop_step(bs, modes, m, y0=None, steps=4):
+        # with a Mode B superblock of full column rank the stationary image
+        # is the loop's next iterate, so the residual is the step length
+        metrics = build_metrics(bs, modes)
+        for k in range(1, steps + 1):
+            y, _, _ = reference_auxiliary_solve(
+                bs, modes.block_taus, m, epsilon=-np.inf, max_iter=k - 1, y0=y0
+            )
+            y_next, _, _ = reference_auxiliary_solve(
+                bs, modes.block_taus, m, epsilon=-np.inf, max_iter=k, y0=y0
+            )
+            step = np.linalg.norm(y_next / np.linalg.norm(y_next) - y / np.linalg.norm(y))
+            assert abs(stationary_residual(y, bs, metrics, m) - step) <= 1e-12
 
     def test_matches_reference_loop(self):
         bs = full_rank_blockset(27)
-        modes = ModeSelector.uniform("B", "B", bs.n_blocks)
-        self.assert_matches_reference(bs, modes.block_taus, 2.0, epsilon=1e-14)
+        self.assert_residual_is_loop_step(bs, ModeSelector.uniform("B", "B", bs.n_blocks), 2.0)
 
     def test_matches_reference_loop_on_criterion_10_instances(self):
         # the 20 instances and starts of acceptance criterion 10
@@ -641,11 +687,9 @@ class TestAuxiliarySolve:
             m = 1.0 if seed % 3 == 0 else 2.0
             modes = ModeSelector.uniform(block_mode, "B", bs.n_blocks)
             metrics = build_metrics(bs, modes)
-            v0, _ = _eigen_start(transform(bs, metrics, m))
-            y0 = bs.superblock @ metrics[-1].apply(v0, -0.5)
-            self.assert_matches_reference(
-                bs, modes.block_taus, m, epsilon=1e-13, max_iter=200_000, y0=y0
-            )
+            c0, _ = _eigen_start(transform(bs, metrics, m))
+            y0 = metrics[-1].image(bs.superblock).T @ c0
+            self.assert_residual_is_loop_step(bs, modes, m, y0=y0)
 
 
 class TestContributions:
