@@ -45,8 +45,7 @@ def main():
     for m in M_VALUES:
         for tau in TAU_VALUES:
             modes = ModeSelector.uniform(tau, tau, bs.n_blocks)
-            cfg = SolverConfig(m=m, epsilon=args.epsilon, max_iter=100_000,
-                               assert_level="full")
+            cfg = SolverConfig(m=m, epsilon=args.epsilon, max_iter=100_000)
             sol = solve(bs, modes, cfg)
             deltas = np.diff(sol.trace.psi)
             monotone = bool(np.all(deltas >= -1e-12))

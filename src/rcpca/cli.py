@@ -64,7 +64,6 @@ class RunConfig:
     components: int = 1
     out: str = "rcpca_out"
     strict: bool = False
-    assert_level: str = "cheap"
 
 
 _NUMBER = "%.12g"  # every number the CLI writes: the result tables and the manifest
@@ -76,8 +75,8 @@ def _fmt(x: float) -> str:
 
 def _parse_config_file(path: str) -> dict[str, str]:
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
+    if not p.is_file():
+        raise ConfigError(f"config file not found or not a file: {path}")
     try:
         text = p.read_text(encoding="utf-8")
     except UnicodeDecodeError:
@@ -149,8 +148,6 @@ _OPTIONS = {
     "components": _Option("components", int, None, "number of components to extract"),
     "out": _Option("out", str, None, "output directory"),
     "strict": _Option("strict", _bool, None, "exit 3 when any rank fails to converge"),
-    "assert": _Option("assert_level", str, ("off", "cheap", "full"),
-                      "runtime verification level"),
 }
 
 
@@ -185,8 +182,8 @@ def _validate(cfg: RunConfig) -> MethodPreset | None:
     if not cfg.blocks:
         raise ConfigError("no block files given (--blocks f1.csv,f2.csv)")
     for path in cfg.blocks:
-        if not Path(path).exists():
-            raise DataError(f"block file not found: {path}")
+        if not Path(path).is_file():
+            raise DataError(f"block file not found or not a file: {path}")
     if cfg.ids is not None and len(cfg.ids) != len(cfg.blocks):
         raise ConfigError(f"{len(cfg.ids)} ids for {len(cfg.blocks)} block files")
     ids = cfg.ids or [Path(p).stem for p in cfg.blocks]
@@ -246,8 +243,8 @@ def _solver_config(cfg: RunConfig, entry: MethodPreset | None) -> SolverConfig:
     m = entry.m if entry is not None else cfg.m
     if cfg.init == "file":
         path = Path(cfg.init_file)
-        if not path.exists():
-            raise DataError(f"start-vector file not found: {cfg.init_file}")
+        if not path.is_file():
+            raise DataError(f"start-vector file not found or not a file: {cfg.init_file}")
         try:
             values = [float(s) for s in path.read_text().split()]
         except ValueError:
@@ -258,7 +255,7 @@ def _solver_config(cfg: RunConfig, entry: MethodPreset | None) -> SolverConfig:
     else:
         init = cfg.init
     return SolverConfig(m=float(m), epsilon=cfg.epsilon, max_iter=cfg.max_iter, init=init,
-                        seed=cfg.seed, n_starts=cfg.starts, assert_level=cfg.assert_level)
+                        seed=cfg.seed, n_starts=cfg.starts)
 
 
 def _modes(cfg: RunConfig, entry: MethodPreset | None, n_blocks: int) -> ModeSelector:

@@ -146,7 +146,8 @@ def _preprocess(
         columns=tuple(columns),
         row_ids=tuple(row_ids) if row_ids is not None else None,
     )
-    matrix = centered.copy()
+    # centered is freshly allocated; only a non-C-ordered input makes this copy
+    matrix = np.ascontiguousarray(centered)
     matrix.setflags(write=False)
     return Block(id=id, matrix=matrix, preprocessing=pre)
 

@@ -135,18 +135,18 @@ def extract(
             ))
         if r + 1 >= target:
             break
-        if strategy is DeflationStrategy.GLOBAL:
-            mats = [deflate(m, sol.y_super) for m in mats]
-            smat = np.hstack(mats)
-        elif strategy is DeflationStrategy.BLOCK:
-            mats = [deflate(m, y_b) for m, y_b in zip(mats, sol.y_blocks)]
-            smat = np.hstack(mats)
-        elif strategy is DeflationStrategy.LOADING:
+        # each block is deflated on its loading direction, y_super or its own y_b
+        if strategy is DeflationStrategy.LOADING:
             mats = [_deflate_loading(m, sol.y_super) for m in mats]
-            smat = np.hstack(mats)
+        elif strategy is DeflationStrategy.GLOBAL:
+            mats = [deflate(m, sol.y_super) for m in mats]
         else:
             mats = [deflate(m, y_b) for m, y_b in zip(mats, sol.y_blocks)]
+        # own carries the superblock forward; the others rebuild it from the blocks
+        if strategy is DeflationStrategy.OWN:
             smat = deflate(smat, sol.y_super)
+        else:
+            smat = np.hstack(mats)
         for b, m in enumerate(mats):
             if np.linalg.norm(m) <= _ZERO_RTOL * orig_norms[b]:
                 raise RankExhaustedError(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -179,15 +180,13 @@ def _raw_stationary_image(
     y: np.ndarray,
     blockset: BlockSet,
     m: float,
-    block_mode: str,
+    block_modes: Sequence[str],
     superblock_mode: str,
-    split: int | None = None,
 ) -> np.ndarray:
     n = blockset.n
     z = np.zeros(n)
-    for b, block in enumerate(blockset.blocks):
+    for block, mode in zip(blockset.blocks, block_modes):
         x = block.matrix
-        mode = block_mode if split is None else ("B" if b < split else "A")
         if mode == "A":
             t = x.T @ y
             nrm = float(np.linalg.norm(t))
@@ -220,41 +219,26 @@ def verify_stationary(
     The superblock component of a converged solution must be a fixed point
     of the published map; the residual is the norm of the component of the
     image orthogonal to the solution (scale- and sign-free), at most about
-    1e-6 at convergence.
+    1e-6 at convergence. The per-block modes come from the preset's
+    selector, so a free m or an out-of-range split raises CatalogError.
     """
-    if preset.m is None:
-        raise CatalogError(f"preset {preset.name!r} has no exponent; materialize it first")
     if preset.grid_row == 6:
         raise UnsupportedVerificationError(
             f"preset {preset.name!r} has no published stationary form; use the "
             "generic fixed-point residual instead"
         )
-    split = None
-    if preset.tau_blocks is None:
-        if preset.split is None:
-            raise CatalogError(f"preset {preset.name!r} needs a split")
-        split = preset.split
-        block_mode = "mixed"
-    else:
-        if preset.tau_blocks not in _MODE_LABEL:
-            raise UnsupportedVerificationError(
-                f"preset {preset.name!r} uses fractional shrinkage; no published "
-                "stationary form exists"
-            )
-        block_mode = _MODE_LABEL[preset.tau_blocks]
-    if preset.tau_superblock not in _MODE_LABEL:
+    modes = preset.selector(blockset.n_blocks)
+    labels = [_MODE_LABEL.get(tau) for tau in (*modes.block_taus, modes.superblock_tau)]
+    if None in labels:
         raise UnsupportedVerificationError(
-            f"preset {preset.name!r} uses fractional superblock shrinkage"
+            f"preset {preset.name!r} uses fractional shrinkage; no published "
+            "stationary form exists"
         )
-    superblock_mode = _MODE_LABEL[preset.tau_superblock]
+    *block_modes, superblock_mode = labels
+    block_mode = "mixed" if preset.tau_blocks is None else block_modes[0]
 
     y = solution.y_super
-    img = _raw_stationary_image(
-        y, blockset, preset.m,
-        "B" if block_mode == "mixed" else block_mode,
-        superblock_mode,
-        split=split,
-    )
+    img = _raw_stationary_image(y, blockset, preset.m, block_modes, superblock_mode)
     img_norm = np.linalg.norm(img)
     if img_norm == 0.0:
         residual = float(np.sqrt(2.0))

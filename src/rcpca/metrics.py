@@ -8,14 +8,16 @@ shrinkage of the block covariance).
 
 A metric is stored once, as a thin factor: an orthonormal basis V of the
 row space of X (J x r, r <= min(n - 1, J) for centered X) and M's
-eigenvalues on it. On the orthogonal complement M is tau*I, so powers of M
-(M^(-1/2), M^(-1), M itself) are applied to vectors or matrices on demand
-and never formed as J x J matrices. The factor comes from the smaller Gram
+eigenvalues on it. On the orthogonal complement M is tau*I. Everything the
+solver applies a power of M to lies in the row space of X: the image
+P' = M^(-1/2) X' (`image`) and the weights M^(-1) X'y that the back-map
+reads as V diag(lambda^(-1/2)) u. So M is used only through (V, lambda)
+and never formed as a J x J matrix. The factor comes from the smaller Gram
 matrix, X'X when J <= n and XX' otherwise, so a block with thousands of
 variables on tens of rows costs an n x n eigendecomposition. At tau = 0 a
 rank-deficient matrix gets Moore-Penrose semantics: negative powers
-annihilate the complement. Metrics are immutable; building metrics for
-distinct blocks is a pure function of the inputs.
+annihilate the dropped null directions. Metrics are immutable; building
+metrics for distinct blocks is a pure function of the inputs.
 """
 
 from __future__ import annotations
@@ -83,26 +85,6 @@ class ShrinkageMetric:
     @property
     def rank(self) -> int:
         return self.eigenvalues.size
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvectors.shape[0]
-
-    def apply(self, x: np.ndarray, power: float) -> np.ndarray:
-        """M^power applied to a vector or to the columns of a J x k matrix.
-
-        Computes V diag(lambda^power - tau^power) V' x + tau^power x; at
-        tau = 0 the complement term is dropped, so negative powers
-        annihilate null directions.
-        """
-        x = np.asarray(x, dtype=float)
-        if x.shape[0] != self.dim:
-            raise DimensionError(f"expected {self.dim} rows, got {x.shape[0]}")
-        rest = self.tau**power if self.tau > 0.0 else 0.0
-        # transposed so that the eigenvalue scaling broadcasts over columns
-        coef = (self.eigenvectors.T @ x).T * (self.eigenvalues**power - rest)
-        out = self.eigenvectors @ coef.T
-        return out + rest * x if rest else out
 
     def image(self, x: np.ndarray) -> np.ndarray:
         """P' = M^(-1/2) X' in the factor's coordinates: diag(lambda^(-1/2)) V'X', rank x n."""

@@ -16,15 +16,17 @@ the constrained problem.
 Every metric is a thin factor (V_b, lambda_b), so P_b = X_b V_b
 diag(lambda_b)^(-1/2) is n x r_b and the iterate lives in the superblock
 factor's coordinates c = V_super'v: the segments Q_b = P_b'P_super are
-r_b x r_super whether the blocks are tall or wide, and the back-map returns
-v = V_super c. `TransformedProblem` is the one evaluator of psi and its
-gradient, and `sphere_maximize` the one ascent loop. The operator stacks
-its segments into a single matrix, so psi is one matvec and the gradient
-one more transposed matvec; with segments P_b' it also gives the direction
-of the stationary image that `stationary_residual` checks. The iteration is
-scale-invariant, and the solver's slacks are relative to psi. A solve is
-deterministic given its configuration and never modifies the problem it
-reads.
+r_b x r_super whether the blocks are tall or wide. The back-map returns
+v = V_super c and reads each block's covariance and weights off the
+segments Q_b c, in the block factor's coordinates. `TransformedProblem` is
+the one evaluator of psi and its gradient, and `sphere_maximize` the one
+ascent loop. The operator stacks its segments into a single matrix, so psi
+is one matvec and the gradient one more transposed matvec; with segments
+P_b' it also gives the direction of the stationary image that
+`stationary_residual` checks. The iteration is scale-invariant, and the
+solver's slacks are relative to psi; the monotone, step-bound and sandwich
+checks run at every iteration. A solve is deterministic given its
+configuration and never modifies the problem it reads.
 """
 
 from __future__ import annotations
@@ -116,10 +118,9 @@ class SolverConfig:
     iteration, at the covariance scale: the solve stops once psi rises by
     no more than epsilon.
 
-    assert_level controls runtime verification: monotonicity of the
-    criterion (up to 1e-12 * psi) is always enforced; "cheap" also enforces
-    the ascent step bound, "full" additionally checks the minorizer sandwich
-    at every iteration.
+    Every iteration checks that psi did not decrease (up to 1e-12 * psi),
+    the ascent step bound and the minorizer sandwich; a violation raises
+    InternalAssertionError.
     """
 
     m: float = 2.0
@@ -128,7 +129,6 @@ class SolverConfig:
     init: str | np.ndarray = "eigen"
     seed: int = 0
     n_starts: int = 1
-    assert_level: str = "cheap"
 
     def __post_init__(self):
         if not (self.m >= 1.0 and math.isfinite(self.m)):
@@ -141,8 +141,6 @@ class SolverConfig:
             raise ValueError("n_starts must be at least 1")
         if isinstance(self.init, str) and self.init not in ("eigen", "random"):
             raise ValueError(f"unknown init {self.init!r}")
-        if self.assert_level not in ("off", "cheap", "full"):
-            raise ValueError(f"unknown assert_level {self.assert_level!r}")
 
 
 @dataclass
@@ -157,7 +155,6 @@ class SolverTrace:
     psi: list[float]
     step_norm: list[float]
     bound: list[float]
-    sandwich_ok: list[bool]
     iterations: int
     converged: bool
     fixed_point_residual: float
@@ -300,7 +297,6 @@ def sphere_maximize(
     psis = [psi]
     steps: list[float] = []
     bounds: list[float] = []
-    sandwich: list[bool] = []
     eps_hit = False
 
     for _ in range(config.max_iter):
@@ -322,20 +318,17 @@ def sphere_maximize(
             raise InternalAssertionError(
                 f"criterion decreased by {-dpsi:.3e} in one iteration"
             )
-        if config.assert_level in ("cheap", "full") and step * step > bound + _ROUNDOFF_TOL:
+        if step * step > bound + _ROUNDOFF_TOL:
             raise InternalAssertionError(
                 f"ascent bound violated: step^2 = {step * step:.3e} > {bound:.3e}"
             )
-        if config.assert_level == "full":
-            # linear minorizer at v, evaluated at the new iterate
-            g_mid = psi + float(g @ (v_new - v))
-            ok = g_mid >= psi - slack and psi_new >= g_mid - slack
-            sandwich.append(ok)
-            if not ok:
-                raise InternalAssertionError(
-                    f"minorizer sandwich violated: psi={psi:.17g} "
-                    f"G={g_mid:.17g} psi_new={psi_new:.17g}"
-                )
+        # linear minorizer at v, evaluated at the new iterate
+        g_mid = psi + float(g @ (v_new - v))
+        if not (g_mid >= psi - slack and psi_new >= g_mid - slack):
+            raise InternalAssertionError(
+                f"minorizer sandwich violated: psi={psi:.17g} "
+                f"G={g_mid:.17g} psi_new={psi_new:.17g}"
+            )
 
         v, psi = v_new, psi_new
         if dpsi <= config.epsilon:
@@ -350,7 +343,6 @@ def sphere_maximize(
         psi=psis,
         step_norm=steps,
         bound=bounds,
-        sandwich_ok=sandwich,
         iterations=len(steps),
         converged=eps_hit and residual <= threshold,
         fixed_point_residual=residual,
@@ -438,34 +430,39 @@ def solve_matrices(
         )
         trace.warnings.append(warnings_txt)
 
-    return _back_map(c, trace, mats, smat, metrics, config.m)
+    return _back_map(c, trace, problem, mats, smat, metrics, config.m)
 
 
-def _back_map(c, trace, mats, smat, metrics, m) -> Solution:
-    n = smat.shape[0]
+def _back_map(c, trace, problem, mats, smat, metrics, m) -> Solution:
+    """Weights and components from the solution c (superblock factor coordinates).
+
+    Segment b of problem.stacked @ c is P_b'y_super / n, so its norm is
+    cov_b, and w_b = M_b^(-1) X_b'y_super / ||M_b^(-1/2) X_b'y_super|| is
+    V_b (lambda_b^(-1/2) u_b) with u_b the unit segment.
+    """
     sup = metrics[-1]
     w_super = sup.eigenvectors @ (c * sup.eigenvalues**-0.5)
+    # the same product that gave psi at c, so that sum(covs**m) is psi exactly
+    segments = problem.stacked @ c
     # deterministic sign: the largest-magnitude superblock weight is positive
     pivot = int(np.argmax(np.abs(w_super)))
     if w_super[pivot] < 0.0:
-        c = -c
-        w_super = -w_super
+        c, w_super, segments = -c, -w_super, -segments
     y_super = smat @ w_super
 
+    covs = problem._norms(segments)
     w_blocks: list[np.ndarray] = []
     y_blocks: list[np.ndarray] = []
-    covs = np.empty(len(mats))
-    for b, (mat, met) in enumerate(zip(mats, metrics[:-1])):
-        t = mat.T @ y_super
-        half_norm = float(np.linalg.norm(met.apply(t, -0.5)))
-        if half_norm == 0.0:
+    for b, (mat, met, seg) in enumerate(
+        zip(mats, metrics[:-1], np.split(segments, problem.offsets[1:-1]))
+    ):
+        if covs[b] == 0.0:
             raise NonContributingBlockError(
                 f"block {b + 1} is uncorrelated with the superblock component"
             )
-        w_b = met.apply(t, -1.0) / half_norm
+        w_b = met.eigenvectors @ (met.eigenvalues**-0.5 * (seg / covs[b]))
         w_blocks.append(w_b)
         y_blocks.append(mat @ w_b)
-        covs[b] = half_norm / n
 
     return Solution(
         v_super=sup.eigenvectors @ c,

@@ -22,7 +22,6 @@ from rcpca import (
     ModeSelector,
     SolverConfig,
     build_blockset,
-    build_metric,
     from_matrix,
     sample_cov,
     sphere_maximize,
@@ -167,6 +166,17 @@ def reference_metric_power(x, tau, power):
     return (vecs * vals**power) @ vecs.T
 
 
+def factor_power(met, power):
+    """M^power as a dense J x J matrix, rebuilt from a metric's thin factor.
+
+    M^power = V diag(lambda^power) V' + tau^power (I - V V'); at tau = 0 the
+    complement term is dropped (pseudo-inverse semantics).
+    """
+    v = met.eigenvectors
+    rest = met.tau**power if met.tau > 0.0 else 0.0
+    return (v * met.eigenvalues**power) @ v.T + rest * (np.eye(v.shape[0]) - v @ v.T)
+
+
 def reference_q_blocks(mats, smat, modes):
     """Q_b / n = M_b^(-1/2) X_b' X_super M_super^(-1/2) / n, J_b x J_super each."""
     p_super = smat @ reference_metric_power(smat, modes.superblock_tau, -0.5)
@@ -194,7 +204,7 @@ def reference_solve(blockset, modes, m, epsilon=1e-12, max_iter=10_000):
     return trace.psi, blockset.superblock @ w_super
 
 
-def superblock_from_block_components(solution, blockset, metrics, m):
+def superblock_from_block_components(solution, blockset, superblock_tau, m):
     """Rebuild the superblock component from the block components.
 
     At a fixed point the superblock component equals the image of
@@ -205,30 +215,30 @@ def superblock_from_block_components(solution, blockset, metrics, m):
     z = np.zeros(blockset.n)
     for cov, y_b in zip(solution.covs, solution.y_blocks):
         z += cov ** (m - 1.0) * y_b
-    met = metrics[-1]
-    t = blockset.superblock.T @ z
-    num = blockset.superblock @ met.apply(t, -1.0)
-    den = float(np.linalg.norm(met.apply(t, -0.5)))
+    smat = blockset.superblock
+    t = smat.T @ z
+    num = smat @ (reference_metric_power(smat, superblock_tau, -1.0) @ t)
+    den = float(np.linalg.norm(reference_metric_power(smat, superblock_tau, -0.5) @ t))
     return num / den
 
 
-def reference_stationary_image(y, mats, metrics, m):
+def reference_stationary_image(y, mats, block_taus, m):
     """sum_b ||M_b^(-1/2) X_b'y||^(m-2) X_b M_b^(-1) X_b'y, one block at a time.
 
-    Only the block metrics are read; a vanished term (exactly zero) raises
-    for m < 2 and is skipped for m >= 2.
+    A vanished term (exactly zero) raises for m < 2 and is skipped for
+    m >= 2.
     """
     z = np.zeros_like(y)
-    for b, (mat, met) in enumerate(zip(mats, metrics[:-1])):
+    for b, (mat, tau) in enumerate(zip(mats, block_taus)):
         t = mat.T @ y
-        half_norm = float(np.linalg.norm(met.apply(t, -0.5)))
+        half_norm = float(np.linalg.norm(reference_metric_power(mat, tau, -0.5) @ t))
         if half_norm == 0.0:
             if m < 2.0:
                 raise SingularGradientError(
                     f"block {b + 1}: cross-term vanished with m = {m} < 2"
                 )
             continue
-        z += half_norm ** (m - 2.0) * (mat @ met.apply(t, -1.0))
+        z += half_norm ** (m - 2.0) * (mat @ (reference_metric_power(mat, tau, -1.0) @ t))
     return z
 
 
@@ -241,8 +251,7 @@ def reference_auxiliary_solve(blockset, block_taus, m, epsilon=1e-12, max_iter=1
     """
     mats = [b.matrix for b in blockset.blocks]
     n = blockset.n
-    metrics = [build_metric(mat, tau) for mat, tau in zip(mats, block_taus)]
-    metrics.append(None)  # reference_stationary_image only touches block metrics
+    halves = [reference_metric_power(mat, tau, -0.5) for mat, tau in zip(mats, block_taus)]
 
     if y0 is None:
         u, _, _ = np.linalg.svd(blockset.superblock, full_matrices=False)
@@ -252,9 +261,8 @@ def reference_auxiliary_solve(blockset, block_taus, m, epsilon=1e-12, max_iter=1
 
     def crit(yv):
         total = 0.0
-        for mat, met in zip(mats, metrics[:-1]):
-            half_norm = np.linalg.norm(met.apply(mat.T @ yv, -0.5))
-            total += (half_norm / n) ** m
+        for mat, half in zip(mats, halves):
+            total += (np.linalg.norm(half @ (mat.T @ yv)) / n) ** m
         return float(total)
 
     values = [crit(y)]
@@ -262,7 +270,7 @@ def reference_auxiliary_solve(blockset, block_taus, m, epsilon=1e-12, max_iter=1
         raise BadStartError("criterion is zero at the start component")
     iterations = 0
     for _ in range(max_iter):
-        z = reference_stationary_image(y, mats, metrics, m)
+        z = reference_stationary_image(y, mats, block_taus, m)
         var = sample_cov(z, z)
         if var == 0.0:
             raise SingularGradientError("fixed-point image vanished")

@@ -1,13 +1,15 @@
 import filecmp
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rcpca import SolverConfig, build_blockset, extract, load_block, preset, sample_cov
-from rcpca.cli import RunConfig, _build_run_config, build_parser, main
+from rcpca.cli import _OPTIONS, RunConfig, _build_run_config, build_parser, main
 
-DEMO = Path(__file__).resolve().parents[1] / "data" / "demo"
+ROOT = Path(__file__).resolve().parents[1]
+DEMO = ROOT / "data" / "demo"
 DEMO_BLOCKS = f"{DEMO / 'process.csv'},{DEMO / 'quality.csv'}"
 
 
@@ -147,6 +149,12 @@ class TestRun:
         cfg.write_text("bogus = 1\n")
         assert main(["run", "--config", str(cfg)]) == 1
 
+    def test_readme_lists_every_config_key(self):
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        listed = re.search(r"`--config` reads a flat .*?\(keys: (.*?);", text, re.S)
+        assert listed, "README no longer describes the --config keys"
+        assert re.findall(r"`(\w+)`", listed.group(1)) == list(_OPTIONS)
+
     def test_config_file_sets_every_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -170,7 +178,6 @@ class TestRun:
             "components = 2\n"
             "out = results\n"
             "strict = on\n"
-            "assert = full\n"
         )
         args = build_parser().parse_args(["run", "--config", str(cfg)])
         assert _build_run_config(args) == RunConfig(
@@ -178,7 +185,7 @@ class TestRun:
             m=3.0, tau=[0.5, 1.0], tau_super=0.25, scale="unit", delimiter="tab",
             id_column=True, epsilon=1e-8, max_iter=50, init="file",
             init_file="v0.txt", seed=4, starts=3, deflate="own", components=2,
-            out="results", strict=True, assert_level="full",
+            out="results", strict=True,
         )
         args = build_parser().parse_args(
             ["run", "--config", str(cfg), "--seed", "9", "--tau", "0.1"]
@@ -262,7 +269,7 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "flag, value", [("--scale", "log"), ("--delimiter", "semicolon"),
-                        ("--init", "zeros"), ("--deflate", "none"), ("--assert", "all")],
+                        ("--init", "zeros"), ("--deflate", "none")],
     )
     def test_flag_choices_are_enforced(self, capsys, flag, value):
         with pytest.raises(SystemExit):
@@ -326,6 +333,28 @@ class TestRun:
         assert err == (
             f"configuration error: config file {cfg} is not UTF-8 text; save it as UTF-8\n"
         )
+
+    def test_block_file_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        folder = tmp_path / "block.csv"
+        folder.mkdir()
+        code = main(["run", "--blocks", f"{DEMO / 'process.csv'},{folder}", "--id-column",
+                     "--preset", "consensus_pca", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: block file not found or not a file: {folder}\n"
+
+    def test_init_file_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        folder = tmp_path / "v0"
+        folder.mkdir()
+        assert run_demo(tmp_path / "o", "--init", "file", "--init-file", str(folder)) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: start-vector file not found or not a file: {folder}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_config_that_is_a_directory_exits_1(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"configuration error: config file not found or not a file: {tmp_path}\n"
 
     def test_explicit_tau_run(self, tmp_path):
         code = main([

@@ -173,6 +173,18 @@ class TestLoadBlock:
         norms = np.linalg.norm(block.matrix, axis=0)
         assert np.all(np.abs(block.matrix.mean(axis=0)) <= 1e-12 * np.maximum(norms, 1.0))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_from_matrix_owns_a_read_only_matrix(self, order):
+        data = np.asarray(np.arange(12.0).reshape(4, 3) ** 2, order=order)
+        before = data.copy()
+        for scale in (False, True):
+            matrix = from_matrix("x", data, scale=scale).matrix
+            assert not np.shares_memory(matrix, data)
+            assert matrix.flags.c_contiguous and not matrix.flags.writeable
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 1.0
+        np.testing.assert_array_equal(data, before)
+
 
 class TestBuildBlockset:
     def test_concatenation_preserves_order(self):

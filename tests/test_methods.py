@@ -15,7 +15,7 @@ from rcpca.errors import CatalogError, UnsupportedVerificationError
 
 
 def converged(bs, modes, m, eps=1e-14):
-    cfg = SolverConfig(m=m, epsilon=eps, max_iter=100_000, assert_level="cheap")
+    cfg = SolverConfig(m=m, epsilon=eps, max_iter=100_000)
     return solve(bs, modes, cfg)
 
 
@@ -115,6 +115,14 @@ class TestVerifyStationary:
         p = preset("mixed_carroll", split=2)
         sol = converged(bs, p.selector(bs.n_blocks), p.m)
         assert verify_stationary(p, sol, bs).residual <= 1e-6
+
+    @pytest.mark.parametrize("split", [0, 4])
+    def test_out_of_range_split_rejected(self, split):
+        # the same check as the preset's selector: 1 <= split <= B
+        bs = latent_blockset(5)
+        sol = converged(bs, preset("mixed_carroll", split=2).selector(bs.n_blocks), 2.0)
+        with pytest.raises(CatalogError, match="split must lie in 1..3"):
+            verify_stationary(preset("mixed_carroll", split=split), sol, bs)
 
     def test_redundancy_blocks_any_m(self):
         bs = latent_blockset(6)

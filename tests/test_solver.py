@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from helpers import (
     M_GRID,
     TAU_GRID,
+    factor_power,
     full_rank_blockset,
     latent_blockset,
     q_blocks,
@@ -57,7 +58,7 @@ def problem_from_qs(qs, m, n=1):
 
 def step(problem, v):
     """One normalized-gradient iteration of the maximizer from v."""
-    cfg = SolverConfig(m=problem.m, max_iter=1, assert_level="off")
+    cfg = SolverConfig(m=problem.m, max_iter=1)
     return sphere_maximize(problem, cfg, v, problem.m)[0]
 
 
@@ -229,8 +230,7 @@ class TestComponentOperator:
     @staticmethod
     def reference_residual(y, bs, modes, m):
         mats = [b.matrix for b in bs.blocks]
-        metrics = [build_metric(x, tau) for x, tau in zip(mats, modes.block_taus)] + [None]
-        z = reference_stationary_image(y, mats, metrics, m)
+        z = reference_stationary_image(y, mats, modes.block_taus, m)
         s_mat = bs.superblock
         img = s_mat @ (reference_metric_power(s_mat, modes.superblock_tau, -1.0) @ (s_mat.T @ z))
         return float(np.linalg.norm(img / np.linalg.norm(img) - y / np.linalg.norm(y)))
@@ -298,7 +298,7 @@ class TestThinFactor:
             assert met.rank == 8  # centered: n - 1
             for p in (1.0, -0.5, -1.0):
                 np.testing.assert_allclose(
-                    met.apply(np.eye(20), p), reference_metric_power(x, tau, p), atol=1e-10
+                    factor_power(met, p), reference_metric_power(x, tau, p), atol=1e-10
                 )
 
 
@@ -356,7 +356,7 @@ class TestSphereMaximize:
     def test_linear_objective_one_step(self):
         c = np.array([3.0, 4.0])
         oracle = GradientOracle(value=lambda v: float(c @ v), grad=lambda v: c)
-        cfg = SolverConfig(epsilon=1e-12, assert_level="full")
+        cfg = SolverConfig(epsilon=1e-12)
         v, trace = sphere_maximize(oracle, cfg, np.array([1.0, 0.0]), 1.0)
         np.testing.assert_allclose(v, [0.6, 0.8], atol=1e-12)
         assert trace.converged
@@ -367,7 +367,7 @@ class TestSphereMaximize:
         oracle = GradientOracle(
             value=lambda v: float(v @ a @ v), grad=lambda v: 2.0 * (a @ v)
         )
-        cfg = SolverConfig(epsilon=1e-14, assert_level="full", max_iter=200)
+        cfg = SolverConfig(epsilon=1e-14, max_iter=200)
         v, trace = sphere_maximize(oracle, cfg, np.array([0.6, 0.8]), 2.0)
         assert abs(abs(v[0]) - 1.0) <= 1e-7
         assert trace.converged
@@ -377,7 +377,7 @@ class TestSphereMaximize:
         oracle = GradientOracle(
             value=lambda v: float(v @ a @ v), grad=lambda v: 2.0 * (a @ v)
         )
-        cfg = SolverConfig(epsilon=1e-12, assert_level="full")
+        cfg = SolverConfig(epsilon=1e-12)
         v, trace = sphere_maximize(oracle, cfg, np.array([1.0, 0.0]), 2.0)
         assert trace.iterations == 1
         assert all(s <= 1e-12 for s in trace.step_norm)
@@ -402,7 +402,7 @@ class TestSolve:
     def test_two_identical_single_column_blocks(self):
         x = np.array([[1.0], [-1.0]])
         bs = build_blockset([from_matrix("a", x), from_matrix("b", x)])
-        cfg = SolverConfig(m=2.0, epsilon=1e-14, assert_level="full")
+        cfg = SolverConfig(m=2.0, epsilon=1e-14)
         sol = solve(bs, ModeSelector.uniform("A", "A", 2), cfg)
         np.testing.assert_allclose(np.abs(sol.w_super), [1, 1] / np.sqrt(2), atol=1e-8)
         assert sol.w_super[0] > 0  # sign convention: largest entry positive
@@ -440,7 +440,7 @@ class TestSolve:
             sol = solve(bs, modes, cfg)
             metrics = build_metrics(bs, modes)
             for w, met in zip(sol.w_blocks + [sol.w_super], metrics):
-                assert w @ met.apply(w, 1.0) == pytest.approx(1.0, abs=1e-8)
+                assert w @ factor_power(met, 1.0) @ w == pytest.approx(1.0, abs=1e-8)
             assert np.linalg.norm(sol.v_super) == pytest.approx(1.0, abs=1e-12)
 
     @settings(max_examples=30, deadline=None)
@@ -449,7 +449,7 @@ class TestSolve:
         bs = random_blockset(seed, n=12)
         modes = random_modes(seed, bs)
         m = random_m(seed)
-        cfg = SolverConfig(m=m, epsilon=1e-10, max_iter=2000, assert_level="full")
+        cfg = SolverConfig(m=m, epsilon=1e-10, max_iter=2000)
         sol = solve(bs, modes, cfg)
         psi = np.array(sol.trace.psi)
         assert np.all(np.diff(psi) >= -1e-12)
@@ -513,8 +513,7 @@ class TestBackMapping:
             m = random_m(seed)
             cfg = SolverConfig(m=m, epsilon=1e-15, max_iter=50_000)
             sol = solve(bs, modes, cfg)
-            metrics = build_metrics(bs, modes)
-            rec = superblock_from_block_components(sol, bs, metrics, m)
+            rec = superblock_from_block_components(sol, bs, modes.superblock_tau, m)
             assert np.linalg.norm(rec - sol.y_super) / np.linalg.norm(sol.y_super) <= 1e-8
 
     def test_mode_b_superblock_component_is_pc_of_components(self):
@@ -539,7 +538,7 @@ class TestBackMapping:
     def test_fixed_point_residuals_agree(self):
         bs = latent_blockset(25)
         modes = ModeSelector.uniform("A", "A", bs.n_blocks)
-        cfg = SolverConfig(m=2.0, epsilon=1e-13, assert_level="full", max_iter=50_000)
+        cfg = SolverConfig(m=2.0, epsilon=1e-13, max_iter=50_000)
         sol = solve(bs, modes, cfg)
         metrics = build_metrics(bs, modes)
         r_orig = stationary_residual(sol.y_super, bs, metrics, 2.0)
@@ -621,8 +620,7 @@ class TestRankDeficientModeB:
         sol = solve(bs, modes, cfg)
         assert any("least-norm" in w for w in sol.trace.warnings)
         assert sample_cov(sol.y_super, sol.y_super) == pytest.approx(1.0, abs=1e-10)
-        metrics = build_metrics(bs, modes)
-        rec = superblock_from_block_components(sol, bs, metrics, 2.0)
+        rec = superblock_from_block_components(sol, bs, modes.superblock_tau, 2.0)
         assert np.linalg.norm(rec - sol.y_super) / np.linalg.norm(sol.y_super) <= 1e-8
 
     def test_collinear_block_warns_and_solves(self):

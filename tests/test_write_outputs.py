@@ -66,7 +66,6 @@ def write_case(out_dir: Path) -> None:
             psi=[0.1, 0.2345678901234, 0.234567890123457],
             step_norm=[0.5, 1.23456789012345e-7],
             bound=[0.3, 2e-14],
-            sandwich_ok=[True, True],
             iterations=2,
             converged=True,
             fixed_point_residual=1.5e-13,
@@ -84,7 +83,6 @@ def write_case(out_dir: Path) -> None:
             psi=[0.0078125, 0.015625],
             step_norm=[0.123456789012],
             bound=[1e-300],
-            sandwich_ok=[True],
             iterations=1,
             converged=False,
             fixed_point_residual=0.0123456789012345,
