@@ -7,17 +7,18 @@ intermediate values interpolate between the two (Ledoit-Wolf style
 shrinkage of the block covariance).
 
 A metric is stored once, as a thin factor: an orthonormal basis V of the
-row space of X (J x r, r <= min(n - 1, J) for centered X) and M's
-eigenvalues on it. On the orthogonal complement M is tau*I. Everything the
-solver applies a power of M to lies in the row space of X: the image
-P' = M^(-1/2) X' (`image`) and the weights M^(-1) X'y that the back-map
-reads as V diag(lambda^(-1/2)) u. So M is used only through (V, lambda)
-and never formed as a J x J matrix. The factor comes from the smaller Gram
-matrix, X'X when J <= n and XX' otherwise, so a block with thousands of
-variables on tens of rows costs an n x n eigendecomposition. At tau = 0 a
-rank-deficient matrix gets Moore-Penrose semantics: negative powers
-annihilate the dropped null directions. Metrics are immutable; building
-metrics for distinct blocks is a pure function of the inputs.
+row space of X (J x r, r <= min(n - 1, J) for centered X) and the
+eigenvalues g = s^2/n of X'X/n on it (`variances`). M's eigenvalues there
+are tau + (1 - tau) g, and on the orthogonal complement M is tau*I.
+Everything the solver applies a power of M to lies in the row space of
+X: the image P' = M^(-1/2) X' (`image`) and the weights M^(-1) X'y that
+the back-map reads as V diag(lambda^(-1/2)) u. So M is used only through
+(V, g) and never formed as a J x J matrix. The factor comes from the
+smaller Gram matrix, X'X when J <= n and XX' otherwise, so a block with
+thousands of variables on tens of rows costs an n x n eigendecomposition.
+At tau = 0 a rank-deficient matrix gets Moore-Penrose semantics: negative
+powers annihilate the dropped null directions. Metrics are immutable;
+building metrics for distinct blocks is a pure function of the inputs.
 """
 
 from __future__ import annotations
@@ -74,17 +75,22 @@ class ModeSelector:
 class ShrinkageMetric:
     """M = tau*I + (1-tau)*(1/n) X'X, kept as a thin factor.
 
-    M = V diag(eigenvalues) V' + tau*(I - V V'), with V = eigenvectors.
+    M = V diag(eigenvalues) V' + tau*(I - V V'), with V = eigenvectors,
+    eigenvalues = tau + (1 - tau) * variances and X'X V / n = V diag(variances).
     """
 
     tau: float
-    eigenvalues: np.ndarray  # descending, tau + (1 - tau) * s^2 / n
+    variances: np.ndarray  # descending, the Gram eigenvalues s^2 / n
     eigenvectors: np.ndarray  # J x rank, orthonormal, spanning the row space of X
     pseudo: bool  # True when tau = 0 dropped null directions
 
     @property
+    def eigenvalues(self) -> np.ndarray:
+        return self.tau + (1.0 - self.tau) * self.variances
+
+    @property
     def rank(self) -> int:
-        return self.eigenvalues.size
+        return self.variances.size
 
     def image(self, x: np.ndarray) -> np.ndarray:
         """P' = M^(-1/2) X' in the factor's coordinates: diag(lambda^(-1/2)) V'X', rank x n."""
@@ -137,7 +143,7 @@ def build_metric(data, tau: float) -> ShrinkageMetric:
         vecs = (x.T @ vecs) / np.sqrt(n * vals)
     return ShrinkageMetric(
         tau=tau,
-        eigenvalues=tau + (1.0 - tau) * vals,
+        variances=np.ascontiguousarray(vals),
         eigenvectors=np.ascontiguousarray(vecs),
         pseudo=tau == 0.0 and rank < j,
     )

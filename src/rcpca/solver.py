@@ -16,9 +16,11 @@ the constrained problem.
 Every metric is a thin factor (V_b, lambda_b), so P_b = X_b V_b
 diag(lambda_b)^(-1/2) is n x r_b and the iterate lives in the superblock
 factor's coordinates c = V_super'v: the segments Q_b = P_b'P_super are
-r_b x r_super whether the blocks are tall or wide. The back-map returns
-v = V_super c and reads each block's covariance and weights off the
-segments Q_b c, in the block factor's coordinates. `TransformedProblem` is
+r_b x r_super whether the blocks are tall or wide, and read off
+H = X_B'P_super / n, which the superblock factor alone gives when the
+superblock is the concatenation of the blocks (`transform`). The back-map
+returns v = V_super c and reads each block's covariance and weights off
+the segments Q_b c, in the block factor's coordinates. `TransformedProblem` is
 the one evaluator of psi and its gradient, and `sphere_maximize` the one
 ascent loop. The operator stacks its segments into a single matrix, so psi
 is one matvec and the gradient one more transposed matvec; with segments
@@ -56,21 +58,21 @@ _ROUNDOFF_TOL = 1e-14
 
 
 class TransformedProblem:
-    """psi(v) = sum_b ||Q_b v / scale||^m and its gradient.
+    """psi(v) = sum_b ||Q_b v||^m and its gradient.
 
-    The Q_b / scale are stacked row-wise into one (sum r_b) x dim matrix;
+    The Q_b are stacked row-wise into one (sum r_b) x dim matrix;
     offsets[b]:offsets[b + 1] are the rows of block b.
     """
 
-    def __init__(self, q_matrices: Sequence[np.ndarray], m: float, scale: float = 1):
+    def __init__(self, q_matrices: Sequence[np.ndarray], m: float):
         if not (m >= 1.0 and math.isfinite(m)):
             raise ValueError(f"exponent m must be finite and >= 1, got {m}")
         if len({q.shape[1] for q in q_matrices}) > 1:
             raise DimensionError("Q matrices disagree on the superblock dimension")
-        self.stacked = np.vstack(q_matrices) / scale
+        self.stacked = np.vstack(q_matrices)
         self.offsets = np.cumsum([0] + [q.shape[0] for q in q_matrices])
         self.m = m
-        # ||Q_b v / scale|| at or below this counts as zero in the gradient
+        # ||Q_b v|| at or below this counts as zero in the gradient
         self._zero_tol = np.array([
             _ROUNDOFF_TOL * np.abs(seg).max(initial=0.0) * math.sqrt(seg.size)
             for seg in np.split(self.stacked, self.offsets[1:-1])
@@ -203,7 +205,14 @@ class Solution:
 
 
 def transform(blockset: BlockSet, metrics: Sequence[ShrinkageMetric], m: float) -> TransformedProblem:
-    """Build P_b = X_b M_b^(-1/2) and Q_b = P_b' P_super in the factors' coordinates."""
+    """Build the segments Q_b / n = P_b'P_super / n in the factors' coordinates.
+
+    Segment b is (V_b diag(lambda_b^(-1/2)))' H[rows of b], H = X_B'P_super / n:
+    V_super diag(g_super lambda_super^(-1/2)) when the superblock equals the
+    concatenated blocks (checked exactly), else one product of X_B' with the
+    superblock image. A segment at roundoff of ||P_b||_F ||P_super||_F / n,
+    ||P||_F^2 = n sum(g / lambda), raises NonContributingBlockError.
+    """
     mats = [b.matrix for b in blockset.blocks]
     return _transform(mats, blockset.superblock, blockset.ids, metrics, m)
 
@@ -213,20 +222,25 @@ def _transform(mats, smat, ids, metrics, m) -> TransformedProblem:
         raise DimensionError(
             f"need {len(mats) + 1} metrics (blocks plus superblock), got {len(metrics)}"
         )
-    ids = ids if ids is not None else [str(b + 1) for b in range(len(mats))]
-    p_super = metrics[-1].image(smat).T
-    super_norm = np.linalg.norm(p_super)
+    sup = metrics[-1]
+    stops = np.cumsum([mat.shape[1] for mat in mats])
+    if smat.shape[1] == stops[-1] and all(
+        np.array_equal(smat[:, stop - mat.shape[1]:stop], mat) for mat, stop in zip(mats, stops)
+    ):
+        h = sup.eigenvectors * (sup.variances * sup.eigenvalues**-0.5)
+    else:
+        h = np.hstack(mats).T @ sup.image(smat).T / smat.shape[0]
+    norms = [math.sqrt((met.variances / met.eigenvalues).sum()) for met in metrics]
     qs = []
-    for b, (mat, met) in enumerate(zip(mats, metrics)):
-        pb_t = met.image(mat)  # one block's r_b x n image at a time
-        q = pb_t @ p_super
-        if np.linalg.norm(q) <= 1e-14 * np.linalg.norm(pb_t) * super_norm:
+    for b, (met, rows) in enumerate(zip(metrics, np.split(h, stops[:-1]))):
+        q = (met.eigenvectors * met.eigenvalues**-0.5).T @ rows
+        if np.linalg.norm(q) <= 1e-14 * norms[b] * norms[-1]:
             raise NonContributingBlockError(
                 f"block {ids[b]!r} has zero cross-product with the superblock "
                 "and cannot contribute; drop it from the analysis"
             )
         qs.append(q)
-    return TransformedProblem(qs, m, smat.shape[0])
+    return TransformedProblem(qs, m)
 
 
 def _eigen_start(problem: TransformedProblem) -> tuple[np.ndarray, bool]:
@@ -430,10 +444,10 @@ def solve_matrices(
         )
         trace.warnings.append(warnings_txt)
 
-    return _back_map(c, trace, problem, mats, smat, metrics, config.m)
+    return _back_map(c, trace, problem, mats, smat, names, metrics, config.m)
 
 
-def _back_map(c, trace, problem, mats, smat, metrics, m) -> Solution:
+def _back_map(c, trace, problem, mats, smat, ids, metrics, m) -> Solution:
     """Weights and components from the solution c (superblock factor coordinates).
 
     Segment b of problem.stacked @ c is P_b'y_super / n, so its norm is
@@ -458,7 +472,7 @@ def _back_map(c, trace, problem, mats, smat, metrics, m) -> Solution:
     ):
         if covs[b] == 0.0:
             raise NonContributingBlockError(
-                f"block {b + 1} is uncorrelated with the superblock component"
+                f"block {ids[b]!r} is uncorrelated with the superblock component"
             )
         w_b = met.eigenvectors @ (met.eigenvalues**-0.5 * (seg / covs[b]))
         w_blocks.append(w_b)

@@ -8,7 +8,8 @@ tolerances asserted on traces are only meaningful on that scale.
 The per-block loops below are the reference implementation of the
 criterion and its gradient that the stacked operator is checked against,
 in the v-space problem and in the superblock-free n-space problem. The
-dense J-space metric and Q_b are the reference for the thin factors.
+dense J-space metric and Q_b are the reference for the thin factors, and
+the per-block image products for the transform's closed form.
 """
 
 from __future__ import annotations
@@ -106,6 +107,23 @@ def latent_blockset(seed, n=20, js=(3, 2, 4), noise=0.4, full_rank=True):
     return build_blockset(blocks)
 
 
+def collinear_blockset(seed, n=30, js=(4, 5, 3)):
+    """Blocks of rank 2 each, plus 1e-6 noise on the first one.
+
+    The later blocks are exactly collinear (Mode B drops their null
+    directions); the first one's Gram matrix is near-singular, with a
+    condition number around 1e12.
+    """
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for k, j in enumerate(js):
+        data = rng.standard_normal((n, 2)) @ rng.standard_normal((2, j))
+        if k == 0:
+            data += 1e-6 * rng.standard_normal((n, j))
+        blocks.append(from_matrix(f"c{k + 1}", data))
+    return build_blockset(blocks)
+
+
 def scaled_blockset(blockset, factor):
     """The same blocks with every entry multiplied by factor."""
     return build_blockset([
@@ -177,7 +195,18 @@ def factor_power(met, power):
     return (v * met.eigenvalues**power) @ v.T + rest * (np.eye(v.shape[0]) - v @ v.T)
 
 
-def reference_q_blocks(mats, smat, modes):
+def reference_q_blocks(mats, smat, metrics):
+    """Q_b / n = P_b'P_super / n in the factors' coordinates, one block at a time.
+
+    Each segment is the product of the block image with the superblock
+    image over the n rows (r_b x n x r_super), the reference for the
+    transform's closed form.
+    """
+    p_super = metrics[-1].image(smat)
+    return [met.image(mat) @ p_super.T / smat.shape[0] for mat, met in zip(mats, metrics)]
+
+
+def reference_dense_q_blocks(mats, smat, modes):
     """Q_b / n = M_b^(-1/2) X_b' X_super M_super^(-1/2) / n, J_b x J_super each."""
     p_super = smat @ reference_metric_power(smat, modes.superblock_tau, -0.5)
     return [
@@ -192,7 +221,7 @@ def reference_solve(blockset, modes, m, epsilon=1e-12, max_iter=10_000):
     Returns the psi trace and the superblock component.
     """
     mats = [b.matrix for b in blockset.blocks]
-    qs = reference_q_blocks(mats, blockset.superblock, modes)
+    qs = reference_dense_q_blocks(mats, blockset.superblock, modes)
     oracle = GradientOracle(
         value=lambda v: reference_criterion(qs, v, m),
         grad=lambda v: reference_gradient(qs, v, m),

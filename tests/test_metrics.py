@@ -37,6 +37,16 @@ class TestBuildMetric:
         met = build_metric(x, tau=0.5)
         np.testing.assert_allclose(power(met, 1.0), [[1.0]])
 
+    @pytest.mark.parametrize("tau", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("shape", [(12, 4), (6, 15)])
+    def test_variances_are_the_gram_eigenvalues_at_every_tau(self, tau, shape):
+        # kept at tau = 1 too, where every eigenvalue of M is 1
+        x = random_block_matrix(4, *shape)
+        met = build_metric(x, tau)
+        v = met.eigenvectors
+        np.testing.assert_allclose(x.T @ (x @ v) / shape[0], v * met.variances, atol=1e-12)
+        np.testing.assert_array_equal(met.eigenvalues, tau + (1.0 - tau) * met.variances)
+
     def test_tau_out_of_range(self):
         with pytest.raises(ValueError):
             build_metric(random_block_matrix(1), tau=1.5)

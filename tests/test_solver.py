@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from helpers import (
     M_GRID,
     TAU_GRID,
+    collinear_blockset,
     factor_power,
     full_rank_blockset,
     latent_blockset,
@@ -18,9 +19,12 @@ from helpers import (
     reference_auxiliary_solve,
     reference_gram,
     reference_metric_power,
+    reference_q_blocks,
     reference_solve,
     reference_stationary_image,
+    scaled_blockset,
     superblock_from_block_components,
+    wide_blockset,
 )
 from rcpca import (
     GradientOracle,
@@ -31,9 +35,11 @@ from rcpca import (
     build_metric,
     build_metrics,
     contributions,
+    deflate,
     from_matrix,
     sample_cov,
     solve,
+    solve_matrices,
     sphere_maximize,
     transform,
 )
@@ -47,13 +53,14 @@ from rcpca.solver import (
     _eigen_start,
     _given_start,
     _random_start,
+    _transform,
     stationary_residual,
 )
 
 
 def problem_from_qs(qs, m, n=1):
     """Problem built directly from Q matrices."""
-    return TransformedProblem([np.asarray(q, dtype=float) for q in qs], m, n)
+    return TransformedProblem([np.asarray(q, dtype=float) / n for q in qs], m)
 
 
 def step(problem, v):
@@ -110,6 +117,107 @@ class TestTransform:
             problem_from_qs([np.eye(2)], m=m)
         with pytest.raises(ValueError, match="finite and >= 1"):
             SolverConfig(m=m)
+
+
+TRANSFORM_SHAPES = {
+    "tall": lambda seed: random_blockset(seed, b=3, n=40, js=[3, 5, 4]),
+    "wide": wide_blockset,
+    "many_blocks": lambda seed: random_blockset(seed, b=50, n=200, js=[3] * 50),
+    "collinear": collinear_blockset,
+}
+
+
+def assert_q_close(stacked, ref, metrics):
+    """Two ways of building the stacked Q_b / n agree, relative to ||Q||.
+
+    Both are exact in exact arithmetic; in floating point they part by
+    roundoff times the largest condition number among the metrics.
+    """
+    cond = max(met.eigenvalues.max() / met.eigenvalues.min() for met in metrics)
+    assert np.linalg.norm(stacked - ref) <= 1e-14 * cond * np.linalg.norm(ref)
+
+
+def assert_matches_reference_q(problem, mats, smat, metrics):
+    """The transform's segments against the per-block image products."""
+    assert_q_close(problem.stacked, np.vstack(reference_q_blocks(mats, smat, metrics)), metrics)
+
+
+class TestTransformSources:
+    """Q_b / n from the superblock factor (concatenated blocks) or from one product."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e-3, 1e-8])
+    @pytest.mark.parametrize("shape", sorted(TRANSFORM_SHAPES))
+    def test_closed_form_matches_reference(self, shape, scale):
+        for seed in range(2):
+            bs = scaled_blockset(TRANSFORM_SHAPES[shape](seed), scale)
+            mats = [b.matrix for b in bs.blocks]
+            for block_tau in TAU_GRID:
+                for super_tau in TAU_GRID:
+                    modes = ModeSelector.uniform(block_tau, super_tau, bs.n_blocks)
+                    metrics = build_metrics(bs, modes)
+                    problem = transform(bs, metrics, 2.0)
+                    assert_matches_reference_q(problem, mats, bs.superblock, metrics)
+
+    def test_copied_superblock_solves_bit_for_bit(self):
+        for seed in range(5):
+            bs = random_blockset(seed)
+            modes = random_modes(seed, bs)
+            cfg = SolverConfig(m=random_m(seed), epsilon=1e-12)
+            mats = [b.matrix for b in bs.blocks]
+            a = solve(bs, modes, cfg)
+            b = solve_matrices(mats, bs.superblock.copy(), modes, cfg, ids=bs.ids)
+            assert a.trace.psi == b.trace.psi
+            for name in ("v_super", "w_super", "y_super", "covs", "contributions"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+            for wa, wb in zip(a.w_blocks + a.y_blocks, b.w_blocks + b.y_blocks):
+                np.testing.assert_array_equal(wa, wb)
+
+    def test_own_ranks_use_the_product_and_match_reference(self):
+        # rank 2 of `own` deflation: blocks on their own components, superblock on its own
+        for seed in range(20):
+            bs = random_blockset(seed, js=[2, 3, 4])  # rank 2 leaves every block nonzero
+            modes = random_modes(seed, bs)
+            sol = solve(bs, modes, SolverConfig(m=random_m(seed)))
+            mats = [deflate(b.matrix, y) for b, y in zip(bs.blocks, sol.y_blocks)]
+            smat = deflate(bs.superblock, sol.y_super)
+            metrics = [build_metric(x, tau) for x, tau in zip(mats, modes.block_taus)]
+            metrics.append(build_metric(smat, modes.superblock_tau))
+            problem = _transform(mats, smat, bs.ids, metrics, 2.0)
+            assert_matches_reference_q(problem, mats, smat, metrics)
+
+    def test_both_sources_agree_on_the_same_input(self):
+        # one ulp on one superblock entry sends the transform down the product
+        for seed in range(10):
+            bs = wide_blockset(seed) if seed % 2 else random_blockset(seed)
+            modes = random_modes(seed, bs)
+            metrics = build_metrics(bs, modes)
+            mats = [b.matrix for b in bs.blocks]
+            smat = bs.superblock.copy()
+            smat[0, 0] = np.nextafter(smat[0, 0], np.inf)
+            product = _transform(mats, smat, bs.ids, metrics, 2.0).stacked
+            assert_q_close(transform(bs, metrics, 2.0).stacked, product, metrics)
+
+    def test_non_contributing_block_on_both_sources(self):
+        rng = np.random.default_rng(0)
+        good = from_matrix("good", rng.standard_normal((6, 2)))
+        zero = from_matrix("zero", np.zeros((6, 2)))
+        modes = ModeSelector.uniform("A", "A", 2)
+        with pytest.raises(NonContributingBlockError, match="block 'zero'"):
+            solve(build_blockset([good, zero]), modes, SolverConfig())
+        # an explicit superblock orthogonal to the second block's columns
+        other = from_matrix("other", rng.standard_normal((6, 2)))
+        x, o = good.matrix, other.matrix
+        smat = x - o @ np.linalg.lstsq(o, x, rcond=None)[0]
+        with pytest.raises(NonContributingBlockError, match="block 'other'"):
+            solve_matrices([x, o], smat, modes, SolverConfig(), ids=["good", "other"])
+
+    def test_back_map_names_an_uncorrelated_block_by_id(self):
+        # exactly orthogonal blocks; the start lies in the first one and stays there
+        p = from_matrix("p", [[1.0], [-1.0], [0.0], [0.0]])
+        q = from_matrix("q", [[0.0], [0.0], [1.0], [-1.0]])
+        cfg = SolverConfig(m=2.0, init=np.array([1.0, 0.0]))
+        with pytest.raises(NonContributingBlockError, match="block 'q' is uncorrelated"):
+            solve(build_blockset([p, q]), ModeSelector.uniform("A", "A", 2), cfg)
 
 
 class TestCriterion:
