@@ -5,6 +5,10 @@ across blocks. Columns are always centered at load; unit-variance scaling
 (1/n convention) is optional. The superblock is the column concatenation of
 the blocks, in order, and is never re-centered separately.
 
+A block file is read once into its lines. numpy's C reader parses a clean
+table in one call; any other table goes row by row through the csv module,
+the only reader that names a fault. Both return the same matrix, bit for bit.
+
 All objects here are immutable after construction and safe to share across
 threads.
 """
@@ -186,13 +190,96 @@ def _cell(block_id: str, row: int, column: str, text: str) -> float:
     return value
 
 
-def _decoded(lines, block_id: str):
+def _decoded(lines: list[str], undecodable: bool, block_id: str):
+    yield from lines
+    if undecodable:
+        raise ParseError(f"block {block_id!r}: the file is not UTF-8 text; save it as UTF-8")
+
+
+def _csv_table(lines: Iterable[str], block_id: str, delimiter: str, id_column: bool):
+    """Columns, row ids and raw matrix of a table, read row by row with csv.
+
+    The one reader that names a fault: the first one in file order, with its
+    row numbered as a line of ``lines``.
+    """
+    reader = csv.reader(lines, delimiter=delimiter)
+    rows = (r for r in reader if any(c.strip() for c in r))
+    header, first = next(rows, None), next(rows, None)
+    if first is None:
+        raise ParseError(f"block {block_id!r}: need a header row plus data rows")
+    header = [c.strip() for c in header]
+    if id_column and len(header) < 2:
+        raise ParseError(f"block {block_id!r}: id column declared but only one column present")
+    columns = header[1:] if id_column else header
+
+    data = array("d")
+    row_ids: list[str] | None = [] if id_column else None
+    for row in itertools.chain((first,), rows):
+        line = reader.line_num  # the file line that ends this row
+        if len(row) != len(header):
+            raise ParseError(
+                f"block {block_id!r}: row {line} has {len(row)} fields, expected {len(header)}"
+            )
+        if id_column:
+            row_ids.append(row[0].strip())
+            row = row[1:]
+        try:
+            values = list(map(float, row))
+            ok = all(map(math.isfinite, values))
+        except ValueError:
+            ok = False
+        if not ok:
+            # float() strips a subset of the whitespace str.strip() removes
+            # (not \x1c-\x1f) and rejects '', so every cell it accepts _cell
+            # accepts with the same value. A row it fails is read again by
+            # _cell, which names the first fault or returns the values.
+            values = [_cell(block_id, line, name, text) for name, text in zip(columns, row)]
+        data.fromlist(values)
+    if len(data) < 2 * len(columns):
+        raise DimensionError(f"block {block_id!r}: need at least 2 data rows")
+    return columns, row_ids, np.frombuffer(data, dtype=float).reshape(-1, len(columns))
+
+
+def _numpy_table(lines: list[str], delimiter: str, id_column: bool):
+    """The same table as _csv_table, parsed in one np.loadtxt call, or None.
+
+    None declines the table to _csv_table; this reader names no fault. It
+    declines a quote, a carriage return or a line longer than csv's field
+    limit anywhere, fewer than 2 rows after the header, a row with more or
+    fewer fields than the header, a value np.loadtxt cannot read and a
+    non-finite value. A blank row after the header is declined too:
+    np.loadtxt skips it or fails on its empty cells. np.loadtxt reads only
+    ASCII numbers (not 1_000 or non-ASCII digits) and converts them with the
+    string-to-double of Python's float(), so an accepted matrix is bit for
+    bit the one _csv_table returns.
+    """
+    limit = csv.field_size_limit()
+    if any('"' in line or "\r" in line or len(line) > limit for line in lines):
+        return None
+    # the header is the first line with a non-blank cell, as for _csv_table
+    for start, line in enumerate(lines):
+        if any(c.strip() for c in line.split(delimiter)):
+            break
+    else:
+        return None
+    header = [c.strip() for c in lines[start].split(delimiter)]
+    body = lines[start + 1:]
+    width = len(header) - 1  # delimiters on every row
+    if len(body) < 2 or (id_column and width < 1):
+        return None
+    if any(line.count(delimiter) != width for line in body):
+        return None
     try:
-        yield from lines
-    except UnicodeDecodeError:
-        raise ParseError(
-            f"block {block_id!r}: the file is not UTF-8 text; save it as UTF-8"
-        ) from None
+        matrix = np.loadtxt(
+            body, delimiter=delimiter, comments=None, quotechar=None, dtype=float,
+            ndmin=2, usecols=range(int(id_column), len(header)),
+        )
+    except (TypeError, ValueError):
+        return None
+    if matrix.shape[0] != len(body) or not np.isfinite(matrix).all():
+        return None
+    row_ids = [line.partition(delimiter)[0].strip() for line in body] if id_column else None
+    return header[int(id_column):], row_ids, matrix
 
 
 def load_block(
@@ -212,9 +299,14 @@ def load_block(
     syntax (``1``, ``-2.5``, ``3e-4``); whitespace around a cell, a name or
     a row id is ignored. Empty cells are rejected rather than imputed, and
     ``nan``/``inf`` are rejected. Rows that are blank or hold only empty
-    cells are skipped. The table is read in one pass, and the first fault
-    in file order is reported with its column and its row, numbered as a
-    line of the file (skipped lines count).
+    cells are skipped. The first fault in file order is reported with its
+    column and its row, numbered as a line of the file (skipped lines count).
+
+    The source is read once, into its lines (a path with universal
+    newlines, so CRLF line ends are plain ones). `_numpy_table` parses a
+    clean table in one np.loadtxt call; it declines every other table, and
+    every table with a fault, to `_csv_table`, which reads the same lines
+    row by row and alone names faults. Both give the same result.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
@@ -225,43 +317,18 @@ def load_block(
         opened = contextlib.nullcontext(source)
         if id is None:
             id = "block"
-    with opened as lines:
-        reader = csv.reader(_decoded(lines, id), delimiter=delimiter)
-        rows = (r for r in reader if any(c.strip() for c in r))
-        header, first = next(rows, None), next(rows, None)
-        if first is None:
-            raise ParseError(f"block {id!r}: need a header row plus data rows")
-        header = [c.strip() for c in header]
-        if id_column and len(header) < 2:
-            raise ParseError(f"block {id!r}: id column declared but only one column present")
-        columns = header[1:] if id_column else header
-
-        data = array("d")
-        row_ids: list[str] | None = [] if id_column else None
-        for row in itertools.chain((first,), rows):
-            line = reader.line_num  # the file line that ends this row
-            if len(row) != len(header):
-                raise ParseError(
-                    f"block {id!r}: row {line} has {len(row)} fields, expected {len(header)}"
-                )
-            if id_column:
-                row_ids.append(row[0].strip())
-                row = row[1:]
-            try:
-                values = list(map(float, row))
-                ok = all(map(math.isfinite, values))
-            except ValueError:
-                ok = False
-            if not ok:
-                # float() strips a subset of the whitespace str.strip() removes
-                # (not \x1c-\x1f) and rejects '', so every cell it accepts _cell
-                # accepts with the same value. A row it fails is read again by
-                # _cell, which names the first fault or returns the values.
-                values = [_cell(id, line, name, text) for name, text in zip(columns, row)]
-            data.fromlist(values)
-    if len(data) < 2 * len(columns):
-        raise DimensionError(f"block {id!r}: need at least 2 data rows")
-    matrix = np.frombuffer(data, dtype=float).reshape(-1, len(columns))
+    lines: list[str] = []
+    undecodable = False
+    with opened as stream:
+        try:
+            for line in stream:
+                lines.append(line)
+        except UnicodeDecodeError:
+            undecodable = True
+    table = None if undecodable else _numpy_table(lines, delimiter, id_column)
+    if table is None:
+        table = _csv_table(_decoded(lines, undecodable, id), id, delimiter, id_column)
+    columns, row_ids, matrix = table
     return _preprocess(matrix, id, columns, row_ids, scale)
 
 

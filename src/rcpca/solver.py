@@ -61,10 +61,13 @@ class TransformedProblem:
     """psi(v) = sum_b ||Q_b v||^m and its gradient.
 
     The Q_b are stacked row-wise into one (sum r_b) x dim matrix;
-    offsets[b]:offsets[b + 1] are the rows of block b.
+    offsets[b]:offsets[b + 1] are the rows of block b, and ids[b] names it
+    in errors (its 1-based position when no ids are given).
     """
 
-    def __init__(self, q_matrices: Sequence[np.ndarray], m: float):
+    def __init__(
+        self, q_matrices: Sequence[np.ndarray], m: float, ids: Sequence[str] | None = None
+    ):
         if not (m >= 1.0 and math.isfinite(m)):
             raise ValueError(f"exponent m must be finite and >= 1, got {m}")
         if len({q.shape[1] for q in q_matrices}) > 1:
@@ -72,6 +75,9 @@ class TransformedProblem:
         self.stacked = np.vstack(q_matrices)
         self.offsets = np.cumsum([0] + [q.shape[0] for q in q_matrices])
         self.m = m
+        if ids is None:
+            ids = [str(b + 1) for b in range(len(q_matrices))]
+        self.ids = list(ids)
         # ||Q_b v|| at or below this counts as zero in the gradient
         self._zero_tol = np.array([
             _ROUNDOFF_TOL * np.abs(seg).max(initial=0.0) * math.sqrt(seg.size)
@@ -96,7 +102,7 @@ class TransformedProblem:
         if self.m < 2.0 and zero.any():
             b = int(np.argmax(zero))
             raise SingularGradientError(
-                f"block {b + 1}: ||Q v|| vanished and m = {self.m} < 2 makes the "
+                f"block {self.ids[b]!r}: ||Q v|| vanished and m = {self.m} < 2 makes the "
                 "gradient singular there"
             )
         # for m >= 2 a vanished term is continuous at 0 and contributes 0
@@ -240,7 +246,7 @@ def _transform(mats, smat, ids, metrics, m) -> TransformedProblem:
                 "and cannot contribute; drop it from the analysis"
             )
         qs.append(q)
-    return TransformedProblem(qs, m)
+    return TransformedProblem(qs, m, ids)
 
 
 def _eigen_start(problem: TransformedProblem) -> tuple[np.ndarray, bool]:
@@ -531,7 +537,7 @@ def stationary_residual(
     """
     y_unit = y / np.linalg.norm(y)
     images = [met.image(b.matrix) for b, met in zip(blockset.blocks, metrics)]
-    z = TransformedProblem(images, m).grad(y_unit)
+    z = TransformedProblem(images, m, blockset.ids).grad(y_unit)
     ps_t = metrics[-1].image(blockset.superblock)
     img = ps_t.T @ (ps_t @ z)
     img_norm = np.linalg.norm(img)

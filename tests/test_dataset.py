@@ -1,12 +1,13 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcpca import build_blockset, from_matrix, load_block, sample_cov
-from rcpca.dataset import _cell
+from rcpca import build_blockset, dataset, from_matrix, load_block, sample_cov
+from rcpca.dataset import _cell, _csv_table, _preprocess
 from rcpca.errors import (
     DataError,
     DegenerateColumnError,
@@ -184,6 +185,124 @@ class TestLoadBlock:
             with pytest.raises(ValueError):
                 matrix[0, 0] = 1.0
         np.testing.assert_array_equal(data, before)
+
+
+# cells numpy's reader takes, and cells that send a table to the csv reader
+FAST_CELLS = ["0", "-0", "-2.5", " 3e-4 ", "1e5 ", "\xa07", "\x1c4", "12345678.9"]
+SLOW_CELLS = ["1_000", "١", "１", "nan", "-inf", "1e400", "", " ", '"5"', '" 6 "',
+              "#1", "3\r", "0x10", "oops"]
+
+
+@st.composite
+def tables(draw):
+    """A table text, its delimiter and id-column flag, and whether it is clean."""
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    id_column = draw(st.booleans())
+    width = draw(st.integers(1, 3))
+    names = ["id"] * id_column + [f" v{j}" for j in range(width)]
+    fast = st.sampled_from(FAST_CELLS)
+    cell = st.one_of(fast, fast, st.sampled_from(FAST_CELLS + SLOW_CELLS))
+    lines = [""] * draw(st.integers(0, 1)) + [delimiter.join(names)]
+    clean = True
+    n_rows = draw(st.integers(0, 4))
+    for i in range(n_rows):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "ragged"]))
+        cells = ["r%d " % i] * id_column + [draw(cell) for _ in range(width)]
+        if kind == "blank":
+            cells = [draw(st.sampled_from(["", " "]))] * draw(st.integers(1, len(names)))
+        elif kind == "ragged":
+            cells = cells[:-1] if draw(st.booleans()) else cells + [draw(cell)]
+        clean &= kind == "row" and all(c in FAST_CELLS for c in cells[id_column:])
+        lines.append(delimiter.join(cells))
+    clean &= n_rows >= 2
+    # an empty last line is a row only when a newline ends it
+    end = "\n" if lines[-1] == "" else draw(st.sampled_from(["", "\n"]))
+    return "\n".join(lines) + end, delimiter, id_column, clean
+
+
+def outcome(read):
+    """What a reader returns: the block's bytes, names and ids, or its error."""
+    try:
+        block = read()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    pre = block.preprocessing
+    return (block.matrix.tobytes(), block.matrix.shape, pre.means.tobytes(),
+            pre.columns, pre.row_ids)
+
+
+class TestReadersAgree:
+    """load_block returns what the csv reader returns, whichever reader parsed."""
+
+    @staticmethod
+    def csv_block(lines, delimiter, id_column):
+        columns, row_ids, raw = _csv_table(lines, "a", delimiter, id_column)
+        return _preprocess(raw, "a", columns, row_ids, False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tables())
+    def test_stream_matches_csv_reader(self, table):
+        text, delimiter, id_column, clean = table
+        expected = outcome(lambda: self.csv_block(io.StringIO(text), delimiter, id_column))
+        spy = mock.patch.object(dataset, "_csv_table", wraps=_csv_table)
+        with spy as csv_reader:
+            got = outcome(lambda: load_block(
+                io.StringIO(text), id="a", delimiter=delimiter, id_column=id_column))
+        assert got == expected
+        # a clean table never reaches the csv reader; every other one does
+        assert csv_reader.called == (not clean)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tables())
+    def test_file_matches_csv_reader(self, tmp_path_factory, table):
+        text, delimiter, id_column, _ = table
+        path = tmp_path_factory.mktemp("tables") / "a.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with path.open(encoding="utf-8") as lines:
+            expected = outcome(lambda: self.csv_block(lines, delimiter, id_column))
+        got = outcome(lambda: load_block(path, delimiter=delimiter, id_column=id_column))
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            'x,y\n1,2\n3,"4"\n',
+            "x,y\r\n1,2\r\n3,4\r\n",
+            "x,y\n1,2\n\n3,4\n",
+            "x,y\n1,2\n3,4,5\n",
+            "x,y\n1,2\n3,1_000\n",
+            "x,y\n1,2\n3,nan\n",
+            "x,y\n1,2\n",
+            "x,y\n1,2\n3," + "0" * 200_000 + "4\n",
+        ],
+        ids=["quote", "carriage-return", "blank-row", "wide-row", "float-only-cell",
+             "non-finite", "single-row", "past-field-limit"],
+    )
+    def test_declined_tables_take_the_csv_reader(self, text):
+        expected = outcome(lambda: self.csv_block(io.StringIO(text), ",", False))
+        with mock.patch.object(dataset, "_csv_table", wraps=_csv_table) as csv_reader:
+            assert outcome(lambda: load_block(io.StringIO(text), id="a")) == expected
+        assert csv_reader.called
+
+    def test_clean_table_skips_the_csv_reader(self, tmp_path):
+        path = write_csv(tmp_path, "a.csv", "\n id ,x, y\n r1 ,3,-1e0\nr2, 1 ,\xa02\n")
+        with mock.patch.object(dataset, "_csv_table", wraps=_csv_table) as csv_reader:
+            block = load_block(path, id_column=True)
+        assert not csv_reader.called
+        assert block.columns == ("x", "y") and block.preprocessing.row_ids == ("r1", "r2")
+        np.testing.assert_array_equal(block.preprocessing.means, [2.0, 0.5])
+
+    def test_cell_fault_before_undecodable_bytes_is_reported(self, tmp_path):
+        # the bad bytes sit past the text stream's first decoded chunk
+        rows = "".join(f"{i},{i % 7}\n" for i in range(20000))
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"x,y\n1,2\n1,oops\n" + rows.encode() + b"caf\xe9,3\n")
+        with pytest.raises(ParseError) as info:
+            load_block(path)
+        assert str(info.value) == "block 'a': non-numeric value 'oops' at row 3, column 'y'"
+        path.write_bytes(b"x,y\n1,2\n" + rows.encode() + b"caf\xe9,3\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_block(path)
 
 
 class TestBuildBlockset:

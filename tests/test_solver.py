@@ -44,6 +44,7 @@ from rcpca import (
     transform,
 )
 from rcpca.errors import (
+    AllStartsFailedError,
     BadStartError,
     NonContributingBlockError,
     SingularGradientError,
@@ -286,7 +287,7 @@ class TestGradient:
 
     def test_singular_for_m_below_two(self):
         problem = problem_from_qs([np.array([[1.0, 0.0]])], m=1.5)
-        with pytest.raises(SingularGradientError, match="block 1"):
+        with pytest.raises(SingularGradientError, match="block '1'"):
             problem.grad(np.array([0.0, 1.0]))
 
     def test_zero_term_continuous_for_m_three(self):
@@ -294,6 +295,19 @@ class TestGradient:
         np.testing.assert_allclose(
             problem.grad(np.array([0.0, 1.0])), [0.0, 0.0], atol=1e-12
         )
+
+    def test_solve_names_the_vanished_block_by_id(self):
+        # orthogonal blocks: the start on p's coordinate leaves Q_q v exactly zero
+        bs = build_blockset([
+            from_matrix("p", [[1.0], [-1.0], [0.0], [0.0]]),
+            from_matrix("q", [[0.0], [0.0], [1.0], [-1.0]]),
+        ])
+        config = SolverConfig(m=1.5, init=np.array([1.0, 0.0]))
+        with pytest.raises(AllStartsFailedError) as info:
+            solve(bs, ModeSelector.uniform("A", "A", 2), config)
+        assert str(info.value).startswith(
+            "every start failed; last failure: block 'q': ||Q v|| vanished and m = 1.5 < 2"
+        ), str(info.value)
 
 
 class TestStackedOperator:
@@ -328,7 +342,7 @@ class TestStackedOperator:
                     reference_criterion(qs, v, m), rel=1e-12
                 )
             else:
-                with pytest.raises(SingularGradientError, match="block 2"):
+                with pytest.raises(SingularGradientError, match="block '2'"):
                     problem.grad(v)
 
 
@@ -372,7 +386,7 @@ class TestComponentOperator:
             else:
                 with pytest.raises(SingularGradientError, match="block 1"):
                     self.reference_residual(y, bs, modes, m)
-                with pytest.raises(SingularGradientError, match="block 1"):
+                with pytest.raises(SingularGradientError, match="block 'zero'"):
                     stationary_residual(y, bs, metrics, m)
 
 
