@@ -244,17 +244,18 @@ def _numpy_table(lines: list[str], delimiter: str, id_column: bool):
     """The same table as _csv_table, parsed in one np.loadtxt call, or None.
 
     None declines the table to _csv_table; this reader names no fault. It
-    declines a quote, a carriage return or a line longer than csv's field
-    limit anywhere, fewer than 2 rows after the header, a row with more or
-    fewer fields than the header, a value np.loadtxt cannot read and a
-    non-finite value. A blank row after the header is declined too:
-    np.loadtxt skips it or fails on its empty cells. np.loadtxt reads only
-    ASCII numbers (not 1_000 or non-ASCII digits) and converts them with the
+    declines a quote, a carriage return, a NUL or a line longer than csv's
+    field limit anywhere, fewer than 2 rows after the header, a row with
+    more or fewer fields than the header, a row that is blank or whose
+    first non-blank character is the delimiter (so every row _csv_table
+    skips), a value np.loadtxt cannot read and a non-finite value. All but
+    the last two are found before np.loadtxt runs. np.loadtxt reads only ASCII
+    numbers (not 1_000 or non-ASCII digits) and converts them with the
     string-to-double of Python's float(), so an accepted matrix is bit for
     bit the one _csv_table returns.
     """
     limit = csv.field_size_limit()
-    if any('"' in line or "\r" in line or len(line) > limit for line in lines):
+    if any('"' in line or "\r" in line or "\0" in line or len(line) > limit for line in lines):
         return None
     # the header is the first line with a non-blank cell, as for _csv_table
     for start, line in enumerate(lines):
@@ -267,7 +268,9 @@ def _numpy_table(lines: list[str], delimiter: str, id_column: bool):
     width = len(header) - 1  # delimiters on every row
     if len(body) < 2 or (id_column and width < 1):
         return None
-    if any(line.count(delimiter) != width for line in body):
+    # from the end, where spreadsheet exports leave their empty rows
+    rows = reversed(body)
+    if any(line.count(delimiter) != width or line.lstrip()[:1] in ("", delimiter) for line in rows):
         return None
     try:
         matrix = np.loadtxt(
@@ -328,6 +331,7 @@ def load_block(
     table = None if undecodable else _numpy_table(lines, delimiter, id_column)
     if table is None:
         table = _csv_table(_decoded(lines, undecodable, id), id, delimiter, id_column)
+    del lines  # the text is not needed while _preprocess makes its copies
     columns, row_ids, matrix = table
     return _preprocess(matrix, id, columns, row_ids, scale)
 

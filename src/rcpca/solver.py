@@ -62,12 +62,10 @@ class TransformedProblem:
 
     The Q_b are stacked row-wise into one (sum r_b) x dim matrix;
     offsets[b]:offsets[b + 1] are the rows of block b, and ids[b] names it
-    in errors (its 1-based position when no ids are given).
+    in errors.
     """
 
-    def __init__(
-        self, q_matrices: Sequence[np.ndarray], m: float, ids: Sequence[str] | None = None
-    ):
+    def __init__(self, q_matrices: Sequence[np.ndarray], m: float, ids: Sequence[str]):
         if not (m >= 1.0 and math.isfinite(m)):
             raise ValueError(f"exponent m must be finite and >= 1, got {m}")
         if len({q.shape[1] for q in q_matrices}) > 1:
@@ -75,8 +73,6 @@ class TransformedProblem:
         self.stacked = np.vstack(q_matrices)
         self.offsets = np.cumsum([0] + [q.shape[0] for q in q_matrices])
         self.m = m
-        if ids is None:
-            ids = [str(b + 1) for b in range(len(q_matrices))]
         self.ids = list(ids)
         # ||Q_b v|| at or below this counts as zero in the gradient
         self._zero_tol = np.array([

@@ -249,7 +249,7 @@ def test_criterion_06_gradient_finite_differences():
             b = int(rng.integers(1, 5))
             dim = int(rng.integers(2, 6))
             qs = [rng.standard_normal((int(rng.integers(1, 5)), dim)) for _ in range(b)]
-            problem = TransformedProblem(qs, m)
+            problem = TransformedProblem(qs, m, [str(k + 1) for k in range(b)])
             v = rng.standard_normal(dim)
             v /= np.linalg.norm(v)
             g = problem.grad(v)

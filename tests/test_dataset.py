@@ -190,7 +190,7 @@ class TestLoadBlock:
 # cells numpy's reader takes, and cells that send a table to the csv reader
 FAST_CELLS = ["0", "-0", "-2.5", " 3e-4 ", "1e5 ", "\xa07", "\x1c4", "12345678.9"]
 SLOW_CELLS = ["1_000", "١", "１", "nan", "-inf", "1e400", "", " ", '"5"', '" 6 "',
-              "#1", "3\r", "0x10", "oops"]
+              "#1", "3\r", "0x10", "4\x00", "oops"]
 
 
 @st.composite
@@ -264,25 +264,30 @@ class TestReadersAgree:
         assert got == expected
 
     @pytest.mark.parametrize(
-        "text",
+        "text, parsed",
         [
-            'x,y\n1,2\n3,"4"\n',
-            "x,y\r\n1,2\r\n3,4\r\n",
-            "x,y\n1,2\n\n3,4\n",
-            "x,y\n1,2\n3,4,5\n",
-            "x,y\n1,2\n3,1_000\n",
-            "x,y\n1,2\n3,nan\n",
-            "x,y\n1,2\n",
-            "x,y\n1,2\n3," + "0" * 200_000 + "4\n",
+            ('x,y\n1,2\n3,"4"\n', False),
+            ("x,y\r\n1,2\r\n3,4\r\n", False),
+            ("x\x00,y\n1,2\n3,4\n", False),
+            ("x,y\n1,2\n\n3,4\n", False),
+            ("x,y\n1,2\n3,4\n,\n ,\n", False),
+            ("x,y\n1,2\n3,4,5\n", False),
+            ("x,y\n1,2\n", False),
+            ("x,y\n1,2\n3," + "0" * 200_000 + "4\n", False),
+            ("x,y\n1,2\n3,1_000\n", True),
+            ("x,y\n1,2\n3,nan\n", True),
         ],
-        ids=["quote", "carriage-return", "blank-row", "wide-row", "float-only-cell",
-             "non-finite", "single-row", "past-field-limit"],
+        ids=["quote", "carriage-return", "nul", "blank-row", "empty-cell-rows", "wide-row",
+             "single-row", "past-field-limit", "float-only-cell", "non-finite"],
     )
-    def test_declined_tables_take_the_csv_reader(self, text):
+    def test_declined_tables_take_the_csv_reader(self, text, parsed):
         expected = outcome(lambda: self.csv_block(io.StringIO(text), ",", False))
-        with mock.patch.object(dataset, "_csv_table", wraps=_csv_table) as csv_reader:
+        with (mock.patch.object(dataset, "_csv_table", wraps=_csv_table) as csv_reader,
+              mock.patch.object(dataset.np, "loadtxt", wraps=np.loadtxt) as loadtxt):
             assert outcome(lambda: load_block(io.StringIO(text), id="a")) == expected
         assert csv_reader.called
+        # only what np.loadtxt alone can judge is parsed twice
+        assert loadtxt.called == parsed
 
     def test_clean_table_skips_the_csv_reader(self, tmp_path):
         path = write_csv(tmp_path, "a.csv", "\n id ,x, y\n r1 ,3,-1e0\nr2, 1 ,\xa02\n")

@@ -61,7 +61,8 @@ from rcpca.solver import (
 
 def problem_from_qs(qs, m, n=1):
     """Problem built directly from Q matrices."""
-    return TransformedProblem([np.asarray(q, dtype=float) / n for q in qs], m)
+    ids = [str(b + 1) for b in range(len(qs))]
+    return TransformedProblem([np.asarray(q, dtype=float) / n for q in qs], m, ids)
 
 
 def step(problem, v):
