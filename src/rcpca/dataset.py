@@ -204,37 +204,40 @@ def _csv_table(lines: Iterable[str], block_id: str, delimiter: str, id_column: b
     """
     reader = csv.reader(lines, delimiter=delimiter)
     rows = (r for r in reader if any(c.strip() for c in r))
-    header, first = next(rows, None), next(rows, None)
-    if first is None:
-        raise ParseError(f"block {block_id!r}: need a header row plus data rows")
-    header = [c.strip() for c in header]
-    if id_column and len(header) < 2:
-        raise ParseError(f"block {block_id!r}: id column declared but only one column present")
-    columns = header[1:] if id_column else header
+    try:
+        header, first = next(rows, None), next(rows, None)
+        if first is None:
+            raise ParseError(f"block {block_id!r}: need a header row plus data rows")
+        header = [c.strip() for c in header]
+        if id_column and len(header) < 2:
+            raise ParseError(f"block {block_id!r}: id column declared but only one column present")
+        columns = header[1:] if id_column else header
 
-    data = array("d")
-    row_ids: list[str] | None = [] if id_column else None
-    for row in itertools.chain((first,), rows):
-        line = reader.line_num  # the file line that ends this row
-        if len(row) != len(header):
-            raise ParseError(
-                f"block {block_id!r}: row {line} has {len(row)} fields, expected {len(header)}"
-            )
-        if id_column:
-            row_ids.append(row[0].strip())
-            row = row[1:]
-        try:
-            values = list(map(float, row))
-            ok = all(map(math.isfinite, values))
-        except ValueError:
-            ok = False
-        if not ok:
-            # float() strips a subset of the whitespace str.strip() removes
-            # (not \x1c-\x1f) and rejects '', so every cell it accepts _cell
-            # accepts with the same value. A row it fails is read again by
-            # _cell, which names the first fault or returns the values.
-            values = [_cell(block_id, line, name, text) for name, text in zip(columns, row)]
-        data.fromlist(values)
+        data = array("d")
+        row_ids: list[str] | None = [] if id_column else None
+        for row in itertools.chain((first,), rows):
+            line = reader.line_num  # the file line that ends this row
+            if len(row) != len(header):
+                raise ParseError(
+                    f"block {block_id!r}: row {line} has {len(row)} fields, expected {len(header)}"
+                )
+            if id_column:
+                row_ids.append(row[0].strip())
+                row = row[1:]
+            try:
+                values = list(map(float, row))
+                ok = all(map(math.isfinite, values))
+            except ValueError:
+                ok = False
+            if not ok:
+                # float() strips a subset of the whitespace str.strip() removes
+                # (not \x1c-\x1f) and rejects '', so every cell it accepts _cell
+                # accepts with the same value. A row it fails is read again by
+                # _cell, which names the first fault or returns the values.
+                values = [_cell(block_id, line, name, text) for name, text in zip(columns, row)]
+            data.fromlist(values)
+    except csv.Error as exc:  # an over-long field, or a lone \r in a text stream
+        raise ParseError(f"block {block_id!r}: row {reader.line_num}: {exc}") from None
     if len(data) < 2 * len(columns):
         raise DimensionError(f"block {block_id!r}: need at least 2 data rows")
     return columns, row_ids, np.frombuffer(data, dtype=float).reshape(-1, len(columns))

@@ -19,10 +19,11 @@ control what gets deflated:
            of block components within blocks and of superblock components
            at the same time.
 
-Under the global/block/loading strategies the superblock is rebuilt by
-concatenating the deflated blocks. Metrics are rebuilt from the deflated
-matrices at every rank, so the normalization constraints keep their meaning.
-Ranks are inherently sequential; each per-rank solve is deterministic.
+Each rank writes one n x J array whose column views are the blocks: the
+deflated superblock (global), or the deflated blocks, which are the
+superblock too except under own. Metrics are rebuilt at every rank, so the
+normalization constraints keep their meaning. Ranks are inherently
+sequential; each per-rank solve is deterministic.
 """
 
 from __future__ import annotations
@@ -64,12 +65,14 @@ class MultiSolution:
     warnings: list[str] = field(default_factory=list)
 
 
-def deflate(x: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Residual of the columnwise regression of x on q.
+def deflate(x: np.ndarray, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Residual of the columnwise regression of x on q, written into `out` if given.
 
     Every column of the result is orthogonal to q; when q is a combination
     of the columns of x, the combinations of the residual columns are
-    exactly the combinations of x orthogonal to q.
+    exactly the combinations of x orthogonal to q. (-q c') + x, one array,
+    is x - q c' bit for bit: x + (-p) == x - p in IEEE arithmetic. `out`
+    must not overlap x.
     """
     x = np.asarray(x, dtype=float)
     q = np.asarray(q, dtype=float).ravel()
@@ -78,17 +81,19 @@ def deflate(x: np.ndarray, q: np.ndarray) -> np.ndarray:
     qq = float(q @ q)
     if qq == 0.0:
         raise ValueError("cannot deflate on a zero vector")
-    return x - np.outer(q, (q @ x) / qq)
+    p = np.multiply.outer(q, -((q @ x) / qq), out=out)
+    return np.add(x, p, out=p)
 
 
-def _deflate_loading(x: np.ndarray, y_super: np.ndarray) -> np.ndarray:
+def _deflate_loading(x: np.ndarray, y_super: np.ndarray, out: np.ndarray) -> None:
     # column-space deflation on the unit loading direction p = X'y/|X'y|
     p = x.T @ y_super
     nrm = np.linalg.norm(p)
     if nrm == 0.0:
-        return x
+        out[...] = x
+        return
     p = p / nrm
-    return x - np.outer(x @ p, p)
+    np.add(x, np.multiply.outer(x @ p, -p, out=out), out=out)
 
 
 def extract(
@@ -110,10 +115,11 @@ def extract(
     if rank < 1:
         raise ValueError("rank must be at least 1")
 
-    mats = [b.matrix for b in blockset.blocks]
     smat = blockset.superblock
+    cuts = np.cumsum([b.n_vars for b in blockset.blocks])[:-1]
+    mats = np.split(smat, cuts, axis=1)
     ids = list(blockset.ids)
-    orig_norms = [np.linalg.norm(m) for m in mats]
+    orig_norms = [np.linalg.norm(b.matrix) for b in blockset.blocks]
 
     warnings: list[str] = []
     if strategy is DeflationStrategy.OWN and modes.superblock_tau == 0.0:
@@ -135,18 +141,18 @@ def extract(
             ))
         if r + 1 >= target:
             break
-        # each block is deflated on its loading direction, y_super or its own y_b
-        if strategy is DeflationStrategy.LOADING:
-            mats = [_deflate_loading(m, sol.y_super) for m in mats]
-        elif strategy is DeflationStrategy.GLOBAL:
-            mats = [deflate(m, sol.y_super) for m in mats]
-        else:
-            mats = [deflate(m, y_b) for m, y_b in zip(mats, sol.y_blocks)]
-        # own carries the superblock forward; the others rebuild it from the blocks
-        if strategy is DeflationStrategy.OWN:
-            smat = deflate(smat, sol.y_super)
-        else:
-            smat = np.hstack(mats)
+        if strategy is DeflationStrategy.GLOBAL:
+            smat = whole = deflate(smat, sol.y_super)
+        else:  # each block on its loading direction or its own y_b, into its columns
+            whole = np.empty_like(smat)
+            for m, y_b, out in zip(mats, sol.y_blocks, np.split(whole, cuts, axis=1)):
+                if strategy is DeflationStrategy.LOADING:
+                    _deflate_loading(m, sol.y_super, out)
+                else:
+                    deflate(m, y_b, out)
+            # own carries the superblock forward; for the others it is the new array
+            smat = deflate(smat, sol.y_super) if strategy is DeflationStrategy.OWN else whole
+        mats = np.split(whole, cuts, axis=1)
         for b, m in enumerate(mats):
             if np.linalg.norm(m) <= _ZERO_RTOL * orig_norms[b]:
                 raise RankExhaustedError(

@@ -127,7 +127,7 @@ def build_metric(data, tau: float) -> ShrinkageMetric:
     n, j = x.shape
     wide = j > n
     gram = (x @ x.T if wide else x.T @ x) / n
-    vals, vecs = np.linalg.eigh((gram + gram.T) / 2.0)  # exact symmetry for eigh
+    vals, vecs = np.linalg.eigh(gram)  # reads the lower triangle only
     vals, vecs = vals[::-1], vecs[:, ::-1]
     if tau == 0.0 and vals[0] <= 0.0:
         raise DataError("metric is identically zero (zero block with tau = 0)")

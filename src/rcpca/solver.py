@@ -210,13 +210,31 @@ def transform(blockset: BlockSet, metrics: Sequence[ShrinkageMetric], m: float) 
     """Build the segments Q_b / n = P_b'P_super / n in the factors' coordinates.
 
     Segment b is (V_b diag(lambda_b^(-1/2)))' H[rows of b], H = X_B'P_super / n:
-    V_super diag(g_super lambda_super^(-1/2)) when the superblock equals the
-    concatenated blocks (checked exactly), else one product of X_B' with the
+    V_super diag(g_super lambda_super^(-1/2)) when the superblock is the
+    concatenated blocks (see `_columns`), else one product of X_B' with the
     superblock image. A segment at roundoff of ||P_b||_F ||P_super||_F / n,
     ||P||_F^2 = n sum(g / lambda), raises NonContributingBlockError.
     """
     mats = [b.matrix for b in blockset.blocks]
     return _transform(mats, blockset.superblock, blockset.ids, metrics, m)
+
+
+def _columns(mats, smat) -> np.ndarray:
+    """The array whose consecutive column ranges are the blocks, smat if it is one.
+
+    Views of one array (smat, or `own`'s blocks) are recognized by identity,
+    separate arrays by exact comparison with smat; others are stacked anew."""
+
+    def same_view(v, mat):  # same address, shape and strides
+        return v.__array_interface__ == mat.__array_interface__
+
+    stops = np.cumsum([mat.shape[1] for mat in mats])
+    for whole, same in ((smat, same_view), (mats[0].base, same_view), (smat, np.array_equal)):
+        if isinstance(whole, np.ndarray) and whole.shape[1:] == (stops[-1],) and all(
+            same(v, mat) for v, mat in zip(np.split(whole, stops[:-1], axis=1), mats)
+        ):
+            return whole
+    return np.hstack(mats)
 
 
 def _transform(mats, smat, ids, metrics, m) -> TransformedProblem:
@@ -225,13 +243,12 @@ def _transform(mats, smat, ids, metrics, m) -> TransformedProblem:
             f"need {len(mats) + 1} metrics (blocks plus superblock), got {len(metrics)}"
         )
     sup = metrics[-1]
-    stops = np.cumsum([mat.shape[1] for mat in mats])
-    if smat.shape[1] == stops[-1] and all(
-        np.array_equal(smat[:, stop - mat.shape[1]:stop], mat) for mat, stop in zip(mats, stops)
-    ):
+    whole = _columns(mats, smat)
+    if whole is smat:
         h = sup.eigenvectors * (sup.variances * sup.eigenvalues**-0.5)
     else:
-        h = np.hstack(mats).T @ sup.image(smat).T / smat.shape[0]
+        h = whole.T @ sup.image(smat).T / smat.shape[0]
+    stops = np.cumsum([mat.shape[1] for mat in mats])
     norms = [math.sqrt((met.variances / met.eigenvalues).sum()) for met in metrics]
     qs = []
     for b, (met, rows) in enumerate(zip(metrics, np.split(h, stops[:-1]))):
@@ -372,7 +389,8 @@ def sphere_maximize(
 
 def solve(blockset: BlockSet, modes: ModeSelector, config: SolverConfig) -> Solution:
     """Run the full pipeline on a BlockSet: metrics, transform, maximize, map back."""
-    mats = [b.matrix for b in blockset.blocks]
+    cuts = np.cumsum([b.n_vars for b in blockset.blocks])[:-1]
+    mats = np.split(blockset.superblock, cuts, axis=1)
     return solve_matrices(mats, blockset.superblock, modes, config, ids=blockset.ids)
 
 
@@ -387,13 +405,14 @@ def solve_matrices(
 
     This is the entry point deflation needs: after deflating blocks and
     superblock on their own components the superblock is no longer the
-    concatenation of the blocks.
+    concatenation of the blocks. Blocks are read as views of `_columns`.
     """
     if len(modes.block_taus) != len(mats):
         raise DimensionError(
             f"{len(modes.block_taus)} block taus for {len(mats)} blocks"
         )
     names = list(ids) if ids is not None else [str(b + 1) for b in range(len(mats))]
+    mats = np.split(_columns(mats, smat), np.cumsum([mat.shape[1] for mat in mats])[:-1], axis=1)
     metrics = [build_metric(mat, tau) for mat, tau in zip(mats, modes.block_taus)]
     metrics.append(build_metric(smat, modes.superblock_tau))
     problem = _transform(mats, smat, names, metrics, config.m)
@@ -431,11 +450,7 @@ def solve_matrices(
         results.append((trace.psi[-1], k, c, trace))
     if not results:
         raise AllStartsFailedError(f"every start failed; last failure: {last_failure}")
-    best = results[0]
-    for cand in results[1:]:
-        if cand[0] > best[0]:
-            best = cand
-    _, _, c, trace = best
+    _, _, c, trace = max(results, key=lambda res: res[0])  # ties keep the earliest start
     trace.warnings.extend(warnings)
 
     if metrics[-1].pseudo:

@@ -325,6 +325,15 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("data error: block 'bad': the file is not UTF-8 text"), err
 
+    def test_block_cell_over_the_csv_field_limit_exits_2(self, tmp_path, capsys):
+        long = tmp_path / "long.csv"
+        long.write_text("x,y\n1,2\n3," + "0" * 200_000 + "4\n5,6\n", encoding="utf-8")
+        code = main(["run", "--blocks", str(long), "--preset", "consensus_pca",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: block 'long': row 3: field larger than field limit"), err
+
     def test_config_file_not_utf8_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"preset = caf\xe9\n")

@@ -102,6 +102,22 @@ class TestLoadBlock:
         assert str(info.value) == message
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x,y\n1,2\n3," + "0" * 200_000 + "4\n5,6\n",
+             "block 'a': row 3: field larger than field limit (131072)"),
+            ("x," + "y" * 200_000 + "\n1,2\n3,4\n",
+             "block 'a': row 1: field larger than field limit (131072)"),
+        ],
+        ids=["row", "header"],
+    )
+    def test_cell_over_the_csv_field_limit(self, tmp_path, text, message):
+        path = write_csv(tmp_path, "a.csv", text)
+        with pytest.raises(ParseError) as info:
+            load_block(path)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
         "text, id_column, message",
         [
             ("", False, "block 'a': need a header row plus data rows"),
@@ -153,6 +169,11 @@ class TestLoadBlock:
         assert block.columns == ("x", "y")
         np.testing.assert_allclose(block.preprocessing.means, [2.0, 0.0])
         np.testing.assert_allclose(block.matrix, [[1.0, 1.0], [-1.0, -1.0]])
+
+    def test_lone_carriage_return_in_a_stream(self):
+        # a path is read with universal newlines; a stream keeps a lone \r inside its line
+        with pytest.raises(ParseError, match=r"^block 'block': row 3: new-line character seen"):
+            load_block(io.StringIO("x,y\n1,2\n3\r,4\n5,6\n"))
 
     def test_file_like_source(self):
         block = load_block(io.StringIO("x\n4\n0\n"), id="mem")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import latent_blockset, random_blockset
+from helpers import latent_blockset, random_blockset, random_modes
 from rcpca import (
     DeflationStrategy,
     ModeSelector,
@@ -14,6 +14,7 @@ from rcpca import (
     from_matrix,
     solve,
 )
+from rcpca.metrics import ShrinkageMetric
 
 CFG = SolverConfig(m=2.0, epsilon=1e-13, max_iter=50_000)
 
@@ -61,8 +62,60 @@ class TestDeflate:
         once = deflate(x, q)
         np.testing.assert_allclose(deflate(once, q), once, atol=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 6),
+        st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e150]), st.booleans(),
+    )
+    def test_one_allocation_is_bit_for_bit_the_subtraction(self, seed, n, j, scale, into_view):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, j)) * scale
+        x[rng.random((n, j)) < 0.2] = rng.choice([0.0, -0.0])
+        q = rng.standard_normal(n) * rng.choice([1e-8, 1.0, 1e8])
+        q[rng.random(n) < 0.2] = 0.0
+        if not q.any():
+            q[0] = 1.0
+        expected = x - np.outer(q, (q @ x) / (q @ q))
+        if into_view:  # a block's columns of a wider array, as extract writes them
+            whole = np.full((n, j + 3), np.nan)
+            got = deflate(x, q, whole[:, 2:2 + j])
+            assert np.isnan(whole[:, :2]).all() and np.isnan(whole[:, 2 + j:]).all()
+        else:
+            got = deflate(x, q)
+        assert got.shape == expected.shape
+        assert np.ascontiguousarray(got).tobytes() == expected.tobytes()
+
+    def test_superblock_deflation_matches_the_blocks(self):
+        # global deflates the superblock once; per block is the same regression
+        for seed in range(30):
+            bs = random_blockset(seed)
+            y = solve(bs, random_modes(seed, bs), SolverConfig()).y_super
+            per_block = np.hstack([deflate(b.matrix, y) for b in bs.blocks])
+            whole = deflate(bs.superblock, y)
+            assert np.linalg.norm(whole - per_block) <= 1e-12 * np.linalg.norm(per_block)
+
 
 class TestExtract:
+    @pytest.mark.parametrize("strategy", list(DeflationStrategy))
+    def test_blocks_are_superblock_views_without_a_value_check(self, monkeypatch, strategy):
+        # the transform recognizes the concatenation by identity; only `own`
+        # ranks after the first need the product with the superblock image
+        images = []
+        image = ShrinkageMetric.image
+        monkeypatch.setattr(ShrinkageMetric, "image", lambda met, x: images.append(x) or image(met, x))
+        bs = random_blockset(13, b=4, n=30, js=[3, 5, 4, 3])
+        modes = ModeSelector.uniform("A", "A", 4)
+        expected = solve(bs, modes, CFG)
+        assert images == []
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "array_equal", lambda *args: pytest.fail("np.array_equal called"))
+            ms = extract(bs, modes, CFG, 3, strategy)
+            sol = solve(bs, modes, CFG)
+        assert ms.achieved_rank == 3
+        assert len(images) == (2 if strategy is DeflationStrategy.OWN else 0)
+        for got in (ms.solutions[0], sol):
+            np.testing.assert_array_equal(got.y_super, expected.y_super)
+
     def test_rank_one_equals_plain_solve(self):
         bs = random_blockset(1, b=3, n=15, js=[3, 2, 4])
         modes = ModeSelector.uniform("A", "A", 3)
