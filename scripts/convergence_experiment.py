@@ -50,8 +50,8 @@ def main():
             deltas = np.diff(sol.trace.psi)
             monotone = bool(np.all(deltas >= -1e-12))
             print(
-                f"{m:>4g} {tau:>5g} {sol.psi_final:>14.8f} "
-                f"{sol.trace.iterations:>6} {sol.fixed_point_residual:>10.2e} "
+                f"{m:>4g} {tau:>5g} {sol.trace.psi[-1]:>14.8f} "
+                f"{sol.trace.iterations:>6} {sol.trace.fixed_point_residual:>10.2e} "
                 f"{str(monotone):>9}"
             )
             trace_file = out / f"trace_m{m:g}_tau{tau:g}.csv"

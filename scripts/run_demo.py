@@ -55,7 +55,7 @@ def main():
             stat = f"{stationary_residual(sol.y_super, bs, metrics, p.m):.1e}*"
         contrib = np.array2string(sol.contributions, precision=3)
         print(
-            f"{name:<22}{p.m:>4g}{sol.psi_final:>12.6f}{sol.trace.iterations:>7}"
+            f"{name:<22}{p.m:>4g}{sol.trace.psi[-1]:>12.6f}{sol.trace.iterations:>7}"
             f"{str(sol.trace.converged):>6}{contrib:>24}{stat:>12}"
         )
     print("\n* generic fixed-point residual (no published stationary form)")

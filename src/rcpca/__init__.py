@@ -16,7 +16,6 @@ from .dataset import (
     build_blockset,
     from_matrix,
     load_block,
-    sample_cov,
 )
 from .deflation import DeflationStrategy, MultiSolution, deflate, extract
 from .methods import (
@@ -57,7 +56,6 @@ __all__ = [
     "build_blockset",
     "from_matrix",
     "load_block",
-    "sample_cov",
     "ModeSelector",
     "ShrinkageMetric",
     "build_metric",

@@ -351,8 +351,8 @@ def _write_outputs(
     all_warnings = list(result.warnings)
     for r, sol in enumerate(result.solutions, start=1):
         manifest += [
-            f"rank{r}_psi_final = {_fmt(sol.psi_final)}",
-            f"rank{r}_fixed_point_residual = {_fmt(sol.fixed_point_residual)}",
+            f"rank{r}_psi_final = {_fmt(sol.trace.psi[-1])}",
+            f"rank{r}_fixed_point_residual = {_fmt(sol.trace.fixed_point_residual)}",
             f"rank{r}_iterations = {sol.trace.iterations}",
             f"rank{r}_converged = {str(sol.trace.converged).lower()}",
         ]
@@ -371,12 +371,15 @@ def run(cfg: RunConfig) -> int:
     )
     _write_outputs(Path(cfg.out), cfg, blockset, modes, solver_cfg.m, result)
     not_converged = [
-        r for r, s in enumerate(result.solutions, start=1) if not s.trace.converged
+        f"rank {r} reached max_iter ({t.iterations} iterations)" if t.iterations == cfg.max_iter
+        else f"rank {r} stopped after {t.iterations} iterations with fixed-point residual "
+        f"{t.fixed_point_residual:.3e} above its threshold"
+        for r, t in enumerate((s.trace for s in result.solutions), start=1) if not t.converged
     ]
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if not_converged:
-        msg = f"ranks {not_converged} did not converge within {cfg.max_iter} iterations"
+        msg = f"did not converge: {'; '.join(not_converged)}"
         if cfg.strict:
             print(f"solver error: {msg}", file=sys.stderr)
             return 3

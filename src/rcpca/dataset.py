@@ -237,7 +237,9 @@ def _csv_table(lines: Iterable[str], block_id: str, delimiter: str, id_column: b
                 values = [_cell(block_id, line, name, text) for name, text in zip(columns, row)]
             data.fromlist(values)
     except csv.Error as exc:  # an over-long field, or a lone \r in a text stream
-        raise ParseError(f"block {block_id!r}: row {reader.line_num}: {exc}") from None
+        why = ("a carriage return inside a row; save the file with one line ending per row"
+               if "new-line" in str(exc) else exc)
+        raise ParseError(f"block {block_id!r}: row {reader.line_num}: {why}") from None
     if len(data) < 2 * len(columns):
         raise DimensionError(f"block {block_id!r}: need at least 2 data rows")
     return columns, row_ids, np.frombuffer(data, dtype=float).reshape(-1, len(columns))
@@ -365,11 +367,3 @@ def build_blockset(blocks: Iterable[Block]) -> BlockSet:
     superblock.setflags(write=False)
     return BlockSet(blocks=blocks, superblock=superblock)
 
-
-def sample_cov(x: np.ndarray, y: np.ndarray) -> float:
-    """Sample covariance of two centered vectors, 1/n convention."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise DimensionError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
-    return float(x @ y) / x.shape[0]

@@ -21,9 +21,10 @@ control what gets deflated:
 
 Each rank writes one n x J array whose column views are the blocks: the
 deflated superblock (global), or the deflated blocks, which are the
-superblock too except under own. Metrics are rebuilt at every rank, so the
-normalization constraints keep their meaning. Ranks are inherently
-sequential; each per-rank solve is deterministic.
+superblock too except under own, which passes its superblock separately.
+Metrics are rebuilt at every rank, so the normalization constraints keep
+their meaning. Ranks are inherently sequential; each per-rank solve is
+deterministic.
 """
 
 from __future__ import annotations
@@ -115,11 +116,15 @@ def extract(
     if rank < 1:
         raise ValueError("rank must be at least 1")
 
-    smat = blockset.superblock
-    cuts = np.cumsum([b.n_vars for b in blockset.blocks])[:-1]
-    mats = np.split(smat, cuts, axis=1)
+    whole, smat = blockset.superblock, None  # own's separate superblock from rank 2 on
+    widths = [b.n_vars for b in blockset.blocks]
+    starts = np.cumsum([0] + widths[:-1])
     ids = list(blockset.ids)
-    orig_norms = [np.linalg.norm(b.matrix) for b in blockset.blocks]
+
+    def block_norms(x):  # one pass over the columns; np.linalg.norm would copy each view
+        return np.sqrt(np.add.reduceat(np.einsum("ij,ij->j", x, x), starts))
+
+    orig_norms = block_norms(whole)
 
     warnings: list[str] = []
     if strategy is DeflationStrategy.OWN and modes.superblock_tau == 0.0:
@@ -131,7 +136,7 @@ def extract(
     solutions: list[Solution] = []
     target = rank
     for r in range(rank):
-        sol = solve_matrices(mats, smat, modes, config, ids=ids)
+        sol = solve_matrices(whole, widths, modes, config, ids=ids, superblock=smat)
         solutions.append(sol)
         if r == 0 and rank > (cap := min(sol.block_ranks)):
             target = cap
@@ -141,20 +146,22 @@ def extract(
             ))
         if r + 1 >= target:
             break
+        if strategy is DeflationStrategy.OWN:  # the superblock on its own component
+            smat = deflate(whole if smat is None else smat, sol.y_super)
         if strategy is DeflationStrategy.GLOBAL:
-            smat = whole = deflate(smat, sol.y_super)
+            whole = deflate(whole, sol.y_super)
         else:  # each block on its loading direction or its own y_b, into its columns
-            whole = np.empty_like(smat)
-            for m, y_b, out in zip(mats, sol.y_blocks, np.split(whole, cuts, axis=1)):
+            new = np.empty_like(whole)
+            for x, y_b, out in zip(np.split(whole, starts[1:], axis=1), sol.y_blocks,
+                                   np.split(new, starts[1:], axis=1)):
                 if strategy is DeflationStrategy.LOADING:
-                    _deflate_loading(m, sol.y_super, out)
+                    _deflate_loading(x, sol.y_super, out)
                 else:
-                    deflate(m, y_b, out)
-            # own carries the superblock forward; for the others it is the new array
-            smat = deflate(smat, sol.y_super) if strategy is DeflationStrategy.OWN else whole
-        mats = np.split(whole, cuts, axis=1)
-        for b, m in enumerate(mats):
-            if np.linalg.norm(m) <= _ZERO_RTOL * orig_norms[b]:
+                    deflate(x, y_b, out)
+            whole = new
+            del x  # its view would keep the previous array alive through the next solve
+        for b, norm in enumerate(block_norms(whole)):
+            if norm <= _ZERO_RTOL * orig_norms[b]:
                 raise RankExhaustedError(
                     f"block {ids[b]!r} was annihilated after {r + 1} components; "
                     f"achievable rank is {r + 1}"

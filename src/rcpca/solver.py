@@ -19,8 +19,8 @@ factor's coordinates c = V_super'v: the segments Q_b = P_b'P_super are
 r_b x r_super whether the blocks are tall or wide, and read off
 H = X_B'P_super / n, which the superblock factor alone gives when the
 superblock is the concatenation of the blocks (`transform`). The back-map
-returns v = V_super c and reads each block's covariance and weights off
-the segments Q_b c, in the block factor's coordinates. `TransformedProblem` is
+reads the superblock weights off c and each block's covariance and weights
+off the segments Q_b c, in the block factor's coordinates. `TransformedProblem` is
 the one evaluator of psi and its gradient, and `sphere_maximize` the one
 ascent loop. The operator stacks its segments into a single matrix, so psi
 is one matvec and the gradient one more transposed matvec; with segments
@@ -184,22 +184,14 @@ class Solution:
     block_ranks holds the factor rank of each block metric.
     """
 
-    v_super: np.ndarray
     w_super: np.ndarray
     y_super: np.ndarray
     w_blocks: list[np.ndarray]
     y_blocks: list[np.ndarray]
     covs: np.ndarray
     contributions: np.ndarray
-    psi_final: float
-    fixed_point_residual: float
     trace: SolverTrace
     block_ranks: tuple[int, ...] = ()
-
-    @property
-    def component_matrix(self) -> np.ndarray:
-        """Block components side by side (n x B)."""
-        return np.column_stack(self.y_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -210,48 +202,28 @@ def transform(blockset: BlockSet, metrics: Sequence[ShrinkageMetric], m: float) 
     """Build the segments Q_b / n = P_b'P_super / n in the factors' coordinates.
 
     Segment b is (V_b diag(lambda_b^(-1/2)))' H[rows of b], H = X_B'P_super / n:
-    V_super diag(g_super lambda_super^(-1/2)) when the superblock is the
-    concatenated blocks (see `_columns`), else one product of X_B' with the
-    superblock image. A segment at roundoff of ||P_b||_F ||P_super||_F / n,
-    ||P||_F^2 = n sum(g / lambda), raises NonContributingBlockError.
+    V_super diag(g_super lambda_super^(-1/2)) for the concatenated blocks of a
+    BlockSet, else one product of X_B' with the image of the separate
+    `superblock` of `solve_matrices`. A segment at roundoff of ||P_b||_F
+    ||P_super||_F / n, ||P||_F^2 = n sum(g / lambda), raises NonContributingBlockError.
     """
-    mats = [b.matrix for b in blockset.blocks]
-    return _transform(mats, blockset.superblock, blockset.ids, metrics, m)
+    widths = [b.n_vars for b in blockset.blocks]
+    return _transform(blockset.superblock, widths, blockset.ids, metrics, m)
 
 
-def _columns(mats, smat) -> np.ndarray:
-    """The array whose consecutive column ranges are the blocks, smat if it is one.
-
-    Views of one array (smat, or `own`'s blocks) are recognized by identity,
-    separate arrays by exact comparison with smat; others are stacked anew."""
-
-    def same_view(v, mat):  # same address, shape and strides
-        return v.__array_interface__ == mat.__array_interface__
-
-    stops = np.cumsum([mat.shape[1] for mat in mats])
-    for whole, same in ((smat, same_view), (mats[0].base, same_view), (smat, np.array_equal)):
-        if isinstance(whole, np.ndarray) and whole.shape[1:] == (stops[-1],) and all(
-            same(v, mat) for v, mat in zip(np.split(whole, stops[:-1], axis=1), mats)
-        ):
-            return whole
-    return np.hstack(mats)
-
-
-def _transform(mats, smat, ids, metrics, m) -> TransformedProblem:
-    if len(metrics) != len(mats) + 1:
+def _transform(whole, widths, ids, metrics, m, superblock=None) -> TransformedProblem:
+    if len(metrics) != len(widths) + 1:
         raise DimensionError(
-            f"need {len(mats) + 1} metrics (blocks plus superblock), got {len(metrics)}"
+            f"need {len(widths) + 1} metrics (blocks plus superblock), got {len(metrics)}"
         )
     sup = metrics[-1]
-    whole = _columns(mats, smat)
-    if whole is smat:
+    if superblock is None:
         h = sup.eigenvectors * (sup.variances * sup.eigenvalues**-0.5)
     else:
-        h = whole.T @ sup.image(smat).T / smat.shape[0]
-    stops = np.cumsum([mat.shape[1] for mat in mats])
+        h = whole.T @ sup.image(superblock).T / superblock.shape[0]
     norms = [math.sqrt((met.variances / met.eigenvalues).sum()) for met in metrics]
     qs = []
-    for b, (met, rows) in enumerate(zip(metrics, np.split(h, stops[:-1]))):
+    for b, (met, rows) in enumerate(zip(metrics, np.split(h, np.cumsum(widths)[:-1]))):
         q = (met.eigenvectors * met.eigenvalues**-0.5).T @ rows
         if np.linalg.norm(q) <= 1e-14 * norms[b] * norms[-1]:
             raise NonContributingBlockError(
@@ -389,33 +361,37 @@ def sphere_maximize(
 
 def solve(blockset: BlockSet, modes: ModeSelector, config: SolverConfig) -> Solution:
     """Run the full pipeline on a BlockSet: metrics, transform, maximize, map back."""
-    cuts = np.cumsum([b.n_vars for b in blockset.blocks])[:-1]
-    mats = np.split(blockset.superblock, cuts, axis=1)
-    return solve_matrices(mats, blockset.superblock, modes, config, ids=blockset.ids)
+    widths = [b.n_vars for b in blockset.blocks]
+    return solve_matrices(blockset.superblock, widths, modes, config, ids=blockset.ids)
 
 
 def solve_matrices(
-    mats: Sequence[np.ndarray],
-    smat: np.ndarray,
+    blocks: np.ndarray,
+    widths: Sequence[int],
     modes: ModeSelector,
     config: SolverConfig,
     ids: Sequence[str] | None = None,
+    superblock: np.ndarray | None = None,
 ) -> Solution:
-    """Solve with an explicit superblock matrix.
+    """Solve on the n x J array `blocks`, whose consecutive `widths` columns are the blocks.
 
-    This is the entry point deflation needs: after deflating blocks and
-    superblock on their own components the superblock is no longer the
-    concatenation of the blocks. Blocks are read as views of `_columns`.
+    The blocks side by side are the superblock unless a separate
+    `superblock` is given. Deflation needs one for `own` ranks >= 2: there
+    the superblock is deflated on its own component and is no longer the
+    concatenation of the deflated blocks.
     """
-    if len(modes.block_taus) != len(mats):
-        raise DimensionError(
-            f"{len(modes.block_taus)} block taus for {len(mats)} blocks"
-        )
-    names = list(ids) if ids is not None else [str(b + 1) for b in range(len(mats))]
-    mats = np.split(_columns(mats, smat), np.cumsum([mat.shape[1] for mat in mats])[:-1], axis=1)
+    if len(modes.block_taus) != len(widths):
+        raise DimensionError(f"{len(modes.block_taus)} block taus for {len(widths)} blocks")
+    if any(w < 1 for w in widths) or sum(widths) != blocks.shape[1]:
+        raise DimensionError(f"widths {list(widths)} must be >= 1 and sum to {blocks.shape[1]}")
+    smat = blocks if superblock is None else superblock
+    if smat.shape[0] != blocks.shape[0]:
+        raise DimensionError(f"superblock has {smat.shape[0]} rows, not {blocks.shape[0]}")
+    names = list(ids) if ids is not None else [str(b + 1) for b in range(len(widths))]
+    mats = np.split(blocks, np.cumsum(widths)[:-1], axis=1)
     metrics = [build_metric(mat, tau) for mat, tau in zip(mats, modes.block_taus)]
     metrics.append(build_metric(smat, modes.superblock_tau))
-    problem = _transform(mats, smat, names, metrics, config.m)
+    problem = _transform(blocks, widths, names, metrics, config.m, superblock)
 
     basis = metrics[-1].eigenvectors
     warnings: list[str] = []
@@ -478,7 +454,7 @@ def _back_map(c, trace, problem, mats, smat, ids, metrics, m) -> Solution:
     # deterministic sign: the largest-magnitude superblock weight is positive
     pivot = int(np.argmax(np.abs(w_super)))
     if w_super[pivot] < 0.0:
-        c, w_super, segments = -c, -w_super, -segments
+        w_super, segments = -w_super, -segments
     y_super = smat @ w_super
 
     covs = problem._norms(segments)
@@ -496,15 +472,12 @@ def _back_map(c, trace, problem, mats, smat, ids, metrics, m) -> Solution:
         y_blocks.append(mat @ w_b)
 
     return Solution(
-        v_super=sup.eigenvectors @ c,
         w_super=w_super,
         y_super=y_super,
         w_blocks=w_blocks,
         y_blocks=y_blocks,
         covs=covs,
         contributions=contributions(covs, m),
-        psi_final=trace.psi[-1],
-        fixed_point_residual=trace.fixed_point_residual,
         trace=trace,
         block_ranks=tuple(met.rank for met in metrics[:-1]),
     )

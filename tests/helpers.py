@@ -24,14 +24,42 @@ from rcpca import (
     SolverConfig,
     build_blockset,
     from_matrix,
-    sample_cov,
     sphere_maximize,
 )
-from rcpca.errors import BadStartError, InternalAssertionError, SingularGradientError
+from rcpca.errors import (
+    BadStartError,
+    DimensionError,
+    InternalAssertionError,
+    SingularGradientError,
+)
 from rcpca.metrics import DEFAULT_RANK_TOLERANCE
 
 M_GRID = (1.0, 1.5, 2.0, 3.0, 4.0)
 TAU_GRID = (0.0, 0.3, 1.0)
+
+
+def sample_cov(x: np.ndarray, y: np.ndarray) -> float:
+    """Sample covariance of two centered vectors, 1/n convention."""
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    if x.shape != y.shape:
+        raise DimensionError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
+    return float(x @ y) / x.shape[0]
+
+
+def component_matrix(solution):
+    """Block components side by side (n x B)."""
+    return np.column_stack(solution.y_blocks)
+
+
+def superblock_coordinates(solution, metric):
+    """The solution's unit iterate c in the coordinates of the superblock `metric`.
+
+    w_super = V_super diag(lambda_super^(-1/2)) c, so c is
+    diag(lambda_super^(1/2)) V_super'w_super, normalized against roundoff.
+    """
+    c = metric.eigenvalues**0.5 * (metric.eigenvectors.T @ solution.w_super)
+    return c / np.linalg.norm(c)
 
 
 def random_blockset(seed, b=None, n=None, js=None, scale=True, normalize=True):

@@ -21,6 +21,7 @@ import pytest
 
 from helpers import (
     M_GRID,
+    component_matrix,
     full_rank_blockset,
     latent_blockset,
     q_blocks,
@@ -31,6 +32,7 @@ from helpers import (
     reference_criterion,
     reference_gram,
     scaled_blockset,
+    superblock_coordinates,
     wide_blockset,
 )
 from rcpca import (
@@ -136,7 +138,7 @@ def test_covs_reproduce_psi_exactly(sweep):
     # the back-map reads cov_b off the segments that gave psi at the solution
     runs, failures = sweep
     mismatched = [
-        (scale, m) for scale, m, sol in runs if float((sol.covs**m).sum()) != sol.psi_final
+        (scale, m) for scale, m, sol in runs if float((sol.covs**m).sum()) != sol.trace.psi[-1]
     ]
     assert not failures and runs and not mismatched, mismatched
 
@@ -163,7 +165,7 @@ def test_criterion_03_eigen_oracle_m2():
                            init="random", seed=seed)
         sol = solve(bs, modes, cfg)
         # the eigenvector is in the superblock factor's coordinates
-        cos = abs((metrics[-1].eigenvectors @ vecs[:, -1]) @ sol.v_super)
+        cos = abs(vecs[:, -1] @ superblock_coordinates(sol, metrics[-1]))
         worst = min(worst, cos)
     ok = worst >= 1 - 1e-8
     report(3, "m=2 solution matches dense eigensolver (|cos| >= 1-1e-8)", ok,
@@ -181,7 +183,7 @@ def test_criterion_04_pca_identity_mode_a():
         y = sol.y_super
         for op in (
             bs.superblock @ (bs.superblock.T @ y),
-            sol.component_matrix @ (sol.component_matrix.T @ y),
+            component_matrix(sol) @ (component_matrix(sol).T @ y),
         ):
             lam = float(y @ op) / float(y @ y)
             worst = max(worst, float(np.linalg.norm(op - lam * y)) / lam)
@@ -212,7 +214,7 @@ def test_criterion_05_sumcor_global_optimum():
         for s in (np.array([i, j, k]) for i in (1, -1) for j in (1, -1) for k in (1, -1))
     )
     sol3 = solve(bs3, ModeSelector.uniform("B", "B", 3), cfg)
-    err_enum = abs(sol3.psi_final - np.sqrt(best_enum))
+    err_enum = abs(sol3.trace.psi[-1] - np.sqrt(best_enum))
 
     # two 2-column blocks: brute-force angle grid, step 1e-3 rad
     bs2 = full_rank_blockset(55, n=8, js=(2, 2))
@@ -225,14 +227,14 @@ def test_criterion_05_sumcor_global_optimum():
         best_cor = max(best_cor, float(a.max()))
     best_grid = 2.0 + 2.0 * best_cor
     sol2 = solve(bs2, ModeSelector.uniform("B", "B", 2), cfg)
-    err_grid = abs(sol2.psi_final**2 - best_grid)
+    err_grid = abs(sol2.trace.psi[-1]**2 - best_grid)
 
     # criterion value equals the root of the summed correlation matrix
     worst_identity = 0.0
     for sol in (sol3, sol2):
         ys = [y / np.linalg.norm(y) for y in sol.y_blocks]
         total = sum(float(a @ b) for a in ys for b in ys)
-        worst_identity = max(worst_identity, abs(sol.psi_final - np.sqrt(total)))
+        worst_identity = max(worst_identity, abs(sol.trace.psi[-1] - np.sqrt(total)))
 
     ok = err_enum <= 1e-3 and err_grid <= 1e-3 and worst_identity <= 1e-8
     report(5, "m=1 Mode B criterion matches brute-force SUMCOR maximum", ok,
@@ -287,7 +289,7 @@ def test_criterion_07_fixed_point_residuals():
         cfg = SolverConfig(m=p.m, epsilon=1e-12, max_iter=200_000)
         sol = solve(bs, modes, cfg)
         all_converged &= sol.trace.converged
-        worst_fp = max(worst_fp, sol.fixed_point_residual)
+        worst_fp = max(worst_fp, sol.trace.fixed_point_residual)
         metrics = build_metrics(bs, modes)
         worst_fp = max(worst_fp, stationary_residual(sol.y_super, bs, metrics, p.m))
         worst_stat = max(worst_stat, verify_stationary(p, sol, bs).residual)

@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rcpca import SolverConfig, build_blockset, extract, load_block, preset, sample_cov
+from helpers import sample_cov
+from rcpca import SolverConfig, build_blockset, extract, load_block, preset
 from rcpca.cli import _OPTIONS, RunConfig, _build_run_config, build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -213,6 +214,19 @@ class TestRun:
         code = run_demo(tmp_path / "o", "--max-iter", "1", "--epsilon", "1e-30",
                         "--init", "random", "--strict")
         assert code == 3
+
+    @pytest.mark.parametrize("extra, reason", [
+        (("--max-iter", "1", "--epsilon", "1e-30", "--init", "random"),
+         r"rank 1 reached max_iter \(1 iterations\)"),
+        # the psi increment falls below epsilon before the residual reaches its threshold
+        (("--preset", "hierarchical_pca", "--epsilon", "1e-20"),
+         r"rank 1 stopped after \d+ iterations with fixed-point residual \d\.\d{3}e-\d+ "
+         "above its threshold"),
+    ], ids=["max_iter", "residual"])
+    def test_non_convergence_names_the_stop_reason(self, tmp_path, capsys, extra, reason):
+        assert run_demo(tmp_path / "o", *extra) == 0
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"warning: did not converge: {reason}\n", err), err
 
     def test_init_file(self, tmp_path):
         vec = tmp_path / "v0.txt"

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcpca import build_blockset, dataset, from_matrix, load_block, sample_cov
+from helpers import sample_cov
+from rcpca import build_blockset, dataset, from_matrix, load_block
 from rcpca.dataset import _cell, _csv_table, _preprocess
 from rcpca.errors import (
     DataError,
@@ -172,7 +173,8 @@ class TestLoadBlock:
 
     def test_lone_carriage_return_in_a_stream(self):
         # a path is read with universal newlines; a stream keeps a lone \r inside its line
-        with pytest.raises(ParseError, match=r"^block 'block': row 3: new-line character seen"):
+        with pytest.raises(ParseError, match=r"^block 'block': row 3: a carriage return inside a row; "
+                                             r"save the file with one line ending per row$"):
             load_block(io.StringIO("x,y\n1,2\n3\r,4\n5,6\n"))
 
     def test_file_like_source(self):

@@ -10,10 +10,12 @@ from rcpca import (
     SolverConfig,
     build_blockset,
     deflate,
+    deflation,
     extract,
     from_matrix,
     solve,
 )
+from rcpca.errors import RankExhaustedError
 from rcpca.metrics import ShrinkageMetric
 
 CFG = SolverConfig(m=2.0, epsilon=1e-13, max_iter=50_000)
@@ -98,8 +100,8 @@ class TestDeflate:
 class TestExtract:
     @pytest.mark.parametrize("strategy", list(DeflationStrategy))
     def test_blocks_are_superblock_views_without_a_value_check(self, monkeypatch, strategy):
-        # the transform recognizes the concatenation by identity; only `own`
-        # ranks after the first need the product with the superblock image
+        # only `own` ranks after the first pass a separate superblock, and only
+        # there does the transform take the product with the superblock image
         images = []
         image = ShrinkageMetric.image
         monkeypatch.setattr(ShrinkageMetric, "image", lambda met, x: images.append(x) or image(met, x))
@@ -115,6 +117,30 @@ class TestExtract:
         assert len(images) == (2 if strategy is DeflationStrategy.OWN else 0)
         for got in (ms.solutions[0], sol):
             np.testing.assert_array_equal(got.y_super, expected.y_super)
+
+    @pytest.mark.parametrize("strategy", list(DeflationStrategy))
+    def test_annihilated_block_is_named(self, monkeypatch, strategy):
+        # Below the rank cap no real deflation gets here: a rank-one projection
+        # lowers a block's rank by at most one. So the deflation that writes
+        # block 'b2' (3 columns; 2:5 of the 9 superblock columns) zeroes it.
+        def zeroing(fn):
+            def call(x, q, out=None):
+                res = fn(x, q, out)
+                res = out if res is None else res  # _deflate_loading only writes out
+                # all 9 superblock columns (global's blocks, own's superblock) or b2's own 3
+                cols = {9: slice(2, 5), 3: slice(None)}.get(res.shape[1])
+                if cols is not None:
+                    res[:, cols] = 0.0
+                return res
+            return call
+
+        monkeypatch.setattr(deflation, "deflate", zeroing(deflation.deflate))
+        monkeypatch.setattr(deflation, "_deflate_loading", zeroing(deflation._deflate_loading))
+        bs = random_blockset(14, b=3, n=20, js=[2, 3, 4])
+        with pytest.raises(RankExhaustedError, match=(
+            r"^block 'b2' was annihilated after 1 components; achievable rank is 1$"
+        )):
+            extract(bs, ModeSelector.uniform("A", "A", 3), CFG, 2, strategy)
 
     def test_rank_one_equals_plain_solve(self):
         bs = random_blockset(1, b=3, n=15, js=[3, 2, 4])

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from helpers import full_rank_blockset, latent_blockset
+from helpers import component_matrix, full_rank_blockset, latent_blockset
 from rcpca import (
     ModeSelector,
     SolverConfig,
@@ -145,12 +147,7 @@ class TestVerifyStationary:
         rng = np.random.default_rng(0)
         y = rng.standard_normal(bs.n)
         y -= y.mean()
-        hacked = type(sol)(
-            v_super=sol.v_super, w_super=sol.w_super, y_super=y,
-            w_blocks=sol.w_blocks, y_blocks=sol.y_blocks, covs=sol.covs,
-            contributions=sol.contributions, psi_final=sol.psi_final,
-            fixed_point_residual=sol.fixed_point_residual, trace=sol.trace,
-        )
+        hacked = dataclasses.replace(sol, y_super=y)
         assert verify_stationary(p, hacked, bs).residual > 0.01
 
     def test_blank_grid_row_is_unsupported(self):
@@ -171,7 +168,7 @@ class TestPresetEquivalences:
         y = sol.y_super
         for op in (
             bs.superblock @ (bs.superblock.T @ y),
-            sol.component_matrix @ (sol.component_matrix.T @ y),
+            component_matrix(sol) @ (component_matrix(sol).T @ y),
         ):
             lam = (y @ op) / (y @ y)
             assert np.linalg.norm(op - lam * y) / lam <= 1e-6

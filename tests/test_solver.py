@@ -7,6 +7,7 @@ from helpers import (
     M_GRID,
     TAU_GRID,
     collinear_blockset,
+    component_matrix,
     factor_power,
     full_rank_blockset,
     latent_blockset,
@@ -22,7 +23,9 @@ from helpers import (
     reference_q_blocks,
     reference_solve,
     reference_stationary_image,
+    sample_cov,
     scaled_blockset,
+    superblock_coordinates,
     superblock_from_block_components,
     wide_blockset,
 )
@@ -37,7 +40,6 @@ from rcpca import (
     contributions,
     deflate,
     from_matrix,
-    sample_cov,
     solve,
     solve_matrices,
     sphere_maximize,
@@ -46,6 +48,7 @@ from rcpca import (
 from rcpca.errors import (
     AllStartsFailedError,
     BadStartError,
+    DimensionError,
     NonContributingBlockError,
     SingularGradientError,
     UndefinedContributionsError,
@@ -160,20 +163,6 @@ class TestTransformSources:
                     problem = transform(bs, metrics, 2.0)
                     assert_matches_reference_q(problem, mats, bs.superblock, metrics)
 
-    def test_copied_superblock_solves_bit_for_bit(self):
-        for seed in range(5):
-            bs = random_blockset(seed)
-            modes = random_modes(seed, bs)
-            cfg = SolverConfig(m=random_m(seed), epsilon=1e-12)
-            mats = [b.matrix for b in bs.blocks]
-            a = solve(bs, modes, cfg)
-            b = solve_matrices(mats, bs.superblock.copy(), modes, cfg, ids=bs.ids)
-            assert a.trace.psi == b.trace.psi
-            for name in ("v_super", "w_super", "y_super", "covs", "contributions"):
-                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-            for wa, wb in zip(a.w_blocks + a.y_blocks, b.w_blocks + b.y_blocks):
-                np.testing.assert_array_equal(wa, wb)
-
     def test_own_ranks_use_the_product_and_match_reference(self):
         # rank 2 of `own` deflation: blocks on their own components, superblock on its own
         for seed in range(20):
@@ -184,19 +173,20 @@ class TestTransformSources:
             smat = deflate(bs.superblock, sol.y_super)
             metrics = [build_metric(x, tau) for x, tau in zip(mats, modes.block_taus)]
             metrics.append(build_metric(smat, modes.superblock_tau))
-            problem = _transform(mats, smat, bs.ids, metrics, 2.0)
+            widths = [x.shape[1] for x in mats]
+            problem = _transform(np.hstack(mats), widths, bs.ids, metrics, 2.0, superblock=smat)
             assert_matches_reference_q(problem, mats, smat, metrics)
 
     def test_both_sources_agree_on_the_same_input(self):
-        # one ulp on one superblock entry sends the transform down the product
+        # a superblock passed separately takes the product, even when it is the concatenation
         for seed in range(10):
             bs = wide_blockset(seed) if seed % 2 else random_blockset(seed)
             modes = random_modes(seed, bs)
             metrics = build_metrics(bs, modes)
-            mats = [b.matrix for b in bs.blocks]
-            smat = bs.superblock.copy()
-            smat[0, 0] = np.nextafter(smat[0, 0], np.inf)
-            product = _transform(mats, smat, bs.ids, metrics, 2.0).stacked
+            widths = [b.n_vars for b in bs.blocks]
+            product = _transform(
+                bs.superblock, widths, bs.ids, metrics, 2.0, superblock=bs.superblock
+            ).stacked
             assert_q_close(transform(bs, metrics, 2.0).stacked, product, metrics)
 
     def test_non_contributing_block_on_both_sources(self):
@@ -211,7 +201,21 @@ class TestTransformSources:
         x, o = good.matrix, other.matrix
         smat = x - o @ np.linalg.lstsq(o, x, rcond=None)[0]
         with pytest.raises(NonContributingBlockError, match="block 'other'"):
-            solve_matrices([x, o], smat, modes, SolverConfig(), ids=["good", "other"])
+            solve_matrices(np.hstack([x, o]), [2, 2], modes, SolverConfig(),
+                           ids=["good", "other"], superblock=smat)
+
+    @pytest.mark.parametrize("widths, superblock_rows, message", [
+        ([2, 2], 6, r"widths \[2, 2\] must be >= 1 and sum to 5"),
+        ([5, 0], 6, r"widths \[5, 0\] must be >= 1 and sum to 5"),
+        ([2, 3], 7, "superblock has 7 rows, not 6"),
+    ])
+    def test_solve_matrices_checks_its_arguments(self, widths, superblock_rows, message):
+        rng = np.random.default_rng(0)
+        blocks = rng.standard_normal((6, 5))
+        superblock = rng.standard_normal((superblock_rows, 5))
+        with pytest.raises(DimensionError, match=f"^{message}$"):
+            solve_matrices(blocks, widths, ModeSelector.uniform("A", "A", 2), SolverConfig(),
+                           superblock=superblock)
 
     def test_back_map_names_an_uncorrelated_block_by_id(self):
         # exactly orthogonal blocks; the start lies in the first one and stays there
@@ -408,7 +412,7 @@ class TestThinFactor:
                     cfg = SolverConfig(m=m, epsilon=1e-12, max_iter=20_000)
                     sol = solve(bs, modes, cfg)
                     psi_ref, y_ref = reference_solve(bs, modes, m, epsilon=1e-12, max_iter=20_000)
-                    assert abs(sol.psi_final - psi_ref[-1]) <= 1e-10 * psi_ref[-1]
+                    assert abs(sol.trace.psi[-1] - psi_ref[-1]) <= 1e-10 * psi_ref[-1]
                     cos = abs(sol.y_super @ y_ref) / (
                         np.linalg.norm(sol.y_super) * np.linalg.norm(y_ref)
                     )
@@ -532,7 +536,7 @@ class TestSolve:
         np.testing.assert_allclose(sol.y_super, [np.sqrt(2.0), -np.sqrt(2.0)], atol=1e-8)
         np.testing.assert_allclose(sol.covs, [np.sqrt(2.0)] * 2, atol=1e-8)
         np.testing.assert_allclose(sol.contributions, [0.5, 0.5], atol=1e-10)
-        assert sol.psi_final == pytest.approx(4.0, abs=1e-9)
+        assert sol.trace.psi[-1] == pytest.approx(4.0, abs=1e-9)
 
     def test_sign_flipped_block_keeps_contributions(self):
         x = np.array([[1.0], [-1.0]])
@@ -564,7 +568,6 @@ class TestSolve:
             metrics = build_metrics(bs, modes)
             for w, met in zip(sol.w_blocks + [sol.w_super], metrics):
                 assert w @ factor_power(met, 1.0) @ w == pytest.approx(1.0, abs=1e-8)
-            assert np.linalg.norm(sol.v_super) == pytest.approx(1.0, abs=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6))
@@ -606,7 +609,7 @@ class TestSolve:
             vals, vecs = np.linalg.eigh(reference_gram(q_blocks(problem)))
             if (vals[-1] - vals[-2]) / vals[-1] < 1e-3:
                 continue
-            cos = abs((metrics[-1].eigenvectors @ vecs[:, -1]) @ sol.v_super)
+            cos = abs(vecs[:, -1] @ superblock_coordinates(sol, metrics[-1]))
             assert cos >= 1 - 1e-8
 
 
@@ -618,7 +621,7 @@ class TestBackMapping:
         sol = solve(bs, modes, cfg)
         ys = [y / np.sqrt(sample_cov(y, y)) for y in sol.y_blocks]
         total = sum(sample_cov(a, b) for a in ys for b in ys)
-        assert sol.psi_final == pytest.approx(np.sqrt(total), abs=1e-8)
+        assert sol.trace.psi[-1] == pytest.approx(np.sqrt(total), abs=1e-8)
 
     def test_superblock_is_sum_of_components_m1_mode_b(self):
         bs = latent_blockset(22)
@@ -644,7 +647,7 @@ class TestBackMapping:
         modes = ModeSelector.uniform("A", "B", bs.n_blocks)
         cfg = SolverConfig(m=2.0, epsilon=1e-14, max_iter=50_000)
         sol = solve(bs, modes, cfg)
-        yy = sol.component_matrix @ sol.component_matrix.T
+        yy = component_matrix(sol) @ component_matrix(sol).T
         image = yy @ sol.y_super
         lam = (sol.y_super @ image) / (sol.y_super @ sol.y_super)
         assert np.linalg.norm(image - lam * sol.y_super) / lam <= 1e-8
@@ -654,7 +657,7 @@ class TestBackMapping:
         modes = ModeSelector.uniform("A", "A", 3)
         cfg = SolverConfig(m=2.0, epsilon=1e-14)
         sol = solve(bs, modes, cfg)
-        yy = sol.component_matrix @ sol.component_matrix.T @ sol.y_super
+        yy = component_matrix(sol) @ component_matrix(sol).T @ sol.y_super
         xx = bs.superblock @ (bs.superblock.T @ sol.y_super)
         np.testing.assert_allclose(yy, xx, atol=1e-8)
 
@@ -666,7 +669,7 @@ class TestBackMapping:
         metrics = build_metrics(bs, modes)
         r_orig = stationary_residual(sol.y_super, bs, metrics, 2.0)
         assert r_orig <= 1e-6
-        assert abs(r_orig - sol.fixed_point_residual) <= 1e-8
+        assert abs(r_orig - sol.trace.fixed_point_residual) <= 1e-8
 
     def test_shrinkage_solution_satisfies_expanded_fixed_point(self):
         # raw-numpy re-derivation of the whole back-mapping, independent of
@@ -705,7 +708,7 @@ class TestBackMapping:
         rhs = s_mat @ np.linalg.solve(ms, s_mat.T @ z)
         rhs /= np.linalg.norm(inv_sqrt(ms) @ (s_mat.T @ z))
         assert np.linalg.norm(rhs - y) / np.linalg.norm(y) <= 1e-8
-        assert sol.psi_final == pytest.approx(sum(c**m for c in sol.covs), abs=1e-12)
+        assert sol.trace.psi[-1] == pytest.approx(sum(c**m for c in sol.covs), abs=1e-12)
 
     def test_random_component_is_not_stationary(self):
         bs = random_blockset(26, b=3, n=14, js=[2, 2, 3])

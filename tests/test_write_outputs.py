@@ -24,17 +24,14 @@ from rcpca.cli import RunConfig, _write_csv, _write_outputs
 GOLDEN = Path(__file__).resolve().parent / "golden" / "write_outputs"
 
 
-def _solution(y_blocks, y_super, w_blocks, w_super, covs, contributions, psi, trace):
+def _solution(y_blocks, y_super, w_blocks, w_super, covs, contributions, trace):
     return Solution(
-        v_super=np.asarray(w_super),
         w_super=np.asarray(w_super),
         y_super=np.asarray(y_super),
         w_blocks=[np.asarray(w) for w in w_blocks],
         y_blocks=[np.asarray(y) for y in y_blocks],
         covs=np.asarray(covs),
         contributions=np.asarray(contributions),
-        psi_final=psi,
-        fixed_point_residual=trace.fixed_point_residual,
         trace=trace,
     )
 
@@ -61,7 +58,6 @@ def write_case(out_dir: Path) -> None:
         w_super=[1.0 / 3.0, -0.0, 1e-300, -0.987654321098765],
         covs=[0.314159265358979, -2.71828182845905e-7],
         contributions=[0.999999999999, 1.0e-12],
-        psi=0.234567890123457,
         trace=SolverTrace(
             psi=[0.1, 0.2345678901234, 0.234567890123457],
             step_norm=[0.5, 1.23456789012345e-7],
@@ -78,7 +74,6 @@ def write_case(out_dir: Path) -> None:
         w_super=[0.6, -0.8, 0.0, 1e-300],
         covs=[0.0, 0.0625],
         contributions=[0.0, 1.0],
-        psi=0.015625,
         trace=SolverTrace(
             psi=[0.0078125, 0.015625],
             step_norm=[0.123456789012],
