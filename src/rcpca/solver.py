@@ -27,7 +27,9 @@ is one matvec and the gradient one more transposed matvec; with segments
 P_b' it also gives the direction of the stationary image that
 `stationary_residual` checks. The iteration is scale-invariant, and the
 solver's slacks are relative to psi; the monotone, step-bound and sandwich
-checks run at every iteration. A solve is deterministic given its
+checks run at every iteration. The eigen start is the top eigenvector of S'S
+from a dense eigh below a size gate, else from block Lanczos within a basis
+budget, falling back to the eigh. A solve is deterministic given its
 configuration and never modifies the problem it reads.
 """
 
@@ -55,6 +57,10 @@ from .metrics import ModeSelector, ShrinkageMetric, build_metric
 _MONOTONE_TOL = 1e-12
 # roundoff slack of the step bound, and of zero tests relative to their inputs
 _ROUNDOFF_TOL = 1e-14
+# The eigen start takes block Lanczos from this superblock rank on, and the dense
+# eigh once the basis would pass dim // 8 vectors (crossover: ROADMAP item 6)
+_LANCZOS_MIN_DIM = 256
+_LANCZOS_BUDGET_DIVISOR = 8
 
 
 class TransformedProblem:
@@ -110,10 +116,11 @@ class TransformedProblem:
 class SolverConfig:
     """Knobs of one solve.
 
-    init is "eigen" (dominant eigenvector of sum(Q_b'Q_b)), "random"
-    (seeded draw, uniform on the sphere) or an explicit start vector; a
-    random or explicit start is J_super long and is projected onto the
-    superblock factor's coordinates.
+    init is "eigen" (dominant eigenvector of sum(Q_b'Q_b): a dense eigh below
+    a superblock rank of 256, else block Lanczos within a basis budget, with
+    the eigh as fallback), "random" (seeded draw, uniform on the sphere) or an
+    explicit start vector; a random or explicit start is J_super long and is
+    projected onto the superblock factor's coordinates.
     Additional starts beyond the first are random with seeds seed+1,
     seed+2, ... and the winner is the largest criterion value (ties keep
     the earliest start).
@@ -235,8 +242,31 @@ def _transform(whole, widths, ids, metrics, m, superblock=None) -> TransformedPr
 
 
 def _eigen_start(problem: TransformedProblem) -> tuple[np.ndarray, bool]:
-    """Dominant eigenvector of sum_b Q_b'Q_b, and whether it is numerically multiple."""
-    vals, vecs = np.linalg.eigh(problem.stacked.T @ problem.stacked)
+    """Dominant eigenvector of S'S = sum_b Q_b'Q_b, and whether it is numerically multiple.
+
+    From the size gate on: block Lanczos of width 2 on S'(S V) from a fixed
+    Gaussian block, two Gram-Schmidt passes per block, until the top Ritz
+    residual is at most 1e-14 * theta_1; theta_1 - theta_2 decides the flag.
+    Below the gate, or once the basis would pass its budget, the dense eigh.
+    """
+    s, dim = problem.stacked, problem.dim
+    if dim >= _LANCZOS_MIN_DIM:
+        cap = dim // _LANCZOS_BUDGET_DIVISOR
+        basis, image = np.empty((dim, cap + 2), order="F"), np.empty((dim, cap), order="F")
+        gram = np.zeros((cap, cap))  # lower triangle of basis'S'S basis, the part eigh reads
+        basis[:, :2] = np.linalg.qr(np.random.default_rng(0).standard_normal((dim, 2)))[0]
+        for k in range(2, cap + 1, 2):
+            image[:, k - 2:k] = s.T @ (s @ basis[:, k - 2:k])
+            gram[k - 2:k, :k] = image[:, k - 2:k].T @ basis[:, :k]
+            vals, vecs = np.linalg.eigh(gram[:k, :k])
+            x, top = basis[:, :k] @ vecs[:, -1], vals[-1]
+            if np.linalg.norm(image[:, :k] @ vecs[:, -1] - top * x) <= _ROUNDOFF_TOL * top:
+                return x, bool(top - vals[-2] <= 1e-12 * top)
+            block = image[:, k - 2:k]
+            for _ in range(2):
+                block = np.linalg.qr(block - basis[:, :k] @ (basis[:, :k].T @ block))[0]
+            basis[:, k:k + 2] = block
+    vals, vecs = np.linalg.eigh(s.T @ s)
     v = vecs[:, -1].copy()
     degenerate = vals.size > 1 and (vals[-1] - vals[-2]) <= 1e-12 * vals[-1]
     return v, degenerate

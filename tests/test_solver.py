@@ -429,6 +429,52 @@ class TestThinFactor:
                 )
 
 
+def many_block_problem(scale):
+    """40 Mode A blocks of 8 columns on 400 rows sharing 3 factors: r_super = 320."""
+    rng = np.random.default_rng(12)
+    f = rng.standard_normal((400, 3)) * [1.0, 0.5, 0.3]
+    blocks = []
+    for b in range(40):
+        x = f @ rng.standard_normal((3, 8)) + rng.standard_normal((400, 8))
+        blocks.append(from_matrix(f"b{b + 1}", scale * x, scale=False))
+    bs = build_blockset(blocks)
+    return transform(bs, build_metrics(bs, ModeSelector.uniform("A", "B", 40)), 2.0)
+
+
+def spectrum_blockset(eigenvalues, n=420):
+    """One centred block whose Gram X'X/n has exactly these eigenvalues.
+
+    Under Mode A with a Mode B superblock, S'S = diag(eigenvalues) in the
+    superblock factor's coordinates.
+    """
+    rng = np.random.default_rng(3)
+    d = len(eigenvalues)
+    g = rng.standard_normal((n, d))
+    u = np.linalg.qr(g - g.mean(axis=0))[0]  # orthonormal columns orthogonal to 1
+    v = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    x = (u * np.sqrt(n * np.asarray(eigenvalues))) @ v.T
+    return build_blockset([from_matrix("x", x, scale=False)])
+
+
+def eigh_sizes(monkeypatch):
+    """Record the order of every matrix np.linalg.eigh factors from now on."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return sizes
+
+
+def top_gap_spectrum(gap, d=400):
+    """lambda_1 = 1, lambda_2 = 1 - gap and the rest uniform in [0.05, 0.5]."""
+    rest = np.random.default_rng(9).uniform(0.05, 0.5, d - 2)
+    return np.concatenate([[1.0, 1.0 - gap], rest])
+
+
 class TestInitV:
     def test_eigen_start_diagonal(self):
         problem = problem_from_qs([np.diag([2.0, 1.0])], m=2.0)
@@ -452,6 +498,51 @@ class TestInitV:
         problem = problem_from_qs([np.array([[1.0, 0.0]])], m=2.0)
         with pytest.raises(BadStartError):
             _given_start(problem, np.eye(2), np.array([0.0, 1.0]))
+
+    # at or above the size gate: block Lanczos, with the dense eigh as fallback
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-20, 1e20])
+    def test_krylov_start_agrees_with_dense(self, scale, monkeypatch):
+        problem = many_block_problem(scale)
+        assert problem.dim >= 256
+        vals, vecs = np.linalg.eigh(problem.stacked.T @ problem.stacked)
+        sizes = eigh_sizes(monkeypatch)
+        v, degenerate = _eigen_start(problem)
+        assert max(sizes) < problem.dim  # the Krylov route ran, not the dense eigh
+        assert 1.0 - abs(v @ vecs[:, -1]) <= 1e-12
+        assert degenerate == bool(vals[-1] - vals[-2] <= 1e-12 * vals[-1])
+
+    def test_krylov_start_is_deterministic(self):
+        problem = many_block_problem(1.0)
+        v1, _ = _eigen_start(problem)
+        v2, _ = _eigen_start(problem)
+        np.testing.assert_array_equal(v1, v2)
+
+    @pytest.mark.parametrize("gap, multiple", [(0.0, True), (1e-6, False)])
+    def test_krylov_start_double_top_eigenvalue(self, gap, multiple, monkeypatch):
+        bs = spectrum_blockset(top_gap_spectrum(gap))
+        modes = ModeSelector.uniform("A", "B", 1)
+        problem = transform(bs, build_metrics(bs, modes), 2.0)
+        assert problem.dim == 400
+        sizes = eigh_sizes(monkeypatch)
+        v, degenerate = _eigen_start(problem)
+        assert max(sizes) < problem.dim
+        assert degenerate == multiple
+        assert np.linalg.norm(v[2:]) <= 1e-12  # in the top eigenspace, coordinates 0 and 1
+        monkeypatch.undo()
+        sol = solve(bs, modes, SolverConfig(m=2.0))
+        assert any("numerically multiple" in w for w in sol.trace.warnings) == multiple
+
+    def test_krylov_start_exhausted_budget_returns_the_dense_result(self):
+        # lambda_2 / lambda_1 = 0.99 over a bulk packed just below: Lanczos
+        # needs about 200 vectors at d = 400, past the budget of 50
+        lam = np.concatenate([[1.0, 0.99], np.random.default_rng(5).uniform(0.0, 0.99, 398)])
+        bs = spectrum_blockset(lam)
+        problem = transform(bs, build_metrics(bs, ModeSelector.uniform("A", "B", 1)), 2.0)
+        vals, vecs = np.linalg.eigh(problem.stacked.T @ problem.stacked)
+        v, degenerate = _eigen_start(problem)
+        np.testing.assert_array_equal(v, vecs[:, -1])
+        assert not degenerate
 
 
 class TestIterate:
