@@ -20,15 +20,10 @@ import numpy as np
 from . import __version__
 from .dataset import BlockSet, build_blockset, load_block
 from .deflation import DeflationStrategy, MultiSolution, extract
-from .errors import (
-    BadStartError,
-    ConfigError,
-    DataError,
-    InternalAssertionError,
-    RcpcaError,
-)
+from .errors import ConfigError, DataError, InternalAssertionError, RcpcaError
 from .metrics import ModeSelector
 from .methods import (
+    MODE_LABEL,
     RELATED_FIXED_POINT_METHODS,
     MethodPreset,
     guide,
@@ -54,12 +49,12 @@ class RunConfig:
     scale: str = "none"
     delimiter: str = "comma"
     id_column: bool = False
-    epsilon: float = 1e-10
-    max_iter: int = 10_000
-    init: str = "eigen"
+    epsilon: float = SolverConfig.epsilon
+    max_iter: int = SolverConfig.max_iter
+    init: str = SolverConfig.init
     init_file: str | None = None
-    seed: int = 0
-    starts: int = 1
+    seed: int = SolverConfig.seed
+    starts: int = SolverConfig.n_starts
     deflate: str = "global"
     components: int = 1
     out: str = "rcpca_out"
@@ -137,7 +132,7 @@ _OPTIONS = {
     "id_column": _Option("id_column", _bool, None, "first column holds row identifiers"),
     "epsilon": _Option("epsilon", float, None,
                        "convergence threshold: absolute bound on the per-iteration "
-                       "psi increment, at covariance scale (default 1e-10)"),
+                       f"psi increment, at covariance scale (default {SolverConfig.epsilon:g})"),
     "max_iter": _Option("max_iter", int, None, "iteration cap"),
     "init": _Option("init", str, ("eigen", "random", "file"), "start vector"),
     "init_file": _Option("init_file", str, None, "file with the start vector"),
@@ -446,11 +441,7 @@ def _guide_items():
 
 
 def _mode_name(tau: float) -> str:
-    if tau == 1.0:
-        return "A"
-    if tau == 0.0:
-        return "B"
-    return f"shrinkage {tau:g}"
+    return MODE_LABEL.get(tau, f"shrinkage {tau:g}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -487,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, BadStartError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except DataError as exc:

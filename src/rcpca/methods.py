@@ -23,7 +23,7 @@ from .errors import CatalogError, SingularGradientError, UnsupportedVerification
 from .metrics import ModeSelector
 from .solver import Solution
 
-_MODE_LABEL = {1.0: "A", 0.0: "B"}
+MODE_LABEL = {1.0: "A", 0.0: "B"}
 
 
 @dataclass(frozen=True)
@@ -228,7 +228,7 @@ def verify_stationary(
             "generic fixed-point residual instead"
         )
     modes = preset.selector(blockset.n_blocks)
-    labels = [_MODE_LABEL.get(tau) for tau in (*modes.block_taus, modes.superblock_tau)]
+    labels = [MODE_LABEL.get(tau) for tau in (*modes.block_taus, modes.superblock_tau)]
     if None in labels:
         raise UnsupportedVerificationError(
             f"preset {preset.name!r} uses fractional shrinkage; no published "

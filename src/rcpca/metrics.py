@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Block, BlockSet
+from .dataset import BlockSet
 from .errors import DataError, DimensionError, ModeBInfeasibleError
 
 DEFAULT_RANK_TOLERANCE = 1e-10
@@ -97,17 +97,8 @@ class ShrinkageMetric:
         return (self.eigenvectors * self.eigenvalues**-0.5).T @ x.T
 
 
-def _as_matrix(data) -> np.ndarray:
-    if isinstance(data, Block):
-        return data.matrix
-    x = np.asarray(data, dtype=float)
-    if x.ndim != 2:
-        raise DimensionError("expected an n x J matrix")
-    return x
-
-
 def build_metric(data, tau: float) -> ShrinkageMetric:
-    """Construct the shrinkage metric of a block (or raw matrix).
+    """Construct the shrinkage metric of a centered n x J matrix.
 
     The factor is the eigendecomposition of X'X/n when J <= n, and of
     XX'/n = U diag(s^2/n) U' otherwise, with V = X'U/s. Gram eigenvalues at
@@ -123,7 +114,9 @@ def build_metric(data, tau: float) -> ShrinkageMetric:
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    x = _as_matrix(data)
+    x = np.asarray(data, dtype=float)
+    if x.ndim != 2:
+        raise DimensionError("expected an n x J matrix")
     n, j = x.shape
     wide = j > n
     gram = (x @ x.T if wide else x.T @ x) / n

@@ -118,12 +118,15 @@ class SolverConfig:
 
     init is "eigen" (dominant eigenvector of sum(Q_b'Q_b): a dense eigh below
     a superblock rank of 256, else block Lanczos within a basis budget, with
-    the eigh as fallback), "random" (seeded draw, uniform on the sphere) or an
-    explicit start vector; a random or explicit start is J_super long and is
-    projected onto the superblock factor's coordinates.
+    the eigh as fallback), "random" (Gaussian draw with this seed) or an
+    explicit start vector. A random or explicit start is J_super long; it is
+    projected onto the superblock factor's coordinates, and sphere_maximize
+    normalizes it there and rejects it (BadStartError) when the projection
+    is zero or the criterion is not positive at it.
     Additional starts beyond the first are random with seeds seed+1,
     seed+2, ... and the winner is the largest criterion value (ties keep
-    the earliest start).
+    the earliest start). When every start fails, the solve raises
+    AllStartsFailedError naming the last failure.
 
     epsilon is an absolute threshold on the psi increment of one
     iteration, at the covariance scale: the solve stops once psi rises by
@@ -272,28 +275,22 @@ def _eigen_start(problem: TransformedProblem) -> tuple[np.ndarray, bool]:
     return v, degenerate
 
 
-def _random_start(problem: TransformedProblem, basis: np.ndarray, seed: int) -> np.ndarray:
-    """Seeded draw, uniform on the J-sphere, projected onto the basis."""
-    rng = np.random.default_rng(seed)
-    for _ in range(100):
-        c = basis.T @ rng.standard_normal(basis.shape[0])
-        nrm = np.linalg.norm(c)
-        if nrm > 0.0 and problem.value(c / nrm) > 0.0:
-            return c / nrm
-    raise BadStartError("could not draw a start with positive criterion value")
+def _start(basis: np.ndarray, config: SolverConfig, k: int) -> np.ndarray:
+    """Start k projected onto the basis: the explicit init at k = 0, else a seeded draw.
 
-
-def _given_start(problem: TransformedProblem, basis: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    v = np.asarray(vec, dtype=float).ravel()
-    if v.shape[0] != basis.shape[0]:
-        raise DimensionError(f"start vector has length {v.shape[0]}, expected {basis.shape[0]}")
-    if np.linalg.norm(v) == 0.0:
-        raise BadStartError("start vector is zero")
-    c = basis.T @ v
-    nrm = np.linalg.norm(c)
-    if not (nrm > 0.0 and problem.value(c / nrm) > 0.0):
-        raise BadStartError("criterion is zero at the given start vector")
-    return c / nrm
+    The draw is standard Gaussian with seed config.seed + k, and so is its
+    projection, which sphere_maximize normalizes to a uniform point on the
+    sphere. sphere_maximize is also what rejects a start with no positive
+    criterion.
+    """
+    if k == 0 and not isinstance(config.init, str):
+        v = np.asarray(config.init, dtype=float).ravel()
+        if v.shape[0] != basis.shape[0]:
+            raise DimensionError(
+                f"start vector has length {v.shape[0]}, expected {basis.shape[0]}"
+            )
+        return basis.T @ v
+    return basis.T @ np.random.default_rng(config.seed + k).standard_normal(basis.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -435,20 +432,15 @@ def solve_matrices(
     last_failure: Exception | None = None
     for k in range(config.n_starts):
         try:
-            if k == 0:
-                if isinstance(config.init, np.ndarray):
-                    c0 = _given_start(problem, basis, config.init)
-                elif config.init == "eigen":
-                    c0, degenerate = _eigen_start(problem)
-                    if degenerate:
-                        warnings.append(
-                            "top eigenvalue of the start operator is numerically "
-                            "multiple; the iterate sequence may not be unique"
-                        )
-                else:
-                    c0 = _random_start(problem, basis, config.seed)
+            if k == 0 and isinstance(config.init, str) and config.init == "eigen":
+                c0, degenerate = _eigen_start(problem)
+                if degenerate:
+                    warnings.append(
+                        "top eigenvalue of the start operator is numerically "
+                        "multiple; the iterate sequence may not be unique"
+                    )
             else:
-                c0 = _random_start(problem, basis, config.seed + k)
+                c0 = _start(basis, config, k)
             c, trace = sphere_maximize(problem, config, c0, config.m)
         except (SingularGradientError, BadStartError) as exc:
             last_failure = exc

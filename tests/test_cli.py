@@ -194,6 +194,26 @@ class TestRun:
         overridden = _build_run_config(args)
         assert (overridden.seed, overridden.tau, overridden.strict) == (9, [0.1], True)
 
+    @pytest.mark.parametrize("text, message", [
+        ("blocks\n", "{cfg}:1: expected 'key = value'"),
+        ("# comment\n\nstrict = maybe\n", "config key 'strict': expected a boolean, got 'maybe'"),
+    ], ids=["no_equals_sign", "unreadable_boolean"])
+    def test_config_line_faults(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message.format(cfg=cfg)}\n"
+
+    def test_config_booleans_read_off(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("id_column = OFF\nstrict = off\n")
+        config = _build_run_config(build_parser().parse_args(["run", "--config", str(cfg)]))
+        assert (config.id_column, config.strict) == (False, False)
+        config = _build_run_config(
+            build_parser().parse_args(["run", "--config", str(cfg), "--strict"])
+        )
+        assert (config.id_column, config.strict) == (False, True)
+
     @pytest.mark.parametrize("line", ["tau = a,b", "seed = x"])
     def test_unparsable_config_value(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
@@ -232,6 +252,18 @@ class TestRun:
         vec = tmp_path / "v0.txt"
         vec.write_text("\n".join(["0.3"] * 9) + "\n")
         assert run_demo(tmp_path / "o", "--init", "file", "--init-file", str(vec)) == 0
+
+    @pytest.mark.parametrize("text, message", [
+        ("1\nx\n", "data error: start-vector file {vec} must hold numbers"),
+        ("0\n" * 9, "error: every start failed; last failure: start vector is zero"),
+        ("1\n2\n3\n", "data error: start vector has length 3, expected 9"),
+    ], ids=["not_numeric", "all_zero", "wrong_length"])
+    def test_start_file_faults_exit_2(self, tmp_path, capsys, text, message):
+        vec = tmp_path / "v0.txt"
+        vec.write_text(text)
+        assert run_demo(tmp_path / "o", "--init", "file", "--init-file", str(vec)) == 2
+        assert capsys.readouterr().err == message.format(vec=vec) + "\n"
+        assert not (tmp_path / "o").exists()
 
     def test_internal_assertion_exits_4(self, tmp_path, monkeypatch):
         import rcpca.cli as cli
@@ -308,7 +340,9 @@ class TestRun:
          (("--max-iter", "0"), "--max-iter must be at least 1"),
          (("--epsilon", "0"), "--epsilon must be positive, got 0.0"),
          (("--epsilon", "-1"), "--epsilon must be positive, got -1.0"),
-         (("--init", "random", "--seed", "-1"), "--seed must be non-negative, got -1")],
+         (("--init", "random", "--seed", "-1"), "--seed must be non-negative, got -1"),
+         (("--init", "file"), "--init file needs --init-file PATH"),
+         (("--components", "0"), "--components must be at least 1")],
     )
     def test_solver_values_are_checked(self, tmp_path, capsys, extra, message):
         assert run_demo(tmp_path / "o", *extra) == 1
@@ -329,6 +363,40 @@ class TestRun:
         err = capsys.readouterr().err
         assert err == f"configuration error: --m must be a finite number >= 1, got {shown}\n"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--preset", "consensus_pca"], "no block files given (--blocks f1.csv,f2.csv)"),
+        (["--blocks", DEMO_BLOCKS, "--ids", "process", "--preset", "consensus_pca"],
+         "1 ids for 2 block files"),
+        (["--blocks", DEMO_BLOCKS, "--tau", "1", "--tau-super", "1"],
+         "pass either --preset or an explicit --m with --tau/--tau-super"),
+        (["--blocks", DEMO_BLOCKS, "--m", "2", "--tau", "1,1,1", "--tau-super", "1"],
+         "3 tau values for 2 blocks"),
+        (["--blocks", DEMO_BLOCKS, "--m", "2", "--tau", "1.5", "--tau-super", "1"],
+         "tau must lie in [0, 1], got 1.5"),
+        (["--blocks", DEMO_BLOCKS, "--m", "2", "--tau", "1", "--tau-super", "-0.5"],
+         "tau must lie in [0, 1], got -0.5"),
+    ], ids=["no_blocks", "ids_count", "no_preset_no_m", "tau_count", "tau_above_1",
+            "tau_super_below_0"])
+    def test_run_specification_faults_exit_1(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "o"
+        assert main(["run", *argv, "--id-column", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
+    def test_extract_warnings_go_to_stderr(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["run", "--blocks", DEMO_BLOCKS, "--id-column", "--scale", "unit",
+                     "--preset", "hierarchical_pca", "--deflate", "own", "--components", "9",
+                     "--out", str(out)])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "warning: requested 9 components but the smallest block rank is 4; returning 4\n"
+            "warning: own-component deflation with a Mode B superblock: orthogonality "
+            "guarantees are weakened; inspect the correlation report\n"
+        )
+        assert captured.out == f"wrote 4 rank(s) to {out}\n"
 
     def test_block_file_not_utf8_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -442,6 +510,29 @@ class TestExplain:
         out = capsys.readouterr().out
         assert "Horst" in out
         assert "Mode B" in out
+
+    def test_mixed_preset(self, capsys):
+        assert main(["explain", "mixed_carroll"]) == 0
+        assert capsys.readouterr().out == (
+            "mixed_carroll\n"
+            "  m:               2.0\n"
+            "  block tau:       0 for the first --split blocks, 1 for the rest\n"
+            "  superblock tau:  0 (Mode B)\n"
+            "  citation:        Carroll (1968b)\n"
+            "  notes:           correlation criterion for the first `split` blocks, "
+            "covariance for the rest\n"
+        )
+
+    def test_mode_names(self, capsys):
+        assert main(["explain", "m1_ab"]) == 0
+        out = capsys.readouterr().out
+        assert "  block tau:       1 (Mode A)\n  superblock tau:  0 (Mode B)\n" in out
+
+    def test_three_names_exit_1(self, capsys):
+        assert main(["explain", "A", "B", "A"]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: explain takes a preset name or a mode pair like: explain A B\n"
+        )
 
     def test_unknown_name_exits_1(self, capsys):
         assert main(["explain", "nosuch"]) == 1

@@ -1,19 +1,23 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from helpers import component_matrix, full_rank_blockset, latent_blockset
 from rcpca import (
+    MethodPreset,
     ModeSelector,
     SolverConfig,
+    build_blockset,
+    from_matrix,
     guide,
     preset,
     preset_names,
     solve,
     verify_stationary,
 )
-from rcpca.errors import CatalogError, UnsupportedVerificationError
+from rcpca.errors import CatalogError, SingularGradientError, UnsupportedVerificationError
 
 
 def converged(bs, modes, m, eps=1e-14):
@@ -157,6 +161,38 @@ class TestVerifyStationary:
         sol = converged(bs, p.selector(bs.n_blocks), p.m)
         with pytest.raises(UnsupportedVerificationError):
             verify_stationary(p, sol, bs)
+
+
+    @pytest.mark.parametrize("tau_blocks, tau_superblock", [(0.5, 1.0), (1.0, 0.25)])
+    def test_fractional_shrinkage_is_unsupported(self, tau_blocks, tau_superblock):
+        bs = latent_blockset(9)
+        p = MethodPreset("hand_built", 2.0, tau_blocks, tau_superblock, "none")
+        with pytest.raises(UnsupportedVerificationError, match="fractional shrinkage"):
+            verify_stationary(p, SimpleNamespace(y_super=np.ones(bs.n)), bs)
+
+
+class TestVerifyStationaryVanishedTerm:
+    """The component lies in block p, orthogonal to block q, so q's term is exactly zero."""
+
+    blockset = build_blockset([
+        from_matrix("p", [[1.0], [-1.0], [0.0], [0.0]], scale=False),
+        from_matrix("q", [[0.0], [0.0], [2.0], [-2.0]], scale=False),
+    ])
+    component = SimpleNamespace(y_super=np.array([1.0, -1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("name, message", [
+        ("m1_ab", "block 'q': cross-term vanished"),
+        ("sumcor", "block 'q': projection vanished"),
+    ])
+    def test_raises_below_m_2(self, name, message):
+        with pytest.raises(SingularGradientError, match=f"^{message}$"):
+            verify_stationary(preset(name), self.component, self.blockset)
+
+    @pytest.mark.parametrize("name", ["consensus_pca", "hierarchical_pca", "gcca_carroll"])
+    def test_skipped_from_m_2(self, name):
+        # only p's term is left, and it maps the component onto itself
+        check = verify_stationary(preset(name), self.component, self.blockset)
+        assert check.residual <= 1e-15
 
 
 class TestPresetEquivalences:

@@ -53,13 +53,7 @@ from rcpca.errors import (
     SingularGradientError,
     UndefinedContributionsError,
 )
-from rcpca.solver import (
-    _eigen_start,
-    _given_start,
-    _random_start,
-    _transform,
-    stationary_residual,
-)
+from rcpca.solver import _eigen_start, _transform, stationary_residual
 
 
 def problem_from_qs(qs, m, n=1):
@@ -483,21 +477,56 @@ class TestInitV:
         assert abs(v[1]) <= 1e-12
 
     def test_random_is_deterministic(self):
-        problem = problem_from_qs([np.diag([2.0, 1.0])], m=2.0)
-        v1 = _random_start(problem, np.eye(2), 42)
-        v2 = _random_start(problem, np.eye(2), 42)
-        np.testing.assert_array_equal(v1, v2)
+        # the seeded J-dimensional draw, projected onto the superblock factor
+        bs = random_blockset(5, b=2, n=12, js=[3, 2])
+        modes = ModeSelector.uniform("A", "B", 2)
+        cfg = SolverConfig(m=2.0, init="random", seed=42)
+        s1, s2 = solve(bs, modes, cfg), solve(bs, modes, cfg)
+        np.testing.assert_array_equal(s1.trace.psi, s2.trace.psi)
+        np.testing.assert_array_equal(s1.w_super, s2.w_super)
+        metrics = build_metrics(bs, modes)
+        c = metrics[-1].eigenvectors.T @ np.random.default_rng(42).standard_normal(5)
+        problem = transform(bs, metrics, 2.0)
+        assert s1.trace.psi[0] == pytest.approx(problem.value(c / np.linalg.norm(c)), rel=1e-12)
 
     def test_given_is_normalized(self):
-        problem = problem_from_qs([np.eye(2)], m=2.0)
-        np.testing.assert_allclose(
-            _given_start(problem, np.eye(2), np.array([3.0, 4.0])), [0.6, 0.8], atol=1e-12
-        )
+        # full-rank Mode A superblock: the basis is orthogonal, so ||V'v|| = ||v|| = 5
+        bs = random_blockset(6, b=1, n=10, js=[2])
+        modes = ModeSelector.uniform("A", "A", 1)
+        metrics = build_metrics(bs, modes)
+        problem = transform(bs, metrics, 2.0)
+        sol = solve(bs, modes, SolverConfig(m=2.0, init=np.array([3.0, 4.0])))
+        unit = metrics[-1].eigenvectors.T @ np.array([0.6, 0.8])
+        assert sol.trace.psi[0] == pytest.approx(problem.value(unit), rel=1e-12)
+        unit_sol = solve(bs, modes, SolverConfig(m=2.0, init=np.array([0.6, 0.8])))
+        np.testing.assert_allclose(sol.trace.psi, unit_sol.trace.psi, rtol=1e-12)
 
     def test_given_with_zero_criterion(self):
-        problem = problem_from_qs([np.array([[1.0, 0.0]])], m=2.0)
-        with pytest.raises(BadStartError):
-            _given_start(problem, np.eye(2), np.array([0.0, 1.0]))
+        # the start's superblock component [0, 0, 2, -2] is orthogonal to the only block
+        block = np.array([[1.0], [-1.0], [0.0], [0.0]])
+        superblock = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]])
+        modes = ModeSelector.uniform("A", "A", 1)
+        cfg = SolverConfig(m=2.0, init=np.array([0.0, 1.0]))
+        with pytest.raises(AllStartsFailedError) as info:
+            solve_matrices(block, [1], modes, cfg, superblock=superblock)
+        assert str(info.value) == (
+            "every start failed; last failure: objective is not positive at the start vector"
+        )
+
+    @pytest.mark.parametrize("start", [[0.0, 0.0], [0.0, 1.0]],
+                             ids=["zero", "orthogonal_to_the_superblock"])
+    def test_given_start_that_projects_to_zero(self, start):
+        # the zero second column leaves e1 as the superblock basis, exactly
+        x = [[1.0, 0.0], [-1.0, 0.0], [2.0, 0.0], [-2.0, 0.0]]
+        bs = build_blockset([from_matrix("x", x, scale=False)])
+        modes = ModeSelector.uniform("A", "A", 1)
+        cfg = SolverConfig(m=2.0, init=np.array(start))
+        with pytest.raises(AllStartsFailedError) as info:
+            solve(bs, modes, cfg)
+        assert str(info.value) == "every start failed; last failure: start vector is zero"
+        # a second start draws at random (seed 1) and succeeds
+        sol = solve(bs, modes, SolverConfig(m=2.0, init=np.array(start), n_starts=2))
+        assert sol.trace.psi[-1] > 0.0
 
     # at or above the size gate: block Lanczos, with the dense eigh as fallback
 
@@ -612,8 +641,13 @@ class TestSphereMaximize:
 
     def test_zero_start_rejected(self):
         oracle = GradientOracle(value=lambda v: 1.0, grad=lambda v: v)
-        with pytest.raises(BadStartError):
+        with pytest.raises(BadStartError, match="^start vector is zero$"):
             sphere_maximize(oracle, SolverConfig(), np.zeros(2), 1.0)
+
+    def test_start_without_positive_objective_rejected(self):
+        oracle = GradientOracle(value=lambda v: 0.0, grad=lambda v: v)
+        with pytest.raises(BadStartError, match="^objective is not positive at the start vector$"):
+            sphere_maximize(oracle, SolverConfig(), np.array([3.0, 4.0]), 1.0)
 
 
 class TestSolve:
