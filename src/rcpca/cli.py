@@ -211,6 +211,9 @@ def _validate(cfg: RunConfig) -> MethodPreset | None:
             raise ConfigError(f"{_flag(key)} must be {allowed}, got {value!r}")
     if cfg.init == "file" and not cfg.init_file:
         raise ConfigError("--init file needs --init-file PATH")
+    if cfg.init != "file" and cfg.init_file:
+        raise ConfigError(f"--init-file is read only with --init file, got --init {cfg.init}; "
+                          "add --init file")
     if cfg.components < 1:
         raise ConfigError("--components must be at least 1")
     if cfg.starts < 1:
@@ -333,6 +336,7 @@ def _write_outputs(
         f"epsilon = {_fmt(cfg.epsilon)}",
         f"max_iter = {cfg.max_iter}",
         f"init = {cfg.init}",
+        *([f"init_file = {cfg.init_file}"] if cfg.init == "file" else []),
         f"seed = {cfg.seed}",
         f"starts = {cfg.starts}",
         f"deflate = {cfg.deflate}",

@@ -22,9 +22,13 @@ control what gets deflated:
 Each rank writes one n x J array whose column views are the blocks: the
 deflated superblock (global), or the deflated blocks, which are the
 superblock too except under own, which passes its superblock separately.
-Metrics are rebuilt at every rank, so the normalization constraints keep
-their meaning. Ranks are inherently sequential; each per-rank solve is
-deterministic.
+Block metrics are rebuilt at every rank, so the normalization constraints
+keep their meaning. A Mode B superblock under global or own is factored once:
+deflating it on its own component only projects that component off its
+column space, so later ranks solve in the rank-1 factor's coordinates with
+the earlier components projected off (`solver.CarriedSuperblock`), and own
+no longer deflates a superblock array. Ranks are inherently sequential; each
+per-rank solve is deterministic.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import numpy as np
 from .dataset import BlockSet
 from .errors import RankExhaustedError
 from .metrics import ModeSelector
-from .solver import Solution, SolverConfig, solve_matrices
+from .solver import CarriedSuperblock, Solution, SolverConfig, solve_matrices
 
 _ZERO_RTOL = 1e-12
 
@@ -116,7 +120,12 @@ def extract(
     if rank < 1:
         raise ValueError("rank must be at least 1")
 
-    whole, smat = blockset.superblock, None  # own's separate superblock from rank 2 on
+    # smat: own's separate superblock from rank 2 on, or a Mode B superblock's
+    # carried factor, since deflating it on its own component only projects that off
+    whole, smat = blockset.superblock, None
+    if (strategy in (DeflationStrategy.GLOBAL, DeflationStrategy.OWN)
+            and modes.superblock_tau == 0.0):
+        smat = CarriedSuperblock(whole, separate=strategy is DeflationStrategy.OWN)
     widths = [b.n_vars for b in blockset.blocks]
     starts = np.cumsum([0] + widths[:-1])
     ids = list(blockset.ids)
@@ -146,7 +155,9 @@ def extract(
             ))
         if r + 1 >= target:
             break
-        if strategy is DeflationStrategy.OWN:  # the superblock on its own component
+        if isinstance(smat, CarriedSuperblock):
+            smat.deflate(sol.y_super)
+        elif strategy is DeflationStrategy.OWN:  # the superblock on its own component
             smat = deflate(whole if smat is None else smat, sol.y_super)
         if strategy is DeflationStrategy.GLOBAL:
             whole = deflate(whole, sol.y_super)

@@ -31,6 +31,11 @@ checks run at every iteration. The eigen start is the top eigenvector of S'S
 from a dense eigh below a size gate, else from block Lanczos within a basis
 budget, falling back to the eigh. A solve is deterministic given its
 configuration and never modifies the problem it reads.
+
+Under `global` and `own` deflation a Mode B superblock is factored once, at
+rank 1 (`CarriedSuperblock`): later ranks solve in those coordinates with
+the earlier components projected off (segments, random and explicit starts,
+and the superblock weights), and at rank 1 the solve is the plain one.
 """
 
 from __future__ import annotations
@@ -204,6 +209,37 @@ class Solution:
     block_ranks: tuple[int, ...] = ()
 
 
+class CarriedSuperblock:
+    """A Mode B superblock X factored once and deflated on its own components.
+
+    The factor (V, g) of X is built by the first solve that reads it, and
+    P = X V diag(g)^(-1/2) satisfies P'P / n = I. Each component y = P c
+    found so far adds its unit c = P'y / n as a column of E (`off`), and X
+    deflated on those components has the column-space projector
+    P (I - EE') P' / n, so later solves keep X's coordinates, restricted to
+    the complement of E. With `separate` the blocks are deflated their own
+    way (`own`) and the transform takes their product with P; otherwise they
+    are X deflated on the same components (`global`), and the superblock's
+    closed form holds.
+    """
+
+    def __init__(self, x: np.ndarray, separate: bool):
+        self.x, self.separate = x, separate
+        self.metric: ShrinkageMetric | None = None
+        self.off: np.ndarray | None = None  # E, once there is a component
+
+    def factor(self) -> ShrinkageMetric:
+        if self.metric is None:
+            self.metric = build_metric(self.x, 0.0)
+        return self.metric
+
+    def deflate(self, y: np.ndarray) -> None:
+        """Add the component y of the last solve to E."""
+        c = self.metric.eigenvalues**-0.5 * (self.metric.eigenvectors.T @ (self.x.T @ y))
+        c = (c / np.linalg.norm(c))[:, None]
+        self.off = c if self.off is None else np.hstack([self.off, c])
+
+
 # ---------------------------------------------------------------------------
 # transform and starts
 
@@ -226,12 +262,20 @@ def _transform(whole, widths, ids, metrics, m, superblock=None) -> TransformedPr
         raise DimensionError(
             f"need {len(widths) + 1} metrics (blocks plus superblock), got {len(metrics)}"
         )
-    sup = metrics[-1]
+    sup, off = metrics[-1], None
+    if isinstance(superblock, CarriedSuperblock):
+        off = superblock.off
+        superblock = superblock.x if superblock.separate and off is not None else None
     if superblock is None:
         h = sup.eigenvectors * (sup.variances * sup.eigenvalues**-0.5)
     else:
         h = whole.T @ sup.image(superblock).T / superblock.shape[0]
     norms = [math.sqrt((met.variances / met.eigenvalues).sum()) for met in metrics]
+    if off is not None:
+        # the superblock deflated on the components in E: H (I - EE'), and its
+        # sum(g / lambda), the rank at tau = 0, less one per component
+        h = h - (h @ off) @ off.T
+        norms[-1] = math.sqrt(sup.rank - off.shape[1])
     qs = []
     for b, (met, rows) in enumerate(zip(metrics, np.split(h, np.cumsum(widths)[:-1]))):
         q = (met.eigenvectors * met.eigenvalues**-0.5).T @ rows
@@ -275,13 +319,14 @@ def _eigen_start(problem: TransformedProblem) -> tuple[np.ndarray, bool]:
     return v, degenerate
 
 
-def _start(basis: np.ndarray, config: SolverConfig, k: int) -> np.ndarray:
-    """Start k projected onto the basis: the explicit init at k = 0, else a seeded draw.
+def _start(basis: np.ndarray, off: np.ndarray | None, config: SolverConfig, k: int) -> np.ndarray:
+    """Start k projected onto the basis and off E: the explicit init at k = 0, else a seeded draw.
 
     The draw is standard Gaussian with seed config.seed + k, and so is its
     projection, which sphere_maximize normalizes to a uniform point on the
-    sphere. sphere_maximize is also what rejects a start with no positive
-    criterion.
+    sphere. A projection at roundoff of the start's norm is returned as
+    exact zeros, so that sphere_maximize, which also rejects a start with no
+    positive criterion, rejects it as a zero start.
     """
     if k == 0 and not isinstance(config.init, str):
         v = np.asarray(config.init, dtype=float).ravel()
@@ -289,8 +334,12 @@ def _start(basis: np.ndarray, config: SolverConfig, k: int) -> np.ndarray:
             raise DimensionError(
                 f"start vector has length {v.shape[0]}, expected {basis.shape[0]}"
             )
-        return basis.T @ v
-    return basis.T @ np.random.default_rng(config.seed + k).standard_normal(basis.shape[0])
+    else:
+        v = np.random.default_rng(config.seed + k).standard_normal(basis.shape[0])
+    c = basis.T @ v
+    if off is not None:
+        c = c - off @ (off.T @ c)
+    return c if np.linalg.norm(c) > _ROUNDOFF_TOL * np.linalg.norm(v) else np.zeros_like(c)
 
 
 # ---------------------------------------------------------------------------
@@ -398,26 +447,33 @@ def solve_matrices(
     modes: ModeSelector,
     config: SolverConfig,
     ids: Sequence[str] | None = None,
-    superblock: np.ndarray | None = None,
+    superblock: np.ndarray | CarriedSuperblock | None = None,
 ) -> Solution:
     """Solve on the n x J array `blocks`, whose consecutive `widths` columns are the blocks.
 
     The blocks side by side are the superblock unless a separate
-    `superblock` is given. Deflation needs one for `own` ranks >= 2: there
-    the superblock is deflated on its own component and is no longer the
-    concatenation of the deflated blocks.
+    `superblock` is given. Deflation passes one from rank 2 on: `own`
+    deflates the superblock on its own component, so it is no longer the
+    concatenation of the deflated blocks, and a Mode B superblock under
+    `global` or `own` comes as a CarriedSuperblock, factored at rank 1 only.
     """
     if len(modes.block_taus) != len(widths):
         raise DimensionError(f"{len(modes.block_taus)} block taus for {len(widths)} blocks")
     if any(w < 1 for w in widths) or sum(widths) != blocks.shape[1]:
         raise DimensionError(f"widths {list(widths)} must be >= 1 and sum to {blocks.shape[1]}")
-    smat = blocks if superblock is None else superblock
+    carried = superblock if isinstance(superblock, CarriedSuperblock) else None
+    smat = carried.x if carried is not None else blocks if superblock is None else superblock
     if smat.shape[0] != blocks.shape[0]:
         raise DimensionError(f"superblock has {smat.shape[0]} rows, not {blocks.shape[0]}")
     names = list(ids) if ids is not None else [str(b + 1) for b in range(len(widths))]
     mats = np.split(blocks, np.cumsum(widths)[:-1], axis=1)
     metrics = [build_metric(mat, tau) for mat, tau in zip(mats, modes.block_taus)]
-    metrics.append(build_metric(smat, modes.superblock_tau))
+    if carried is None:
+        metrics.append(build_metric(smat, modes.superblock_tau))
+        off = None
+    else:
+        metrics.append(carried.factor())
+        off = carried.off
     problem = _transform(blocks, widths, names, metrics, config.m, superblock)
 
     basis = metrics[-1].eigenvectors
@@ -440,7 +496,7 @@ def solve_matrices(
                         "multiple; the iterate sequence may not be unique"
                     )
             else:
-                c0 = _start(basis, config, k)
+                c0 = _start(basis, off, config, k)
             c, trace = sphere_maximize(problem, config, c0, config.m)
         except (SingularGradientError, BadStartError) as exc:
             last_failure = exc
@@ -451,7 +507,8 @@ def solve_matrices(
     _, _, c, trace = max(results, key=lambda res: res[0])  # ties keep the earliest start
     trace.warnings.extend(warnings)
 
-    if metrics[-1].pseudo:
+    # a superblock deflated on earlier components has lost their directions
+    if metrics[-1].pseudo or off is not None:
         warnings_txt = (
             "superblock is rank deficient under Mode B: the reported superblock "
             "weights are one least-norm solution; interpret the component through "
@@ -459,25 +516,32 @@ def solve_matrices(
         )
         trace.warnings.append(warnings_txt)
 
-    return _back_map(c, trace, problem, mats, smat, names, metrics, config.m)
+    return _back_map(c, trace, problem, mats, smat, names, metrics, config.m, off)
 
 
-def _back_map(c, trace, problem, mats, smat, ids, metrics, m) -> Solution:
+def _back_map(c, trace, problem, mats, smat, ids, metrics, m, off) -> Solution:
     """Weights and components from the solution c (superblock factor coordinates).
 
     Segment b of problem.stacked @ c is P_b'y_super / n, so its norm is
     cov_b, and w_b = M_b^(-1) X_b'y_super / ||M_b^(-1/2) X_b'y_super|| is
-    V_b (lambda_b^(-1/2) u_b) with u_b the unit segment.
+    V_b (lambda_b^(-1/2) u_b) with u_b the unit segment. w = V_super
+    lambda_super^(-1/2) c solves smat w = y_super. Off E, the superblock
+    weights are w less its part in Z = V g^(-1/2) E, which spans the null
+    space of the deflated superblock within the row space of smat: the
+    least-norm solution for the deflated superblock.
     """
     sup = metrics[-1]
-    w_super = sup.eigenvectors @ (c * sup.eigenvalues**-0.5)
+    w_super = w_smat = sup.eigenvectors @ (c * sup.eigenvalues**-0.5)
+    if off is not None:
+        z = np.linalg.qr(sup.eigenvectors @ (off * sup.eigenvalues[:, None] ** -0.5))[0]
+        w_super = w_smat - z @ (z.T @ w_smat)
     # the same product that gave psi at c, so that sum(covs**m) is psi exactly
     segments = problem.stacked @ c
     # deterministic sign: the largest-magnitude superblock weight is positive
     pivot = int(np.argmax(np.abs(w_super)))
     if w_super[pivot] < 0.0:
-        w_super, segments = -w_super, -segments
-    y_super = smat @ w_super
+        w_super, w_smat, segments = -w_super, -w_smat, -segments
+    y_super = smat @ w_smat
 
     covs = problem._norms(segments)
     w_blocks: list[np.ndarray] = []

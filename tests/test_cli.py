@@ -252,6 +252,18 @@ class TestRun:
         vec = tmp_path / "v0.txt"
         vec.write_text("\n".join(["0.3"] * 9) + "\n")
         assert run_demo(tmp_path / "o", "--init", "file", "--init-file", str(vec)) == 0
+        # the manifest names the file, so that the run can be repeated from it
+        lines = (tmp_path / "o" / "manifest.txt").read_text().splitlines()
+        at = lines.index("init = file")
+        assert lines[at + 1:at + 3] == [f"init_file = {vec}", "seed = 0"]
+
+    @pytest.mark.parametrize("extra", [(), ("--init", "random")], ids=["eigen", "random"])
+    def test_manifest_names_no_start_file_without_one(self, tmp_path, extra):
+        assert run_demo(tmp_path / "o", *extra) == 0
+        keys = [line.split(" = ")[0]
+                for line in (tmp_path / "o" / "manifest.txt").read_text().splitlines()]
+        assert keys[keys.index("init"):keys.index("init") + 2] == ["init", "seed"]
+        assert "init_file" not in keys
 
     @pytest.mark.parametrize("text, message", [
         ("1\nx\n", "data error: start-vector file {vec} must hold numbers"),
@@ -342,7 +354,11 @@ class TestRun:
          (("--epsilon", "-1"), "--epsilon must be positive, got -1.0"),
          (("--init", "random", "--seed", "-1"), "--seed must be non-negative, got -1"),
          (("--init", "file"), "--init file needs --init-file PATH"),
-         (("--components", "0"), "--components must be at least 1")],
+         (("--components", "0"), "--components must be at least 1"),
+         (("--init-file", "v0.txt"),
+          "--init-file is read only with --init file, got --init eigen; add --init file"),
+         (("--init", "random", "--init-file", "v0.txt"),
+          "--init-file is read only with --init file, got --init random; add --init file")],
     )
     def test_solver_values_are_checked(self, tmp_path, capsys, extra, message):
         assert run_demo(tmp_path / "o", *extra) == 1

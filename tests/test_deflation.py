@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import latent_blockset, random_blockset, random_modes
+from helpers import latent_blockset, random_blockset, random_modes, scaled_blockset
 from rcpca import (
     DeflationStrategy,
     ModeSelector,
@@ -13,7 +13,10 @@ from rcpca import (
     deflation,
     extract,
     from_matrix,
+    preset,
     solve,
+    solve_matrices,
+    solver,
 )
 from rcpca.errors import RankExhaustedError
 from rcpca.metrics import ShrinkageMetric
@@ -248,3 +251,116 @@ class TestExtract:
         bs = random_blockset(10, b=2, n=10, js=[2, 2])
         with pytest.raises(ValueError):
             extract(bs, ModeSelector.uniform("A", "A", 2), CFG, 0, "own")
+
+
+# ---------------------------------------------------------------------------
+# a Mode B superblock factored once per extract (global and own)
+
+
+def carried_config(bs, modes, m):
+    """Stop once psi rises by at most 1e-12 of the rank-1 psi.
+
+    The library's epsilon is absolute (ROADMAP item 1): at x1e3 with m = 4,
+    psi ~ 1e12 leaves only roundoff non-increases to stop on, and two
+    transforms that agree to roundoff then stop a few iterations apart,
+    rank 1 included. Relative to psi, every stop decision is clear of roundoff.
+    """
+    return SolverConfig(m=m, epsilon=1e-12 * solve(bs, modes, SolverConfig(m=m)).trace.psi[-1])
+
+
+def fresh_factor_ranks(bs, modes, config, ms):
+    """Each rank of `ms` solved again with a superblock deflated explicitly and factored afresh.
+
+    Rank r's inputs are deflated on the components `ms` found at ranks < r,
+    as `extract` deflates them, and its superblock is passed as a separate
+    matrix, so that the solve takes its own eigh of it. Returns (solution,
+    deflated superblock) per rank.
+    """
+    widths = [b.n_vars for b in bs.blocks]
+    cols = np.cumsum([0] + widths)
+    whole, smat = bs.superblock, bs.superblock
+    out = []
+    for r in range(ms.achieved_rank):
+        if r:
+            prev = ms.solutions[r - 1]
+            smat = deflate(smat, prev.y_super)
+            whole = smat if ms.strategy is DeflationStrategy.GLOBAL else np.hstack([
+                deflate(whole[:, a:b], y) for a, b, y in zip(cols[:-1], cols[1:], prev.y_blocks)
+            ])
+        sol = solve_matrices(whole, widths, modes, config, ids=bs.ids, superblock=smat)
+        out.append((sol, smat))
+    return out
+
+
+def assert_carried_matches_fresh_factor(bs, modes, config, strategy):
+    ms = extract(bs, modes, config, 3, strategy)
+    assert ms.achieved_rank == 3
+    first = solve(bs, modes, config)  # rank 1 is the plain solve, bit for bit
+    np.testing.assert_array_equal(ms.solutions[0].y_super, first.y_super)
+    np.testing.assert_array_equal(ms.solutions[0].w_super, first.w_super)
+    s = np.linalg.svd(bs.superblock, compute_uv=False)
+    # of the rank-1 superblock: the weights are computed in its coordinates
+    kappa = s[0] / s[(s > 1e-5 * s[0]).sum() - 1]
+    for r, (ref, smat) in enumerate(fresh_factor_ranks(bs, modes, config, ms)):
+        got = ms.solutions[r]
+        assert got.trace.iterations == ref.trace.iterations, r
+        assert got.trace.warnings == ref.trace.warnings, r
+        y, y_ref = got.y_super, ref.y_super
+        assert 1.0 - abs(y @ y_ref) / (np.linalg.norm(y) * np.linalg.norm(y_ref)) <= 1e-12, r
+        # the least-norm weights of the deflated superblock, cut where its metric cuts
+        least_norm = np.linalg.lstsq(smat, y, rcond=1e-5)[0]
+        err = np.linalg.norm(got.w_super - least_norm) / np.linalg.norm(least_norm)
+        assert err <= 100 * kappa * np.finfo(float).eps, (r, err / kappa)
+
+
+# (preset, its split, scale); at x1e-3 the Mode B block of mixed_carroll outweighs
+# the Mode A covariances by 1e6, so psi is flat to ~1e-8 over that block's column
+# space: its maximizer is ill-determined, and 1 - |cos| reaches ~1e-12 between
+# any two solves, whatever the superblock's factor
+CARRIED_CASES = [
+    (name, split, scale)
+    for name, split in [("sumcor", None), ("hierarchical_pca", None), ("gcca_carroll", None),
+                        ("mixed_carroll", 1)]
+    for scale in (1.0, 1e-3, 1e3)
+    if not (split and scale < 1.0)
+]
+
+
+class TestCarriedSuperblock:
+    @pytest.mark.parametrize("strategy", ["global", "own"])
+    @pytest.mark.parametrize("name, split, scale", CARRIED_CASES)
+    def test_later_ranks_match_a_fresh_factor(self, name, split, scale, strategy):
+        entry = preset(name, split=split)
+        for seed in range(4):
+            bs = scaled_blockset(random_blockset(seed, b=3, n=30, js=[3, 4, 5]), scale)
+            modes = entry.selector(bs.n_blocks)
+            assert modes.superblock_tau == 0.0
+            config = carried_config(bs, modes, entry.m)
+            assert_carried_matches_fresh_factor(bs, modes, config, strategy)
+
+    @pytest.mark.parametrize("strategy", ["global", "own"])
+    @pytest.mark.parametrize("name", ["sumcor", "hierarchical_pca", "gcca_carroll"])
+    def test_rank_deficient_first_superblock(self, name, strategy):
+        rng = np.random.default_rng(21)
+        base = rng.standard_normal((25, 4))
+        bs = build_blockset([
+            from_matrix("dup", np.column_stack([base, base[:, 2]])),
+            from_matrix("full", rng.standard_normal((25, 5))),
+        ])
+        entry = preset(name)
+        modes = entry.selector(2)
+        config = carried_config(bs, modes, entry.m)
+        warnings = solve(bs, modes, config).trace.warnings
+        assert any("superblock is rank deficient" in w for w in warnings)
+        assert_carried_matches_fresh_factor(bs, modes, config, strategy)
+
+    @pytest.mark.parametrize("strategy", ["global", "own"])
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_superblock_factored_once(self, monkeypatch, rank, strategy):
+        calls = []
+        build = solver.build_metric
+        monkeypatch.setattr(solver, "build_metric", lambda *args: calls.append(1) or build(*args))
+        bs = random_blockset(5, b=4, n=30, js=[3, 4, 3, 5])
+        ms = extract(bs, ModeSelector.uniform("B", "B", 4), SolverConfig(m=2.0), rank, strategy)
+        assert ms.achieved_rank == rank
+        assert len(calls) == 4 * rank + 1

@@ -528,6 +528,18 @@ class TestInitV:
         sol = solve(bs, modes, SolverConfig(m=2.0, init=np.array(start), n_starts=2))
         assert sol.trace.psi[-1] > 0.0
 
+    def test_given_start_orthogonal_to_the_superblock_up_to_roundoff(self):
+        # two equal columns: [1, -1, 0] is orthogonal to the row space, and its
+        # projection onto the eigenvectors is roundoff, not a direction
+        rng = np.random.default_rng(3)
+        a, b = rng.standard_normal((2, 10))
+        bs = build_blockset([from_matrix("x", np.column_stack([a, a, b]), scale=False)])
+        modes = ModeSelector.uniform("A", "A", 1)
+        cfg = SolverConfig(m=2.0, init=np.array([1.0, -1.0, 0.0]))
+        with pytest.raises(AllStartsFailedError) as info:
+            solve(bs, modes, cfg)
+        assert str(info.value) == "every start failed; last failure: start vector is zero"
+
     # at or above the size gate: block Lanczos, with the dense eigh as fallback
 
     @pytest.mark.parametrize("scale", [1.0, 1e-20, 1e20])
