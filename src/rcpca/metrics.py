@@ -6,19 +6,20 @@ weight vector, tau = 0 (Mode B) normalizes the component variance, and
 intermediate values interpolate between the two (Ledoit-Wolf style
 shrinkage of the block covariance).
 
-A metric is stored once, as a thin factor: an orthonormal basis V of the
-row space of X (J x r, r <= min(n - 1, J) for centered X) and the
-eigenvalues g = s^2/n of X'X/n on it (`variances`). M's eigenvalues there
-are tau + (1 - tau) g, and on the orthogonal complement M is tau*I.
-Everything the solver applies a power of M to lies in the row space of
-X: the image P' = M^(-1/2) X' (`image`) and the weights M^(-1) X'y that
-the back-map reads as V diag(lambda^(-1/2)) u. So M is used only through
-(V, g) and never formed as a J x J matrix. The factor comes from the
-smaller Gram matrix, X'X when J <= n and XX' otherwise, so a block with
-thousands of variables on tens of rows costs an n x n eigendecomposition.
-At tau = 0 a rank-deficient matrix gets Moore-Penrose semantics: negative
-powers annihilate the dropped null directions. Metrics are immutable;
-building metrics for distinct blocks is a pure function of the inputs.
+A metric is stored once, as a thin factor B = `basis` * `scale` (J x r)
+of the row space of X with B'MB = I, and `cross` = GB, G = X'X/n. All the
+solver applies powers of M to lies in that row space: the image B'X'
+(`image`), the segments B_b'(G B_super) and the weights M^(-1) X'y, read
+off as B u. So M is never formed as a J x J matrix. At tau = 0 with J < n,
+when G certifiably has full rank, B = L^(-T) from G = LL' (`cross` = L,
+unit scale). Otherwise B = V diag(lambda^(-1/2)): V orthonormal, the
+eigenvalues of X'X/n on it are `variances` g and lambda = tau + (1 - tau) g,
+and M is tau*I on the complement; the eigendecomposition is of the smaller
+Gram matrix, XX' when J > n, so thousands of variables on tens of rows cost
+an n x n eigendecomposition. At tau = 0 a rank-deficient matrix gets
+Moore-Penrose semantics: negative powers annihilate the dropped null
+directions. Metrics are immutable; building metrics for distinct blocks is
+a pure function of the inputs.
 """
 
 from __future__ import annotations
@@ -73,40 +74,44 @@ class ModeSelector:
 
 @dataclass(frozen=True, eq=False)
 class ShrinkageMetric:
-    """M = tau*I + (1-tau)*(1/n) X'X, kept as a thin factor.
+    """M = tau*I + (1-tau)*G, G = (1/n) X'X, kept as a thin factor B = basis * scale.
 
-    M = V diag(eigenvalues) V' + tau*(I - V V'), with V = eigenvectors,
-    eigenvalues = tau + (1 - tau) * variances and X'X V / n = V diag(variances).
+    B'MB = I on the row space of X, and cross = GB. From an eigendecomposition,
+    basis = V is orthonormal, G V = V diag(variances) and scale = lambda^(-1/2),
+    lambda = tau + (1 - tau) * variances. From a Cholesky factor G = LL' (tau = 0,
+    full rank), basis = L^(-T), scale = 1, cross = L and variances is None.
     """
 
     tau: float
-    variances: np.ndarray  # descending, the Gram eigenvalues s^2 / n
-    eigenvectors: np.ndarray  # J x rank, orthonormal, spanning the row space of X
+    basis: np.ndarray  # J x rank, spanning the row space of X
+    scale: np.ndarray  # rank, the column scale of B
+    cross: np.ndarray  # J x rank, G B
+    variances: np.ndarray | None  # descending Gram eigenvalues s^2 / n, or None: Cholesky
     pseudo: bool  # True when tau = 0 dropped null directions
 
     @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.tau + (1.0 - self.tau) * self.variances
-
-    @property
     def rank(self) -> int:
-        return self.variances.size
+        return self.scale.size
 
     def image(self, x: np.ndarray) -> np.ndarray:
-        """P' = M^(-1/2) X' in the factor's coordinates: diag(lambda^(-1/2)) V'X', rank x n."""
-        return (self.eigenvectors * self.eigenvalues**-0.5).T @ x.T
+        """P' = M^(-1/2) X' in the factor's coordinates: B'X', rank x n."""
+        return (self.basis * self.scale).T @ x.T
 
 
 def build_metric(data, tau: float) -> ShrinkageMetric:
     """Construct the shrinkage metric of a centered n x J matrix.
 
-    The factor is the eigendecomposition of X'X/n when J <= n, and of
-    XX'/n = U diag(s^2/n) U' otherwise, with V = X'U/s. Gram eigenvalues at
-    or below the rank cut-off times the largest one are dropped. For
-    tau > 0 the cut-off is roundoff, max(n, J) * machine epsilon: M is tau
-    on a dropped direction, and only directions that are zero at roundoff
-    go. For tau = 0 it is DEFAULT_RANK_TOLERANCE, and the dropped
-    directions get pseudo-inverse semantics.
+    At tau = 0 with J < n the factor is G = X'X/n = LL' when the Cholesky
+    factorization succeeds and certifies full rank: kappa(G) <=
+    ||G||_F ||L^(-1)||_F^2 < 1/DEFAULT_RANK_TOLERANCE, so the eigendecomposition
+    would keep every direction too. Otherwise it is the eigendecomposition
+    of X'X/n when J <= n, and of XX'/n = U diag(s^2/n) U' otherwise, with
+    V = X'U/s. Gram eigenvalues at or below the rank cut-off times the
+    largest one are dropped. For tau > 0 the cut-off is roundoff,
+    max(n, J) * machine epsilon: M is tau on a dropped direction, and only
+    directions that are zero at roundoff go. For tau = 0 it is
+    DEFAULT_RANK_TOLERANCE, and the dropped directions get pseudo-inverse
+    semantics.
 
     tau = 0 requires rank(X) < n: with full row rank every centered vector
     lies in the column space and Mode B degenerates, so regularization is
@@ -120,6 +125,14 @@ def build_metric(data, tau: float) -> ShrinkageMetric:
     n, j = x.shape
     wide = j > n
     gram = (x @ x.T if wide else x.T @ x) / n
+    if tau == 0.0 and j < n:
+        try:
+            low = np.linalg.cholesky(gram)
+            inv = _lower_inverse(low)
+            if np.linalg.norm(gram) * np.vdot(inv, inv) < 1.0 / DEFAULT_RANK_TOLERANCE:
+                return ShrinkageMetric(tau, inv.T, np.ones(j), low, None, False)
+        except np.linalg.LinAlgError:
+            pass  # not positive definite at roundoff: rank deficient
     vals, vecs = np.linalg.eigh(gram)  # reads the lower triangle only
     vals, vecs = vals[::-1], vecs[:, ::-1]
     if tau == 0.0 and vals[0] <= 0.0:
@@ -134,12 +147,24 @@ def build_metric(data, tau: float) -> ShrinkageMetric:
     vals, vecs = vals[:rank], vecs[:, :rank]
     if wide:
         vecs = (x.T @ vecs) / np.sqrt(n * vals)
-    return ShrinkageMetric(
-        tau=tau,
-        variances=np.ascontiguousarray(vals),
-        eigenvectors=np.ascontiguousarray(vecs),
-        pseudo=tau == 0.0 and rank < j,
-    )
+    vals, vecs = np.ascontiguousarray(vals), np.ascontiguousarray(vecs)
+    scale = (tau + (1.0 - tau) * vals) ** -0.5
+    return ShrinkageMetric(tau, vecs, scale, vecs * (vals * scale), vals, tau == 0.0 and rank < j)
+
+
+def _lower_inverse(low: np.ndarray, width: int = 32) -> np.ndarray:
+    """L^(-1) of a lower-triangular L: row block k is D_k^(-1) [-L_k,<k L^(-1)_<k | I].
+
+    D_k^(-1) = inv(D_k')' for the k-th diagonal block D_k: an LU factorization
+    of the upper-triangular D_k' does not pivot, so the result is exactly lower
+    triangular.
+    """
+    inv = np.zeros_like(low)
+    for k in range(0, low.shape[0], width):
+        d = inv[k:k + width, k:k + width] = np.linalg.inv(low[k:k + width, k:k + width].T).T
+        if k:
+            inv[k:k + width, :k] = -d @ (low[k:k + width, :k] @ inv[:k, :k])
+    return inv
 
 
 def build_metrics(blockset: BlockSet, modes: ModeSelector) -> list[ShrinkageMetric]:

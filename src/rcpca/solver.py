@@ -13,14 +13,16 @@ G(u, v) = psi(v) + grad(v)'(u - v) on the sphere at each step) and every
 limit point is a fixed point of the iteration, i.e. a stationary point of
 the constrained problem.
 
-Every metric is a thin factor (V_b, lambda_b), so P_b = X_b V_b
-diag(lambda_b)^(-1/2) is n x r_b and the iterate lives in the superblock
-factor's coordinates c = V_super'v: the segments Q_b = P_b'P_super are
-r_b x r_super whether the blocks are tall or wide, and read off
-H = X_B'P_super / n, which the superblock factor alone gives when the
-superblock is the concatenation of the blocks (`transform`). The back-map
-reads the superblock weights off c and each block's covariance and weights
-off the segments Q_b c, in the block factor's coordinates. `TransformedProblem` is
+Every metric is a thin factor B_b with B_b'M_b B_b = I, so P_b = X_b B_b is
+n x r_b and the iterate lives in the superblock factor's coordinates c:
+the segments Q_b = P_b'P_super are r_b x r_super whether the blocks are
+tall or wide, and read off H = X_B'P_super / n, which is the superblock
+metric's G B_super when the superblock is the concatenation of the blocks
+(`transform`). A Mode B superblock of full column rank comes as a Cholesky
+factor B = L^(-T), whose coordinates span R^J, else as eigenpairs,
+B = V diag(lambda^(-1/2)) with c = V'v. The back-map reads the superblock
+weights B_super c and each block's covariance and weights off the segments
+Q_b c, in the block factor's coordinates. `TransformedProblem` is
 the one evaluator of psi and its gradient, and `sphere_maximize` the one
 ascent loop. The operator stacks its segments into a single matrix, so psi
 is one matvec and the gradient one more transposed matvec; with segments
@@ -29,7 +31,8 @@ P_b' it also gives the direction of the stationary image that
 solver's slacks are relative to psi; the monotone, step-bound and sandwich
 checks run at every iteration. The eigen start is the top eigenvector of S'S
 from a dense eigh below a size gate, else from block Lanczos within a basis
-budget, falling back to the eigh. A solve is deterministic given its
+budget, falling back to the eigh once Lanczos has used up the budget or
+cannot converge within it. A solve is deterministic given its
 configuration and never modifies the problem it reads.
 
 Under `global` and `own` deflation a Mode B superblock is factored once, at
@@ -212,8 +215,8 @@ class Solution:
 class CarriedSuperblock:
     """A Mode B superblock X factored once and deflated on its own components.
 
-    The factor (V, g) of X is built by the first solve that reads it, and
-    P = X V diag(g)^(-1/2) satisfies P'P / n = I. Each component y = P c
+    The factor B of X is built by the first solve that reads it, and
+    P = X B satisfies P'P / n = I. Each component y = P c
     found so far adds its unit c = P'y / n as a column of E (`off`), and X
     deflated on those components has the column-space projector
     P (I - EE') P' / n, so later solves keep X's coordinates, restricted to
@@ -235,7 +238,7 @@ class CarriedSuperblock:
 
     def deflate(self, y: np.ndarray) -> None:
         """Add the component y of the last solve to E."""
-        c = self.metric.eigenvalues**-0.5 * (self.metric.eigenvectors.T @ (self.x.T @ y))
+        c = self.metric.scale * (self.metric.basis.T @ (self.x.T @ y))
         c = (c / np.linalg.norm(c))[:, None]
         self.off = c if self.off is None else np.hstack([self.off, c])
 
@@ -247,11 +250,11 @@ class CarriedSuperblock:
 def transform(blockset: BlockSet, metrics: Sequence[ShrinkageMetric], m: float) -> TransformedProblem:
     """Build the segments Q_b / n = P_b'P_super / n in the factors' coordinates.
 
-    Segment b is (V_b diag(lambda_b^(-1/2)))' H[rows of b], H = X_B'P_super / n:
-    V_super diag(g_super lambda_super^(-1/2)) for the concatenated blocks of a
-    BlockSet, else one product of X_B' with the image of the separate
-    `superblock` of `solve_matrices`. A segment at roundoff of ||P_b||_F
-    ||P_super||_F / n, ||P||_F^2 = n sum(g / lambda), raises NonContributingBlockError.
+    Segment b is B_b' H[rows of b], H = X_B'P_super / n: G B_super, the
+    superblock metric's `cross`, for the concatenated blocks of a BlockSet,
+    else one product of X_B' with the image of the separate `superblock` of
+    `solve_matrices`. A segment at roundoff of ||P_b||_F ||P_super||_F / n,
+    ||P||_F^2 = n tr(B'GB), raises NonContributingBlockError.
     """
     widths = [b.n_vars for b in blockset.blocks]
     return _transform(blockset.superblock, widths, blockset.ids, metrics, m)
@@ -267,19 +270,21 @@ def _transform(whole, widths, ids, metrics, m, superblock=None) -> TransformedPr
         off = superblock.off
         superblock = superblock.x if superblock.separate and off is not None else None
     if superblock is None:
-        h = sup.eigenvectors * (sup.variances * sup.eigenvalues**-0.5)
+        h = sup.cross
     else:
         h = whole.T @ sup.image(superblock).T / superblock.shape[0]
-    norms = [math.sqrt((met.variances / met.eigenvalues).sum()) for met in metrics]
-    if off is not None:
+    if off is None:
+        norm = math.sqrt(np.vdot(sup.basis * sup.scale, sup.cross))
+    else:
         # the superblock deflated on the components in E: H (I - EE'), and its
-        # sum(g / lambda), the rank at tau = 0, less one per component
+        # tr(B'GB), the rank at tau = 0, less one per component
         h = h - (h @ off) @ off.T
-        norms[-1] = math.sqrt(sup.rank - off.shape[1])
+        norm = math.sqrt(sup.rank - off.shape[1])
     qs = []
     for b, (met, rows) in enumerate(zip(metrics, np.split(h, np.cumsum(widths)[:-1]))):
-        q = (met.eigenvectors * met.eigenvalues**-0.5).T @ rows
-        if np.linalg.norm(q) <= 1e-14 * norms[b] * norms[-1]:
+        whitener = met.basis * met.scale
+        q = whitener.T @ rows
+        if np.linalg.norm(q) <= 1e-14 * math.sqrt(np.vdot(whitener, met.cross)) * norm:
             raise NonContributingBlockError(
                 f"block {ids[b]!r} has zero cross-product with the superblock "
                 "and cannot contribute; drop it from the analysis"
@@ -294,21 +299,31 @@ def _eigen_start(problem: TransformedProblem) -> tuple[np.ndarray, bool]:
     From the size gate on: block Lanczos of width 2 on S'(S V) from a fixed
     Gaussian block, two Gram-Schmidt passes per block, until the top Ritz
     residual is at most 1e-14 * theta_1; theta_1 - theta_2 decides the flag.
-    Below the gate, or once the basis would pass its budget, the dense eigh.
+    Below the gate, or once the basis would pass its budget, the dense eigh;
+    so too once the residual could not reach its tolerance within the budget
+    even if its last ratio per block step halved at each step left.
     """
     s, dim = problem.stacked, problem.dim
     if dim >= _LANCZOS_MIN_DIM:
         cap = dim // _LANCZOS_BUDGET_DIVISOR
         basis, image = np.empty((dim, cap + 2), order="F"), np.empty((dim, cap), order="F")
         gram = np.zeros((cap, cap))  # lower triangle of basis'S'S basis, the part eigh reads
+        last = math.inf  # the previous residual
         basis[:, :2] = np.linalg.qr(np.random.default_rng(0).standard_normal((dim, 2)))[0]
         for k in range(2, cap + 1, 2):
             image[:, k - 2:k] = s.T @ (s @ basis[:, k - 2:k])
             gram[k - 2:k, :k] = image[:, k - 2:k].T @ basis[:, :k]
             vals, vecs = np.linalg.eigh(gram[:k, :k])
             x, top = basis[:, :k] @ vecs[:, -1], vals[-1]
-            if np.linalg.norm(image[:, :k] @ vecs[:, -1] - top * x) <= _ROUNDOFF_TOL * top:
+            res = np.linalg.norm(image[:, :k] @ vecs[:, -1] - top * x)
+            if res <= _ROUNDOFF_TOL * top:
                 return x, bool(top - vals[-2] <= 1e-12 * top)
+            # the residual at the budget's end if its last ratio halved at each step left
+            left = (cap - k) // 2
+            if res * min(1.0, res / last) ** left * 0.5 ** (left * (left + 1) // 2) > (
+                    _ROUNDOFF_TOL * top):
+                break
+            last = res
             block = image[:, k - 2:k]
             for _ in range(2):
                 block = np.linalg.qr(block - basis[:, :k] @ (basis[:, :k].T @ block))[0]
@@ -319,24 +334,25 @@ def _eigen_start(problem: TransformedProblem) -> tuple[np.ndarray, bool]:
     return v, degenerate
 
 
-def _start(basis: np.ndarray, off: np.ndarray | None, config: SolverConfig, k: int) -> np.ndarray:
-    """Start k projected onto the basis and off E: the explicit init at k = 0, else a seeded draw.
+def _start(sup: ShrinkageMetric, off, config: SolverConfig, k: int) -> np.ndarray:
+    """Start k in the superblock factor's coordinates, off E: the init at k = 0, else a draw.
 
     The draw is standard Gaussian with seed config.seed + k, and so is its
-    projection, which sphere_maximize normalizes to a uniform point on the
-    sphere. A projection at roundoff of the start's norm is returned as
-    exact zeros, so that sphere_maximize, which also rejects a start with no
-    positive criterion, rejects it as a zero start.
+    projection V'v, or v itself for a Cholesky factor, whose row space is
+    R^J; sphere_maximize normalizes it to a uniform point on the sphere. A
+    projection at roundoff of the start's norm is returned as exact zeros,
+    so that sphere_maximize, which also rejects a start with no positive
+    criterion, rejects it as a zero start.
     """
     if k == 0 and not isinstance(config.init, str):
         v = np.asarray(config.init, dtype=float).ravel()
-        if v.shape[0] != basis.shape[0]:
+        if v.shape[0] != sup.basis.shape[0]:
             raise DimensionError(
-                f"start vector has length {v.shape[0]}, expected {basis.shape[0]}"
+                f"start vector has length {v.shape[0]}, expected {sup.basis.shape[0]}"
             )
     else:
-        v = np.random.default_rng(config.seed + k).standard_normal(basis.shape[0])
-    c = basis.T @ v
+        v = np.random.default_rng(config.seed + k).standard_normal(sup.basis.shape[0])
+    c = v if sup.variances is None else sup.basis.T @ v
     if off is not None:
         c = c - off @ (off.T @ c)
     return c if np.linalg.norm(c) > _ROUNDOFF_TOL * np.linalg.norm(v) else np.zeros_like(c)
@@ -476,7 +492,6 @@ def solve_matrices(
         off = carried.off
     problem = _transform(blocks, widths, names, metrics, config.m, superblock)
 
-    basis = metrics[-1].eigenvectors
     warnings: list[str] = []
     for b, met in enumerate(metrics[:-1]):
         if met.pseudo:
@@ -496,7 +511,7 @@ def solve_matrices(
                         "multiple; the iterate sequence may not be unique"
                     )
             else:
-                c0 = _start(basis, off, config, k)
+                c0 = _start(metrics[-1], off, config, k)
             c, trace = sphere_maximize(problem, config, c0, config.m)
         except (SingularGradientError, BadStartError) as exc:
             last_failure = exc
@@ -507,8 +522,9 @@ def solve_matrices(
     _, _, c, trace = max(results, key=lambda res: res[0])  # ties keep the earliest start
     trace.warnings.extend(warnings)
 
-    # a superblock deflated on earlier components has lost their directions
-    if metrics[-1].pseudo or off is not None:
+    # of the rank-1 superblock when it is carried: ranks >= 2 lose the earlier
+    # components' directions by construction (least-norm weights, see _back_map)
+    if metrics[-1].pseudo:
         warnings_txt = (
             "superblock is rank deficient under Mode B: the reported superblock "
             "weights are one least-norm solution; interpret the component through "
@@ -524,16 +540,16 @@ def _back_map(c, trace, problem, mats, smat, ids, metrics, m, off) -> Solution:
 
     Segment b of problem.stacked @ c is P_b'y_super / n, so its norm is
     cov_b, and w_b = M_b^(-1) X_b'y_super / ||M_b^(-1/2) X_b'y_super|| is
-    V_b (lambda_b^(-1/2) u_b) with u_b the unit segment. w = V_super
-    lambda_super^(-1/2) c solves smat w = y_super. Off E, the superblock
-    weights are w less its part in Z = V g^(-1/2) E, which spans the null
-    space of the deflated superblock within the row space of smat: the
-    least-norm solution for the deflated superblock.
+    B_b u_b with u_b the unit segment. w = B_super c solves smat w = y_super.
+    Off E, the superblock weights are w less its part in Z = B_super E,
+    which spans the null space of the deflated superblock within the row
+    space of smat: the least-norm solution for the deflated superblock, which
+    is rank deficient by construction, so no warning says so at ranks >= 2.
     """
     sup = metrics[-1]
-    w_super = w_smat = sup.eigenvectors @ (c * sup.eigenvalues**-0.5)
+    w_super = w_smat = sup.basis @ (c * sup.scale)
     if off is not None:
-        z = np.linalg.qr(sup.eigenvectors @ (off * sup.eigenvalues[:, None] ** -0.5))[0]
+        z = np.linalg.qr(sup.basis @ (off * sup.scale[:, None]))[0]
         w_super = w_smat - z @ (z.T @ w_smat)
     # the same product that gave psi at c, so that sum(covs**m) is psi exactly
     segments = problem.stacked @ c
@@ -553,7 +569,7 @@ def _back_map(c, trace, problem, mats, smat, ids, metrics, m, off) -> Solution:
             raise NonContributingBlockError(
                 f"block {ids[b]!r} is uncorrelated with the superblock component"
             )
-        w_b = met.eigenvectors @ (met.eigenvalues**-0.5 * (seg / covs[b]))
+        w_b = met.basis @ (met.scale * (seg / covs[b]))
         w_blocks.append(w_b)
         y_blocks.append(mat @ w_b)
 

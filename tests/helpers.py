@@ -55,10 +55,12 @@ def component_matrix(solution):
 def superblock_coordinates(solution, metric):
     """The solution's unit iterate c in the coordinates of the superblock `metric`.
 
-    w_super = V_super diag(lambda_super^(-1/2)) c, so c is
-    diag(lambda_super^(1/2)) V_super'w_super, normalized against roundoff.
+    w_super = B c with B'MB = I, so c is (MB)'w_super, normalized against
+    roundoff; MB = tau B + (1 - tau) GB, which is V diag(lambda^(1/2)) for an
+    eigenbasis and L for a Cholesky factor.
     """
-    c = metric.eigenvalues**0.5 * (metric.eigenvectors.T @ solution.w_super)
+    mb = metric.tau * (metric.basis * metric.scale) + (1.0 - metric.tau) * metric.cross
+    c = mb.T @ solution.w_super
     return c / np.linalg.norm(c)
 
 
@@ -215,12 +217,60 @@ def reference_metric_power(x, tau, power):
 def factor_power(met, power):
     """M^power as a dense J x J matrix, rebuilt from a metric's thin factor.
 
-    M^power = V diag(lambda^power) V' + tau^power (I - V V'); at tau = 0 the
-    complement term is dropped (pseudo-inverse semantics).
+    From an eigenbasis, M^power = V diag(lambda^power) V' + tau^power (I - V V');
+    at tau = 0 the complement term is dropped (pseudo-inverse semantics). From
+    a Cholesky factor (tau = 0, full rank), M = LL' and M^(-1) = BB'; other
+    powers need an eigendecomposition, which that factor does not hold.
     """
-    v = met.eigenvectors
+    if met.variances is None:
+        factor = {1.0: met.cross, -1.0: met.basis * met.scale}[power]
+        return factor @ factor.T
+    v = met.basis
     rest = met.tau**power if met.tau > 0.0 else 0.0
-    return (v * met.eigenvalues**power) @ v.T + rest * (np.eye(v.shape[0]) - v @ v.T)
+    return (v * metric_eigenvalues(met) ** power) @ v.T + rest * (np.eye(v.shape[0]) - v @ v.T)
+
+
+def metric_eigenvalues(met):
+    """lambda = tau + (1 - tau) g, M's eigenvalues on an eigenbasis factor."""
+    return met.tau + (1.0 - met.tau) * met.variances
+
+
+def metric_condition(met):
+    """kappa(M) on the factor's span: lambda_max / lambda_min, or kappa(L)^2."""
+    if met.variances is None:
+        return np.linalg.cond(met.cross) ** 2
+    lam = metric_eigenvalues(met)
+    return lam.max() / lam.min()
+
+
+def eigh_factor(x, tau):
+    """The eigendecomposition route of `build_metric`, written out: its fields, in order.
+
+    (basis, scale, cross, variances, pseudo): descending eigenpairs of the
+    smaller Gram matrix, cut at DEFAULT_RANK_TOLERANCE (tau = 0) or at
+    roundoff (tau > 0), V = X'U/s for a wide matrix, scale lambda^(-1/2) and
+    cross V diag(g lambda^(-1/2)).
+    """
+    n, j = x.shape
+    vals, vecs = np.linalg.eigh((x @ x.T if j > n else x.T @ x) / n)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    cut = DEFAULT_RANK_TOLERANCE if tau == 0.0 else max(n, j) * np.finfo(float).eps
+    rank = int((vals > cut * vals[0]).sum())
+    vals, vecs = vals[:rank], vecs[:, :rank]
+    if j > n:
+        vecs = (x.T @ vecs) / np.sqrt(n * vals)
+    vals, vecs = np.ascontiguousarray(vals), np.ascontiguousarray(vecs)
+    scale = (tau + (1.0 - tau) * vals) ** -0.5
+    return vecs, scale, vecs * (vals * scale), vals, tau == 0.0 and rank < j
+
+
+def without_cholesky(monkeypatch):
+    """Send every metric built from now on down the eigendecomposition route."""
+
+    def refuse(a):
+        raise np.linalg.LinAlgError("the Cholesky route is switched off")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
 
 
 def reference_q_blocks(mats, smat, metrics):

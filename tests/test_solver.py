@@ -11,6 +11,7 @@ from helpers import (
     factor_power,
     full_rank_blockset,
     latent_blockset,
+    metric_condition,
     q_blocks,
     random_blockset,
     random_m,
@@ -73,11 +74,11 @@ class TestTransform:
         bs = random_blockset(0, b=2, n=10, js=[2, 3], normalize=False)
         metrics = build_metrics(bs, ModeSelector.uniform("A", "A", 2))
         problem = transform(bs, metrics, 2.0)
-        basis = metrics[-1].eigenvectors
+        basis = metrics[-1].basis
         for b in range(2):
             # segments are in the factors' coordinates: map them back to J-space
             np.testing.assert_allclose(
-                metrics[b].eigenvectors @ q_blocks(problem)[b] @ basis.T,
+                metrics[b].basis @ q_blocks(problem)[b] @ basis.T,
                 bs.blocks[b].matrix.T @ bs.superblock / bs.n,
                 atol=1e-12,
             )
@@ -87,7 +88,7 @@ class TestTransform:
         metrics = build_metrics(bs, ModeSelector.uniform("A", "A", 1))
         problem = transform(bs, metrics, 2.0)
         x = bs.blocks[0].matrix
-        basis = metrics[0].eigenvectors
+        basis = metrics[0].basis
         np.testing.assert_allclose(
             basis @ q_blocks(problem)[0] @ basis.T, x.T @ x / bs.n, atol=1e-12
         )
@@ -132,7 +133,7 @@ def assert_q_close(stacked, ref, metrics):
     Both are exact in exact arithmetic; in floating point they part by
     roundoff times the largest condition number among the metrics.
     """
-    cond = max(met.eigenvalues.max() / met.eigenvalues.min() for met in metrics)
+    cond = max(metric_condition(met) for met in metrics)
     assert np.linalg.norm(stacked - ref) <= 1e-14 * cond * np.linalg.norm(ref)
 
 
@@ -438,8 +439,8 @@ def many_block_problem(scale):
 def spectrum_blockset(eigenvalues, n=420):
     """One centred block whose Gram X'X/n has exactly these eigenvalues.
 
-    Under Mode A with a Mode B superblock, S'S = diag(eigenvalues) in the
-    superblock factor's coordinates.
+    Under Mode A with a Mode B superblock, S'S = L'L, G = LL', which has
+    these eigenvalues too.
     """
     rng = np.random.default_rng(3)
     d = len(eigenvalues)
@@ -477,7 +478,8 @@ class TestInitV:
         assert abs(v[1]) <= 1e-12
 
     def test_random_is_deterministic(self):
-        # the seeded J-dimensional draw, projected onto the superblock factor
+        # the seeded J-dimensional draw in the superblock factor's coordinates:
+        # a Cholesky factor spans R^J, and its coordinates take the draw itself
         bs = random_blockset(5, b=2, n=12, js=[3, 2])
         modes = ModeSelector.uniform("A", "B", 2)
         cfg = SolverConfig(m=2.0, init="random", seed=42)
@@ -485,9 +487,20 @@ class TestInitV:
         np.testing.assert_array_equal(s1.trace.psi, s2.trace.psi)
         np.testing.assert_array_equal(s1.w_super, s2.w_super)
         metrics = build_metrics(bs, modes)
-        c = metrics[-1].eigenvectors.T @ np.random.default_rng(42).standard_normal(5)
+        assert metrics[-1].variances is None
+        c = np.random.default_rng(42).standard_normal(5)
         problem = transform(bs, metrics, 2.0)
         assert s1.trace.psi[0] == pytest.approx(problem.value(c / np.linalg.norm(c)), rel=1e-12)
+
+    def test_random_is_projected_onto_an_eigenbasis(self):
+        # a superblock factored by eigh (tau > 0) takes the draw's projection V'v
+        bs = random_blockset(5, b=2, n=12, js=[3, 2])
+        modes = ModeSelector.uniform("A", 0.5, 2)
+        sol = solve(bs, modes, SolverConfig(m=2.0, init="random", seed=42))
+        metrics = build_metrics(bs, modes)
+        c = metrics[-1].basis.T @ np.random.default_rng(42).standard_normal(5)
+        problem = transform(bs, metrics, 2.0)
+        assert sol.trace.psi[0] == pytest.approx(problem.value(c / np.linalg.norm(c)), rel=1e-12)
 
     def test_given_is_normalized(self):
         # full-rank Mode A superblock: the basis is orthogonal, so ||V'v|| = ||v|| = 5
@@ -496,7 +509,7 @@ class TestInitV:
         metrics = build_metrics(bs, modes)
         problem = transform(bs, metrics, 2.0)
         sol = solve(bs, modes, SolverConfig(m=2.0, init=np.array([3.0, 4.0])))
-        unit = metrics[-1].eigenvectors.T @ np.array([0.6, 0.8])
+        unit = metrics[-1].basis.T @ np.array([0.6, 0.8])
         assert sol.trace.psi[0] == pytest.approx(problem.value(unit), rel=1e-12)
         unit_sol = solve(bs, modes, SolverConfig(m=2.0, init=np.array([0.6, 0.8])))
         np.testing.assert_allclose(sol.trace.psi, unit_sol.trace.psi, rtol=1e-12)
@@ -565,14 +578,26 @@ class TestInitV:
         modes = ModeSelector.uniform("A", "B", 1)
         problem = transform(bs, build_metrics(bs, modes), 2.0)
         assert problem.dim == 400
+        top = np.linalg.eigh(problem.stacked.T @ problem.stacked)[1][:, -2:]
         sizes = eigh_sizes(monkeypatch)
         v, degenerate = _eigen_start(problem)
         assert max(sizes) < problem.dim
         assert degenerate == multiple
-        assert np.linalg.norm(v[2:]) <= 1e-12  # in the top eigenspace, coordinates 0 and 1
+        assert np.linalg.norm(v - top @ (top.T @ v)) <= 1e-12  # in the top eigenspace
         monkeypatch.undo()
         sol = solve(bs, modes, SolverConfig(m=2.0))
         assert any("numerically multiple" in w for w in sol.trace.warnings) == multiple
+
+    def test_krylov_start_gives_up_before_the_budget(self, monkeypatch):
+        # the flat top of the test below: the residual falls so slowly that even a
+        # ratio halving at every step left cannot reach 1e-14 within the budget
+        lam = np.concatenate([[1.0, 0.99], np.random.default_rng(5).uniform(0.0, 0.99, 398)])
+        bs = spectrum_blockset(lam)
+        problem = transform(bs, build_metrics(bs, ModeSelector.uniform("A", "B", 1)), 2.0)
+        sizes = eigh_sizes(monkeypatch)
+        _eigen_start(problem)
+        assert sizes[-1] == problem.dim  # the dense eigh
+        assert 2 * len(sizes[:-1]) == max(sizes[:-1]) < problem.dim // 8  # 34 of 50 vectors
 
     def test_krylov_start_exhausted_budget_returns_the_dense_result(self):
         # lambda_2 / lambda_1 = 0.99 over a bulk packed just below: Lanczos
