@@ -27,8 +27,12 @@ keep their meaning. A Mode B superblock under global or own is factored once:
 deflating it on its own component only projects that component off its
 column space, so later ranks solve in the rank-1 factor's coordinates with
 the earlier components projected off (`solver.CarriedSuperblock`), and own
-no longer deflates a superblock array. Ranks are inherently sequential; each
-per-rank solve is deterministic.
+no longer deflates a superblock array. Under global it writes no array at
+all: X^(r) = Pi_r X with Pi_r = I - YY' on the unit superblock components Y
+so far, so each block metric is built from the rank-1 Gram downdated by
+A_b = X_b'Y, X_b'Pi_r X_b / n = G_b - A_b A_b' / n, and each block component
+is Pi_r (X_b w_b). Ranks are inherently sequential; each per-rank solve is
+deterministic.
 """
 
 from __future__ import annotations
@@ -115,6 +119,14 @@ def extract(
     truncated with a warning rather than failing. Mode B on the superblock
     combined with the `own` strategy is allowed but flagged: the
     orthogonality guarantees are weaker there.
+
+    After each rank a block whose deflated Frobenius norm is at most
+    _ZERO_RTOL of its original one ends the extraction (RankExhaustedError).
+    Under global with a carried superblock the norm is read off
+    ||X_b||_F^2 - ||A_b||_F^2, whose cancellation limits it to about
+    sqrt(eps) ||X_b||_F. Below the rank cap the check cannot fire on either
+    path: a rank-one projection lowers a block's rank by at most one, so the
+    deflated norm stays at or above the smallest singular value the metric kept.
     """
     strategy = DeflationStrategy(strategy)
     if rank < 1:
@@ -126,14 +138,18 @@ def extract(
     if (strategy in (DeflationStrategy.GLOBAL, DeflationStrategy.OWN)
             and modes.superblock_tau == 0.0):
         smat = CarriedSuperblock(whole, separate=strategy is DeflationStrategy.OWN)
+    # global with a carried superblock deflates no array: the blocks stay X_b, deflated
+    # implicitly by the components it carries
+    implicit = strategy is DeflationStrategy.GLOBAL and smat is not None
     widths = [b.n_vars for b in blockset.blocks]
     starts = np.cumsum([0] + widths[:-1])
     ids = list(blockset.ids)
 
-    def block_norms(x):  # one pass over the columns; np.linalg.norm would copy each view
-        return np.sqrt(np.add.reduceat(np.einsum("ij,ij->j", x, x), starts))
+    def block_squares(x):  # one pass over the columns; np.linalg.norm would copy each view
+        return np.add.reduceat(np.einsum("ij,ij->j", x, x), starts)
 
-    orig_norms = block_norms(whole)
+    orig_squares = block_squares(whole)
+    orig_norms = np.sqrt(orig_squares)
 
     warnings: list[str] = []
     if strategy is DeflationStrategy.OWN and modes.superblock_tau == 0.0:
@@ -160,7 +176,8 @@ def extract(
         elif strategy is DeflationStrategy.OWN:  # the superblock on its own component
             smat = deflate(whole if smat is None else smat, sol.y_super)
         if strategy is DeflationStrategy.GLOBAL:
-            whole = deflate(whole, sol.y_super)
+            if not implicit:
+                whole = deflate(whole, sol.y_super)
         else:  # each block on its loading direction or its own y_b, into its columns
             new = np.empty_like(whole)
             for x, y_b, out in zip(np.split(whole, starts[1:], axis=1), sol.y_blocks,
@@ -171,7 +188,9 @@ def extract(
                     deflate(x, y_b, out)
             whole = new
             del x  # its view would keep the previous array alive through the next solve
-        for b, norm in enumerate(block_norms(whole)):
+        squares = (orig_squares - np.add.reduceat(np.einsum("ij,ij->i", smat.cross, smat.cross),
+                                                  starts) if implicit else block_squares(whole))
+        for b, norm in enumerate(np.sqrt(np.maximum(squares, 0.0))):
             if norm <= _ZERO_RTOL * orig_norms[b]:
                 raise RankExhaustedError(
                     f"block {ids[b]!r} was annihilated after {r + 1} components; "
@@ -179,25 +198,24 @@ def extract(
                 )
 
     achieved = len(solutions)
-    block_corrs = []
-    for b in range(blockset.n_blocks):
-        comps = np.column_stack([sol.y_blocks[b] for sol in solutions])
-        block_corrs.append(_correlations(comps))
+    block_comps = np.empty((blockset.n, blockset.n_blocks, achieved))  # n x B x R
+    for r, sol in enumerate(solutions):
+        block_comps[:, :, r] = np.array(sol.y_blocks).T
     super_comps = np.column_stack([sol.y_super for sol in solutions])
     return MultiSolution(
         strategy=strategy,
         requested_rank=rank,
         achieved_rank=achieved,
         solutions=solutions,
-        block_component_correlations=block_corrs,
+        block_component_correlations=list(_correlations(block_comps.transpose(1, 0, 2))),
         superblock_component_correlations=_correlations(super_comps),
         warnings=warnings,
     )
 
 
 def _correlations(columns: np.ndarray) -> np.ndarray:
-    """Pairwise correlations of already-centered columns."""
-    norms = np.linalg.norm(columns, axis=0)
+    """Pairwise correlations of already-centered columns, of each matrix in a stack."""
+    norms = np.linalg.norm(columns, axis=-2, keepdims=True)
     norms = np.where(norms == 0.0, 1.0, norms)
     u = columns / norms
-    return u.T @ u
+    return np.swapaxes(u, -1, -2) @ u

@@ -93,13 +93,26 @@ class ShrinkageMetric:
     def rank(self) -> int:
         return self.scale.size
 
+    @property
+    def factor(self) -> np.ndarray:
+        """B itself: the basis on the Cholesky route, whose scale is 1."""
+        return self.basis if self.variances is None else self.basis * self.scale
+
+    @property
+    def cross_trace(self) -> float:
+        """tr(B'GB) = ||X B||_F^2 / n: the rank, or sum(variances * scale^2) for eigenpairs."""
+        return float(self.rank if self.variances is None else self.variances @ self.scale**2)
+
     def image(self, x: np.ndarray) -> np.ndarray:
         """P' = M^(-1/2) X' in the factor's coordinates: B'X', rank x n."""
-        return (self.basis * self.scale).T @ x.T
+        return self.factor.T @ x.T
 
 
-def build_metric(data, tau: float) -> ShrinkageMetric:
+def build_metric(data, tau: float, gram: np.ndarray | None = None) -> ShrinkageMetric:
     """Construct the shrinkage metric of a centered n x J matrix.
+
+    `gram`, when given, stands for X'X/n of a matrix with J <= n, such as a
+    Gram the caller downdated; the data then only gives the shape.
 
     At tau = 0 with J < n the factor is G = X'X/n = LL' when the Cholesky
     factorization succeeds and certifies full rank: kappa(G) <=
@@ -124,7 +137,8 @@ def build_metric(data, tau: float) -> ShrinkageMetric:
         raise DimensionError("expected an n x J matrix")
     n, j = x.shape
     wide = j > n
-    gram = (x @ x.T if wide else x.T @ x) / n
+    if gram is None:
+        gram = (x @ x.T if wide else x.T @ x) / n
     if tau == 0.0 and j < n:
         try:
             low = np.linalg.cholesky(gram)

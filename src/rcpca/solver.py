@@ -38,7 +38,10 @@ configuration and never modifies the problem it reads.
 Under `global` and `own` deflation a Mode B superblock is factored once, at
 rank 1 (`CarriedSuperblock`): later ranks solve in those coordinates with
 the earlier components projected off (segments, random and explicit starts,
-and the superblock weights), and at rank 1 the solve is the plain one.
+and the superblock weights), and at rank 1 the solve is the plain one. Under
+`global` the deflated blocks are never formed either: their metrics come
+from the rank-1 block Grams downdated on the earlier components, and their
+components are projected off them.
 """
 
 from __future__ import annotations
@@ -76,23 +79,29 @@ class TransformedProblem:
 
     The Q_b are stacked row-wise into one (sum r_b) x dim matrix;
     offsets[b]:offsets[b + 1] are the rows of block b, and ids[b] names it
-    in errors.
+    in errors. Given `offsets`, q_matrices is that stacked matrix already.
     """
 
-    def __init__(self, q_matrices: Sequence[np.ndarray], m: float, ids: Sequence[str]):
+    def __init__(self, q_matrices, m: float, ids: Sequence[str], offsets=None):
         if not (m >= 1.0 and math.isfinite(m)):
             raise ValueError(f"exponent m must be finite and >= 1, got {m}")
-        if len({q.shape[1] for q in q_matrices}) > 1:
-            raise DimensionError("Q matrices disagree on the superblock dimension")
-        self.stacked = np.vstack(q_matrices)
-        self.offsets = np.cumsum([0] + [q.shape[0] for q in q_matrices])
+        if offsets is None:
+            if len({q.shape[1] for q in q_matrices}) > 1:
+                raise DimensionError("Q matrices disagree on the superblock dimension")
+            offsets = np.cumsum([0] + [q.shape[0] for q in q_matrices])
+            q_matrices = np.vstack(q_matrices)
+        self.stacked, self.offsets = q_matrices, offsets
         self.m = m
         self.ids = list(ids)
-        # ||Q_b v|| at or below this counts as zero in the gradient
-        self._zero_tol = np.array([
-            _ROUNDOFF_TOL * np.abs(seg).max(initial=0.0) * math.sqrt(seg.size)
-            for seg in np.split(self.stacked, self.offsets[1:-1])
-        ])
+        # ||Q_b v|| at or below this counts as zero in the gradient; a block's
+        # largest |entry| from the rows' extremes (no |Q| copy), 0 for a zero-row segment
+        rows = np.diff(offsets)
+        peak = np.zeros(rows.size)
+        if (full := rows > 0).any():
+            row_peak = np.maximum(q_matrices.max(axis=1, initial=0.0),
+                                  -q_matrices.min(axis=1, initial=0.0))
+            peak[full] = np.maximum.reduceat(row_peak, offsets[:-1][full])
+        self._zero_tol = _ROUNDOFF_TOL * peak * np.sqrt(rows * self.dim)
 
     @property
     def dim(self) -> int:
@@ -224,12 +233,22 @@ class CarriedSuperblock:
     way (`own`) and the transform takes their product with P; otherwise they
     are X deflated on the same components (`global`), and the superblock's
     closed form holds.
+
+    Under `global` the deflated blocks are never formed: they are Pi X_b,
+    Pi = I - YY' with the unit components Y (`units`), and A = X'Y (`cross`)
+    turns the rank-1 Grams G_b = X_b'X_b / n (`grams`) into their Grams
+    X_b'Pi X_b / n = G_b - A_b A_b' / n. Downdating the data Grams rather than
+    the factor keeps each block's relative accuracy when the superblock factor
+    is an eigh of an ill-conditioned X. A wide block, whose metric factors
+    X_b X_b' / n, gets Pi X_b = X_b - Y A_b'; `_back_map` returns Pi (X_b w_b).
     """
 
     def __init__(self, x: np.ndarray, separate: bool):
         self.x, self.separate = x, separate
         self.metric: ShrinkageMetric | None = None
         self.off: np.ndarray | None = None  # E, once there is a component
+        self.units = self.cross = None  # Y and A under global, once there is a component
+        self.grams: list | None = None  # G_b, or None for a wide block, under global
 
     def factor(self) -> ShrinkageMetric:
         if self.metric is None:
@@ -237,10 +256,31 @@ class CarriedSuperblock:
         return self.metric
 
     def deflate(self, y: np.ndarray) -> None:
-        """Add the component y of the last solve to E."""
-        c = self.metric.scale * (self.metric.basis.T @ (self.x.T @ y))
+        """Add the component y of the last solve to E, and under global to Y and A."""
+        xy = self.x.T @ y
+        c = self.metric.scale * (self.metric.basis.T @ xy)
         c = (c / np.linalg.norm(c))[:, None]
         self.off = c if self.off is None else np.hstack([self.off, c])
+        if not self.separate:
+            nrm = np.linalg.norm(y)
+            u, a = (y / nrm)[:, None], (xy / nrm)[:, None]
+            self.units = u if self.units is None else np.hstack([self.units, u])
+            self.cross = a if self.cross is None else np.hstack([self.cross, a])
+
+    def block_data(self, mats: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray | None]]:
+        """(data, Gram or None) of each block deflated on Y, for `build_metric`.
+
+        The rank-1 Grams are formed here by build_metric's own expression, so
+        rank 1 is the plain solve, byte for byte.
+        """
+        n = self.x.shape[0]
+        if self.grams is None:
+            self.grams = [mat.T @ mat / n if mat.shape[1] <= n else None for mat in mats]
+        if self.units is None:
+            return list(zip(mats, self.grams))
+        rows = np.split(self.cross, np.cumsum([mat.shape[1] for mat in mats])[:-1])
+        return [(mat, g - a @ a.T / n) if g is not None else (mat - self.units @ a.T, None)
+                for mat, g, a in zip(mats, self.grams, rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -274,23 +314,23 @@ def _transform(whole, widths, ids, metrics, m, superblock=None) -> TransformedPr
     else:
         h = whole.T @ sup.image(superblock).T / superblock.shape[0]
     if off is None:
-        norm = math.sqrt(np.vdot(sup.basis * sup.scale, sup.cross))
+        norm = math.sqrt(sup.cross_trace)
     else:
         # the superblock deflated on the components in E: H (I - EE'), and its
         # tr(B'GB), the rank at tau = 0, less one per component
-        h = h - (h @ off) @ off.T
+        p = (h @ off) @ off.T
+        h = np.subtract(h, p, out=p)
         norm = math.sqrt(sup.rank - off.shape[1])
-    qs = []
+    offsets = np.cumsum([0] + [met.rank for met in metrics[:-1]])
+    stacked = np.empty((offsets[-1], h.shape[1]))
     for b, (met, rows) in enumerate(zip(metrics, np.split(h, np.cumsum(widths)[:-1]))):
-        whitener = met.basis * met.scale
-        q = whitener.T @ rows
-        if np.linalg.norm(q) <= 1e-14 * math.sqrt(np.vdot(whitener, met.cross)) * norm:
+        q = np.matmul(met.factor.T, rows, out=stacked[offsets[b]:offsets[b + 1]])
+        if np.linalg.norm(q) <= 1e-14 * math.sqrt(met.cross_trace) * norm:
             raise NonContributingBlockError(
                 f"block {ids[b]!r} has zero cross-product with the superblock "
                 "and cannot contribute; drop it from the analysis"
             )
-        qs.append(q)
-    return TransformedProblem(qs, m, ids)
+    return TransformedProblem(stacked, m, ids, offsets)
 
 
 def _eigen_start(problem: TransformedProblem) -> tuple[np.ndarray, bool]:
@@ -483,13 +523,15 @@ def solve_matrices(
         raise DimensionError(f"superblock has {smat.shape[0]} rows, not {blocks.shape[0]}")
     names = list(ids) if ids is not None else [str(b + 1) for b in range(len(widths))]
     mats = np.split(blocks, np.cumsum(widths)[:-1], axis=1)
-    metrics = [build_metric(mat, tau) for mat, tau in zip(mats, modes.block_taus)]
+    data = ([(mat, None) for mat in mats] if carried is None or carried.separate
+            else carried.block_data(mats))
+    metrics = [build_metric(x, tau, gram) for (x, gram), tau in zip(data, modes.block_taus)]
     if carried is None:
         metrics.append(build_metric(smat, modes.superblock_tau))
-        off = None
+        off = units = None
     else:
         metrics.append(carried.factor())
-        off = carried.off
+        off, units = carried.off, carried.units
     problem = _transform(blocks, widths, names, metrics, config.m, superblock)
 
     warnings: list[str] = []
@@ -532,10 +574,10 @@ def solve_matrices(
         )
         trace.warnings.append(warnings_txt)
 
-    return _back_map(c, trace, problem, mats, smat, names, metrics, config.m, off)
+    return _back_map(c, trace, problem, mats, smat, names, metrics, config.m, off, units)
 
 
-def _back_map(c, trace, problem, mats, smat, ids, metrics, m, off) -> Solution:
+def _back_map(c, trace, problem, mats, smat, ids, metrics, m, off, units) -> Solution:
     """Weights and components from the solution c (superblock factor coordinates).
 
     Segment b of problem.stacked @ c is P_b'y_super / n, so its norm is
@@ -545,6 +587,8 @@ def _back_map(c, trace, problem, mats, smat, ids, metrics, m, off) -> Solution:
     which spans the null space of the deflated superblock within the row
     space of smat: the least-norm solution for the deflated superblock, which
     is rank deficient by construction, so no warning says so at ranks >= 2.
+    With `units` Y (a CarriedSuperblock under global) the blocks are X_b
+    deflated on Y, and each block component is Pi (X_b w_b), Pi = I - YY'.
     """
     sup = metrics[-1]
     w_super = w_smat = sup.basis @ (c * sup.scale)
@@ -572,6 +616,10 @@ def _back_map(c, trace, problem, mats, smat, ids, metrics, m, off) -> Solution:
         w_b = met.basis @ (met.scale * (seg / covs[b]))
         w_blocks.append(w_b)
         y_blocks.append(mat @ w_b)
+    if units is not None:
+        ys = np.array(y_blocks)
+        ys -= (ys @ units) @ units.T
+        y_blocks = list(ys)
 
     return Solution(
         w_super=w_super,

@@ -23,7 +23,9 @@ from rcpca import (
     ModeSelector,
     SolverConfig,
     build_blockset,
+    deflate,
     from_matrix,
+    solve_matrices,
     sphere_maximize,
 )
 from rcpca.errors import (
@@ -33,6 +35,7 @@ from rcpca.errors import (
     SingularGradientError,
 )
 from rcpca.metrics import DEFAULT_RANK_TOLERANCE
+from rcpca.solver import CarriedSuperblock
 
 M_GRID = (1.0, 1.5, 2.0, 3.0, 4.0)
 TAU_GRID = (0.0, 0.3, 1.0)
@@ -392,3 +395,37 @@ def reference_auxiliary_solve(blockset, block_taus, m, epsilon=1e-12, max_iter=1
         if dval <= epsilon:
             break
     return y, iterations, values
+
+
+class _DeflatedBlocks(CarriedSuperblock):
+    """A carried Mode B superblock whose blocks come in deflated, as data."""
+
+    def __init__(self, x):
+        super().__init__(x, separate=False)
+
+    def block_data(self, mats):
+        return [(mat, None) for mat in mats]
+
+    def deflate(self, y):
+        super().deflate(y)
+        self.units = self.cross = None  # the blocks are deflated already
+
+
+def data_deflation_extract(blockset, modes, config, rank):
+    """`extract` under global with a Mode B superblock, deflating the data.
+
+    Each rank solves on the n x J superblock deflated on every earlier
+    superblock component, with the rank-1 superblock factor carried: block
+    metrics from the deflated blocks' own Grams and block components X_b w_b
+    of the deflated blocks. Returns (solutions, deflated array per rank).
+    """
+    widths = [b.n_vars for b in blockset.blocks]
+    whole, carried = blockset.superblock, _DeflatedBlocks(blockset.superblock)
+    solutions, wholes = [], []
+    for _ in range(rank):
+        sol = solve_matrices(whole, widths, modes, config, ids=blockset.ids, superblock=carried)
+        solutions.append(sol)
+        wholes.append(whole)
+        carried.deflate(sol.y_super)
+        whole = deflate(whole, sol.y_super)
+    return solutions, wholes

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    data_deflation_extract,
     latent_blockset,
     random_blockset,
     random_modes,
@@ -340,6 +341,47 @@ CARRIED_CASES = [
 ]
 
 
+def mode_b_superblock_presets():
+    """Every preset with a Mode B superblock, with the m or split it leaves free."""
+    out = []
+    for name in preset_names():
+        entry = preset(name)
+        if entry.tau_superblock == 0.0:
+            out.append(preset(name, m=None if entry.m else 2.0,
+                              split=1 if entry.tau_blocks is None else None))
+    return out
+
+
+def column_scaled(bs, scales=(1e-2, 1.0, 1e2)):
+    """The same blocks with column j of the superblock multiplied by scales[j % 3]."""
+    x = bs.superblock * np.resize(scales, bs.superblock.shape[1])
+    cols = np.cumsum([0] + [b.n_vars for b in bs.blocks])
+    return build_blockset([from_matrix(b.id, x[:, lo:hi], scale=False)
+                           for b, lo, hi in zip(bs.blocks, cols[:-1], cols[1:])])
+
+
+def deficient_superblock(seed):
+    """A duplicated column: the rank-1 superblock is rank deficient (the eigh route)."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((25, 4))
+    return build_blockset([
+        from_matrix("dup", np.column_stack([base, base[:, 2]])),
+        from_matrix("full", rng.standard_normal((25, 5))),
+    ])
+
+
+DATA_DEFLATION_CASES = {
+    "unscaled": lambda seed: random_blockset(seed, b=3, n=30, js=[3, 4, 5]),
+    "column_scales": lambda seed: column_scaled(random_blockset(seed, b=3, n=30, js=[3, 4, 5])),
+    "wide_block": lambda seed: random_blockset(seed, b=3, n=20, js=[3, 25, 4]),
+    "deficient_superblock": deficient_superblock,
+}
+
+
+def cosine_gap(y, y_ref):
+    return 1.0 - abs(y @ y_ref) / (np.linalg.norm(y) * np.linalg.norm(y_ref))
+
+
 class TestCarriedSuperblock:
     @pytest.mark.parametrize("strategy", ["global", "own"])
     @pytest.mark.parametrize("name, split, scale", CARRIED_CASES)
@@ -379,6 +421,61 @@ class TestCarriedSuperblock:
         assert ms.achieved_rank == rank
         assert len(calls) == 4 * rank + 1
 
+    @pytest.mark.parametrize("case", list(DATA_DEFLATION_CASES))
+    @pytest.mark.parametrize("entry", mode_b_superblock_presets(), ids=lambda e: e.name)
+    def test_global_matches_deflating_the_data(self, entry, case):
+        # global carries the block Grams G_b - A_b A_b'/n where the data was deflated
+        for seed in range(2):
+            bs = DATA_DEFLATION_CASES[case](seed)
+            modes = entry.selector(bs.n_blocks)
+            config = carried_config(bs, modes, entry.m)
+            ms = extract(bs, modes, config, 3, "global")
+            ref, _ = data_deflation_extract(bs, modes, config, 3)
+            assert ms.achieved_rank == 3
+            for r, (got, exp) in enumerate(zip(ms.solutions, ref)):
+                assert got.trace.iterations == exp.trace.iterations, (seed, r)
+                assert got.block_ranks == exp.block_ranks, (seed, r)
+                pairs = list(zip([got.y_super, *got.y_blocks], [exp.y_super, *exp.y_blocks]))
+                if r == 0:  # the rank-1 Grams are build_metric's own
+                    for y, y_ref in pairs:
+                        np.testing.assert_array_equal(y, y_ref)
+                for b, (y, y_ref) in enumerate(pairs):
+                    assert cosine_gap(y, y_ref) <= 1e-12, (seed, r, b)
+
+    @pytest.mark.parametrize("strategy", list(DeflationStrategy))
+    @pytest.mark.parametrize("superblock", ["A", "B"])
+    def test_deflated_arrays_per_strategy(self, monkeypatch, strategy, superblock):
+        # 4 blocks, 3 ranks: two deflations of each block (block, own) or of the
+        # superblock (global, own's separate one), none under global with Mode B
+        calls = []
+        monkeypatch.setattr(deflation, "deflate", lambda *args: calls.append(1) or deflate(*args))
+        bs = random_blockset(5, b=4, n=30, js=[3, 4, 3, 5])
+        ms = extract(bs, ModeSelector.uniform("B", superblock, 4), SolverConfig(), 3, strategy)
+        assert ms.achieved_rank == 3
+        mode_b = superblock == "B"
+        expected = {"global": 0 if mode_b else 2, "block": 8, "loading": 0,
+                    "own": 8 if mode_b else 10}[DeflationStrategy(strategy).value]
+        assert len(calls) == expected
+
+    @pytest.mark.parametrize("side", [1.0 - 1e-9, 1.0 + 1e-9])
+    def test_annihilation_check_reads_the_carried_norms(self, monkeypatch, side):
+        # ||Pi X_b||_F^2 = ||X_b||_F^2 - ||A_b||_F^2 against the deflated data's norms:
+        # a threshold just above the smallest ratio names its block, just below passes
+        bs = random_blockset(6, b=3, n=30, js=[3, 4, 5])
+        modes = ModeSelector.uniform("B", "B", 3)
+        _, wholes = data_deflation_extract(bs, modes, CFG, 2)
+        cols = np.cumsum([0, 3, 4, 5])
+        ratios = [np.linalg.norm(wholes[1][:, lo:hi]) / np.linalg.norm(wholes[0][:, lo:hi])
+                  for lo, hi in zip(cols[:-1], cols[1:])]
+        b = int(np.argmin(ratios))
+        monkeypatch.setattr(deflation, "_ZERO_RTOL", side * ratios[b])
+        if side < 1.0:
+            assert extract(bs, modes, CFG, 2, "global").achieved_rank == 2
+        else:
+            with pytest.raises(RankExhaustedError, match=f"^block 'b{b + 1}' was annihilated "
+                               "after 1 components"):
+                extract(bs, modes, CFG, 2, "global")
+
     @pytest.mark.parametrize("strategy", ["global", "own"])
     def test_superblock_warning_only_for_a_rank_deficient_rank_one(self, strategy):
         # ranks >= 2 lose the earlier components' directions by construction
@@ -398,17 +495,6 @@ class TestCarriedSuperblock:
 
 # ---------------------------------------------------------------------------
 # the Cholesky route of a Mode B superblock against the eigendecomposition route
-
-
-def mode_b_superblock_presets():
-    """Every preset with a Mode B superblock, with the m or split it leaves free."""
-    out = []
-    for name in preset_names():
-        entry = preset(name)
-        if entry.tau_superblock == 0.0:
-            out.append(preset(name, m=None if entry.m else 2.0,
-                              split=1 if entry.tau_blocks is None else None))
-    return out
 
 
 def superblocks_per_rank(bs, ms):
