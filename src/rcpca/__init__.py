@@ -32,7 +32,6 @@ from .metrics import (
     ModeSelector,
     ShrinkageMetric,
     build_metric,
-    build_metrics,
     mode_tau,
 )
 from .solver import (
@@ -45,7 +44,6 @@ from .solver import (
     solve,
     solve_matrices,
     sphere_maximize,
-    transform,
 )
 
 __all__ = [
@@ -59,7 +57,6 @@ __all__ = [
     "ModeSelector",
     "ShrinkageMetric",
     "build_metric",
-    "build_metrics",
     "mode_tau",
     "GradientOracle",
     "Solution",
@@ -70,7 +67,6 @@ __all__ = [
     "solve",
     "solve_matrices",
     "sphere_maximize",
-    "transform",
     "MethodPreset",
     "ModeGuidance",
     "StationaryCheck",

@@ -43,11 +43,8 @@ from enum import Enum
 import numpy as np
 
 from .dataset import BlockSet
-from .errors import RankExhaustedError
 from .metrics import ModeSelector
 from .solver import CarriedSuperblock, Solution, SolverConfig, solve_matrices
-
-_ZERO_RTOL = 1e-12
 
 
 class DeflationStrategy(str, Enum):
@@ -120,13 +117,11 @@ def extract(
     combined with the `own` strategy is allowed but flagged: the
     orthogonality guarantees are weaker there.
 
-    After each rank a block whose deflated Frobenius norm is at most
-    _ZERO_RTOL of its original one ends the extraction (RankExhaustedError).
-    Under global with a carried superblock the norm is read off
-    ||X_b||_F^2 - ||A_b||_F^2, whose cancellation limits it to about
-    sqrt(eps) ||X_b||_F. Below the rank cap the check cannot fire on either
-    path: a rank-one projection lowers a block's rank by at most one, so the
-    deflated norm stays at or above the smallest singular value the metric kept.
+    Below the cap no deflation annihilates a block, so none is checked for.
+    Every deflation is a rank-one projection, so by Cauchy interlacing a
+    block deflated r < cap times keeps ||X_b^(r)||_F >= sigma_(r+1)(X_b) >=
+    sigma_cap(X_b); the metric's rank cut keeps sigma_cap(X_b) at or above
+    sqrt(eps) ||X_b||_F.
     """
     strategy = DeflationStrategy(strategy)
     if rank < 1:
@@ -138,18 +133,9 @@ def extract(
     if (strategy in (DeflationStrategy.GLOBAL, DeflationStrategy.OWN)
             and modes.superblock_tau == 0.0):
         smat = CarriedSuperblock(whole, separate=strategy is DeflationStrategy.OWN)
-    # global with a carried superblock deflates no array: the blocks stay X_b, deflated
-    # implicitly by the components it carries
-    implicit = strategy is DeflationStrategy.GLOBAL and smat is not None
     widths = [b.n_vars for b in blockset.blocks]
-    starts = np.cumsum([0] + widths[:-1])
+    cuts = np.cumsum(widths)[:-1]
     ids = list(blockset.ids)
-
-    def block_squares(x):  # one pass over the columns; np.linalg.norm would copy each view
-        return np.add.reduceat(np.einsum("ij,ij->j", x, x), starts)
-
-    orig_squares = block_squares(whole)
-    orig_norms = np.sqrt(orig_squares)
 
     warnings: list[str] = []
     if strategy is DeflationStrategy.OWN and modes.superblock_tau == 0.0:
@@ -176,26 +162,20 @@ def extract(
         elif strategy is DeflationStrategy.OWN:  # the superblock on its own component
             smat = deflate(whole if smat is None else smat, sol.y_super)
         if strategy is DeflationStrategy.GLOBAL:
-            if not implicit:
+            # a carried superblock deflates no array: the blocks stay X_b, deflated
+            # implicitly by the components it carries
+            if smat is None:
                 whole = deflate(whole, sol.y_super)
         else:  # each block on its loading direction or its own y_b, into its columns
             new = np.empty_like(whole)
-            for x, y_b, out in zip(np.split(whole, starts[1:], axis=1), sol.y_blocks,
-                                   np.split(new, starts[1:], axis=1)):
+            for x, y_b, out in zip(np.split(whole, cuts, axis=1), sol.y_blocks,
+                                   np.split(new, cuts, axis=1)):
                 if strategy is DeflationStrategy.LOADING:
                     _deflate_loading(x, sol.y_super, out)
                 else:
                     deflate(x, y_b, out)
             whole = new
             del x  # its view would keep the previous array alive through the next solve
-        squares = (orig_squares - np.add.reduceat(np.einsum("ij,ij->i", smat.cross, smat.cross),
-                                                  starts) if implicit else block_squares(whole))
-        for b, norm in enumerate(np.sqrt(np.maximum(squares, 0.0))):
-            if norm <= _ZERO_RTOL * orig_norms[b]:
-                raise RankExhaustedError(
-                    f"block {ids[b]!r} was annihilated after {r + 1} components; "
-                    f"achievable rank is {r + 1}"
-                )
 
     achieved = len(solutions)
     block_comps = np.empty((blockset.n, blockset.n_blocks, achieved))  # n x B x R

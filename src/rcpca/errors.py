@@ -54,10 +54,6 @@ class UndefinedContributionsError(RcpcaError):
     """All block covariances are zero; contributions are undefined."""
 
 
-class RankExhaustedError(RcpcaError):
-    """Deflation annihilated a block before the requested rank was reached."""
-
-
 class AllStartsFailedError(RcpcaError):
     """Every multi-start attempt failed."""
 

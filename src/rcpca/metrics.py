@@ -29,7 +29,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import BlockSet
 from .errors import DataError, DimensionError, ModeBInfeasibleError
 
 DEFAULT_RANK_TOLERANCE = 1e-10
@@ -179,14 +178,3 @@ def _lower_inverse(low: np.ndarray, width: int = 32) -> np.ndarray:
         if k:
             inv[k:k + width, :k] = -d @ (low[k:k + width, :k] @ inv[:k, :k])
     return inv
-
-
-def build_metrics(blockset: BlockSet, modes: ModeSelector) -> list[ShrinkageMetric]:
-    """Metrics for every block plus the superblock, in that order."""
-    if len(modes.block_taus) != blockset.n_blocks:
-        raise DimensionError(
-            f"{len(modes.block_taus)} block taus for {blockset.n_blocks} blocks"
-        )
-    out = [build_metric(b.matrix, tau) for b, tau in zip(blockset.blocks, modes.block_taus)]
-    out.append(build_metric(blockset.superblock, modes.superblock_tau))
-    return out

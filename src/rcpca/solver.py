@@ -18,22 +18,21 @@ n x r_b and the iterate lives in the superblock factor's coordinates c:
 the segments Q_b = P_b'P_super are r_b x r_super whether the blocks are
 tall or wide, and read off H = X_B'P_super / n, which is the superblock
 metric's G B_super when the superblock is the concatenation of the blocks
-(`transform`). A Mode B superblock of full column rank comes as a Cholesky
+(`_transform`). A Mode B superblock of full column rank comes as a Cholesky
 factor B = L^(-T), whose coordinates span R^J, else as eigenpairs,
 B = V diag(lambda^(-1/2)) with c = V'v. The back-map reads the superblock
 weights B_super c and each block's covariance and weights off the segments
 Q_b c, in the block factor's coordinates. `TransformedProblem` is
 the one evaluator of psi and its gradient, and `sphere_maximize` the one
 ascent loop. The operator stacks its segments into a single matrix, so psi
-is one matvec and the gradient one more transposed matvec; with segments
-P_b' it also gives the direction of the stationary image that
-`stationary_residual` checks. The iteration is scale-invariant, and the
-solver's slacks are relative to psi; the monotone, step-bound and sandwich
-checks run at every iteration. The eigen start is the top eigenvector of S'S
-from a dense eigh below a size gate, else from block Lanczos within a basis
-budget, falling back to the eigh once Lanczos has used up the budget or
-cannot converge within it. A solve is deterministic given its
-configuration and never modifies the problem it reads.
+is one matvec and the gradient one more transposed matvec. The iteration
+is scale-invariant, and the solver's slacks are relative to psi; the
+monotone, step-bound and sandwich checks run at every iteration. The eigen
+start is the top eigenvector of S'S from a dense eigh below a size gate,
+else from block Lanczos within a basis budget, falling back to the eigh
+once Lanczos has used up the budget or cannot converge within it. A solve
+is deterministic given its configuration and never modifies the problem it
+reads.
 
 Under `global` and `own` deflation a Mode B superblock is factored once, at
 rank 1 (`CarriedSuperblock`): later ranks solve in those coordinates with
@@ -77,20 +76,15 @@ _LANCZOS_BUDGET_DIVISOR = 8
 class TransformedProblem:
     """psi(v) = sum_b ||Q_b v||^m and its gradient.
 
-    The Q_b are stacked row-wise into one (sum r_b) x dim matrix;
+    The Q_b are stacked row-wise into one (sum r_b) x dim matrix `stacked`;
     offsets[b]:offsets[b + 1] are the rows of block b, and ids[b] names it
-    in errors. Given `offsets`, q_matrices is that stacked matrix already.
+    in errors.
     """
 
-    def __init__(self, q_matrices, m: float, ids: Sequence[str], offsets=None):
+    def __init__(self, stacked: np.ndarray, m: float, ids: Sequence[str], offsets: np.ndarray):
         if not (m >= 1.0 and math.isfinite(m)):
             raise ValueError(f"exponent m must be finite and >= 1, got {m}")
-        if offsets is None:
-            if len({q.shape[1] for q in q_matrices}) > 1:
-                raise DimensionError("Q matrices disagree on the superblock dimension")
-            offsets = np.cumsum([0] + [q.shape[0] for q in q_matrices])
-            q_matrices = np.vstack(q_matrices)
-        self.stacked, self.offsets = q_matrices, offsets
+        self.stacked, self.offsets = stacked, offsets
         self.m = m
         self.ids = list(ids)
         # ||Q_b v|| at or below this counts as zero in the gradient; a block's
@@ -98,8 +92,8 @@ class TransformedProblem:
         rows = np.diff(offsets)
         peak = np.zeros(rows.size)
         if (full := rows > 0).any():
-            row_peak = np.maximum(q_matrices.max(axis=1, initial=0.0),
-                                  -q_matrices.min(axis=1, initial=0.0))
+            row_peak = np.maximum(stacked.max(axis=1, initial=0.0),
+                                  -stacked.min(axis=1, initial=0.0))
             peak[full] = np.maximum.reduceat(row_peak, offsets[:-1][full])
         self._zero_tol = _ROUNDOFF_TOL * peak * np.sqrt(rows * self.dim)
 
@@ -287,20 +281,15 @@ class CarriedSuperblock:
 # transform and starts
 
 
-def transform(blockset: BlockSet, metrics: Sequence[ShrinkageMetric], m: float) -> TransformedProblem:
+def _transform(whole, widths, ids, metrics, m, superblock=None) -> TransformedProblem:
     """Build the segments Q_b / n = P_b'P_super / n in the factors' coordinates.
 
     Segment b is B_b' H[rows of b], H = X_B'P_super / n: G B_super, the
-    superblock metric's `cross`, for the concatenated blocks of a BlockSet,
-    else one product of X_B' with the image of the separate `superblock` of
-    `solve_matrices`. A segment at roundoff of ||P_b||_F ||P_super||_F / n,
+    superblock metric's `cross`, when the blocks of `whole` are the
+    superblock, else one product of X_B' with the image of the separate
+    `superblock`. A segment at roundoff of ||P_b||_F ||P_super||_F / n,
     ||P||_F^2 = n tr(B'GB), raises NonContributingBlockError.
     """
-    widths = [b.n_vars for b in blockset.blocks]
-    return _transform(blockset.superblock, widths, blockset.ids, metrics, m)
-
-
-def _transform(whole, widths, ids, metrics, m, superblock=None) -> TransformedProblem:
     if len(metrics) != len(widths) + 1:
         raise DimensionError(
             f"need {len(widths) + 1} metrics (blocks plus superblock), got {len(metrics)}"
@@ -648,33 +637,3 @@ def contributions(covs: Sequence[float], m: float) -> np.ndarray:
         raise UndefinedContributionsError("all block covariances are zero")
     scaled = (covs / top) ** m
     return scaled / scaled.sum()
-
-
-# ---------------------------------------------------------------------------
-# stationary-equation diagnostics
-
-
-def stationary_residual(
-    y: np.ndarray,
-    blockset: BlockSet,
-    metrics: Sequence[ShrinkageMetric],
-    m: float,
-) -> float:
-    """Unit-normalized distance between y and its fixed-point image.
-
-    The image is P_super P_super' z, where z, the gradient at y of the
-    superblock-free criterion sum_b ||P_b'y||^m, points along
-    sum_b ||P_b'y||^(m-2) X_b M_b^(-1) X_b' y. The residual is zero exactly
-    at solutions of the original-coordinate stationary equation; this is
-    the method's signature and should agree with the transformed-space
-    fixed-point residual at convergence.
-    """
-    y_unit = y / np.linalg.norm(y)
-    images = [met.image(b.matrix) for b, met in zip(blockset.blocks, metrics)]
-    z = TransformedProblem(images, m, blockset.ids).grad(y_unit)
-    ps_t = metrics[-1].image(blockset.superblock)
-    img = ps_t.T @ (ps_t @ z)
-    img_norm = np.linalg.norm(img)
-    if img_norm == 0.0:
-        return float(np.sqrt(2.0))
-    return float(np.linalg.norm(img / img_norm - y_unit))

@@ -10,6 +10,9 @@ criterion and its gradient that the stacked operator is checked against,
 in the v-space problem and in the superblock-free n-space problem. The
 dense J-space metric and Q_b are the reference for the thin factors, and
 the per-block image products for the transform's closed form.
+
+`build_metrics`, `transform` and `problem_from_qs` build the metrics and
+the transformed problem outside a solve, as the tests need them.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ from rcpca import (
     GradientOracle,
     ModeSelector,
     SolverConfig,
+    TransformedProblem,
     build_blockset,
+    build_metric,
     deflate,
     from_matrix,
     solve_matrices,
@@ -35,7 +40,7 @@ from rcpca.errors import (
     SingularGradientError,
 )
 from rcpca.metrics import DEFAULT_RANK_TOLERANCE
-from rcpca.solver import CarriedSuperblock
+from rcpca.solver import CarriedSuperblock, _transform
 
 M_GRID = (1.0, 1.5, 2.0, 3.0, 4.0)
 TAU_GRID = (0.0, 0.3, 1.0)
@@ -53,6 +58,26 @@ def sample_cov(x: np.ndarray, y: np.ndarray) -> float:
 def component_matrix(solution):
     """Block components side by side (n x B)."""
     return np.column_stack(solution.y_blocks)
+
+
+def build_metrics(blockset, modes):
+    """Metrics for every block plus the superblock, in that order."""
+    metrics = [build_metric(b.matrix, tau) for b, tau in zip(blockset.blocks, modes.block_taus)]
+    metrics.append(build_metric(blockset.superblock, modes.superblock_tau))
+    return metrics
+
+
+def transform(blockset, metrics, m):
+    """The TransformedProblem of a solve on `blockset` with these metrics."""
+    widths = [b.n_vars for b in blockset.blocks]
+    return _transform(blockset.superblock, widths, blockset.ids, metrics, m)
+
+
+def problem_from_qs(qs, m, n=1):
+    """A TransformedProblem with the segments Q_b / n, named '1', '2', ..."""
+    qs = [np.asarray(q, dtype=float) / n for q in qs]
+    offsets = np.cumsum([0] + [q.shape[0] for q in qs])
+    return TransformedProblem(np.vstack(qs), m, [str(b + 1) for b in range(len(qs))], offsets)
 
 
 def superblock_coordinates(solution, metric):
@@ -350,6 +375,19 @@ def reference_stationary_image(y, mats, block_taus, m):
             continue
         z += half_norm ** (m - 2.0) * (mat @ (reference_metric_power(mat, tau, -1.0) @ t))
     return z
+
+
+def reference_residual(y, blockset, modes, m):
+    """Unit-normalized distance between y and its stationary image, on dense metrics.
+
+    The image is X_super M_super^(-1) X_super' z with z the stationary image
+    of the blocks; it is zero exactly at solutions of the stationary equation.
+    """
+    mats = [b.matrix for b in blockset.blocks]
+    z = reference_stationary_image(y, mats, modes.block_taus, m)
+    s_mat = blockset.superblock
+    img = s_mat @ (reference_metric_power(s_mat, modes.superblock_tau, -1.0) @ (s_mat.T @ z))
+    return float(np.linalg.norm(img / np.linalg.norm(img) - y / np.linalg.norm(y)))
 
 
 def reference_auxiliary_solve(blockset, block_taus, m, epsilon=1e-12, max_iter=10_000, y0=None):

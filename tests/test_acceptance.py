@@ -21,9 +21,11 @@ import pytest
 
 from helpers import (
     M_GRID,
+    build_metrics,
     component_matrix,
     full_rank_blockset,
     latent_blockset,
+    problem_from_qs,
     q_blocks,
     random_blockset,
     random_m,
@@ -31,23 +33,22 @@ from helpers import (
     reference_auxiliary_solve,
     reference_criterion,
     reference_gram,
+    reference_residual,
     scaled_blockset,
     superblock_coordinates,
+    transform,
     wide_blockset,
 )
 from rcpca import (
     ModeSelector,
     SolverConfig,
-    TransformedProblem,
-    build_metrics,
     contributions,
     extract,
     solve,
-    transform,
     verify_stationary,
 )
 from rcpca import preset as get_preset
-from rcpca.solver import _eigen_start, stationary_residual
+from rcpca.solver import _eigen_start
 
 N_SWEEP = 200
 # the normalized sweep is repeated at these scales; 1.0 is the contract set
@@ -251,7 +252,7 @@ def test_criterion_06_gradient_finite_differences():
             b = int(rng.integers(1, 5))
             dim = int(rng.integers(2, 6))
             qs = [rng.standard_normal((int(rng.integers(1, 5)), dim)) for _ in range(b)]
-            problem = TransformedProblem(qs, m, [str(k + 1) for k in range(b)])
+            problem = problem_from_qs(qs, m)
             v = rng.standard_normal(dim)
             v /= np.linalg.norm(v)
             g = problem.grad(v)
@@ -290,8 +291,7 @@ def test_criterion_07_fixed_point_residuals():
         sol = solve(bs, modes, cfg)
         all_converged &= sol.trace.converged
         worst_fp = max(worst_fp, sol.trace.fixed_point_residual)
-        metrics = build_metrics(bs, modes)
-        worst_fp = max(worst_fp, stationary_residual(sol.y_super, bs, metrics, p.m))
+        worst_fp = max(worst_fp, reference_residual(sol.y_super, bs, modes, p.m))
         worst_stat = max(worst_stat, verify_stationary(p, sol, bs).residual)
     ok = all_converged and worst_fp <= 1e-6 and worst_stat <= 1e-6
     report(7, "converged runs are fixed points; published forms verified (1e-6)", ok,

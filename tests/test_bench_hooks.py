@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_blockset
-from rcpca import ModeSelector, SolverConfig, cli, dataset, deflation, solver, transform
+from helpers import random_blockset, transform
+from rcpca import ModeSelector, SolverConfig, cli, dataset, deflation, solver
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMO = ROOT / "data" / "demo"

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import rcpca
 from helpers import component_matrix, full_rank_blockset, latent_blockset
 from rcpca import (
     MethodPreset,
@@ -236,3 +237,17 @@ class TestGuide:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             guide("A", "C")
+
+
+def test_public_api_is_pinned():
+    # a helper only the tests need belongs in tests/helpers.py, not here
+    assert set(rcpca.__all__) == {
+        "__version__", "errors",
+        "Block", "BlockSet", "build_blockset", "from_matrix", "load_block",
+        "ModeSelector", "ShrinkageMetric", "build_metric", "mode_tau",
+        "GradientOracle", "Solution", "SolverConfig", "SolverTrace", "TransformedProblem",
+        "contributions", "solve", "solve_matrices", "sphere_maximize",
+        "MethodPreset", "ModeGuidance", "StationaryCheck", "RELATED_FIXED_POINT_METHODS",
+        "guide", "preset", "preset_names", "verify_stationary",
+        "DeflationStrategy", "MultiSolution", "deflate", "extract",
+    }

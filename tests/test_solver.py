@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 from helpers import (
     M_GRID,
     TAU_GRID,
+    build_metrics,
     collinear_blockset,
     component_matrix,
     factor_power,
     full_rank_blockset,
     latent_blockset,
     metric_condition,
+    problem_from_qs,
     q_blocks,
     random_blockset,
     random_m,
@@ -22,29 +24,27 @@ from helpers import (
     reference_gram,
     reference_metric_power,
     reference_q_blocks,
+    reference_residual,
     reference_solve,
-    reference_stationary_image,
     sample_cov,
     scaled_blockset,
     superblock_coordinates,
     superblock_from_block_components,
+    transform,
     wide_blockset,
 )
 from rcpca import (
     GradientOracle,
     ModeSelector,
     SolverConfig,
-    TransformedProblem,
     build_blockset,
     build_metric,
-    build_metrics,
     contributions,
     deflate,
     from_matrix,
     solve,
     solve_matrices,
     sphere_maximize,
-    transform,
 )
 from rcpca.errors import (
     AllStartsFailedError,
@@ -54,13 +54,7 @@ from rcpca.errors import (
     SingularGradientError,
     UndefinedContributionsError,
 )
-from rcpca.solver import _eigen_start, _transform, stationary_residual
-
-
-def problem_from_qs(qs, m, n=1):
-    """Problem built directly from Q matrices."""
-    ids = [str(b + 1) for b in range(len(qs))]
-    return TransformedProblem([np.asarray(q, dtype=float) / n for q in qs], m, ids)
+from rcpca.solver import _eigen_start, _transform
 
 
 def step(problem, v):
@@ -344,50 +338,6 @@ class TestStackedOperator:
             else:
                 with pytest.raises(SingularGradientError, match="block '2'"):
                     problem.grad(v)
-
-
-class TestComponentOperator:
-    """stationary_residual measures the distance to the reference stationary image."""
-
-    @staticmethod
-    def reference_residual(y, bs, modes, m):
-        mats = [b.matrix for b in bs.blocks]
-        z = reference_stationary_image(y, mats, modes.block_taus, m)
-        s_mat = bs.superblock
-        img = s_mat @ (reference_metric_power(s_mat, modes.superblock_tau, -1.0) @ (s_mat.T @ z))
-        return float(np.linalg.norm(img / np.linalg.norm(img) - y / np.linalg.norm(y)))
-
-    def test_gradient_is_parallel_to_reference_image(self):
-        for m in M_GRID:
-            for tau in TAU_GRID:
-                for seed in range(8):
-                    bs = random_blockset(seed + 1300)
-                    modes = ModeSelector.uniform(tau, 0.3, bs.n_blocks)
-                    y = np.random.default_rng(seed).standard_normal(bs.n)
-                    y -= y.mean()
-                    r = stationary_residual(y, bs, build_metrics(bs, modes), m)
-                    assert abs(r - self.reference_residual(y, bs, modes, m)) <= 1e-12, (
-                        m, tau, seed)
-
-    def test_vanished_block_term(self):
-        # X_1'y is exactly zero: block 1 lives on rows 0-1, y on rows 2-5
-        rng = np.random.default_rng(14)
-        bs = build_blockset([
-            from_matrix("zero", [[1.0], [-1.0], [0.0], [0.0], [0.0], [0.0]]),
-            from_matrix("live", rng.standard_normal((6, 2))),
-        ])
-        modes = ModeSelector.uniform(0.5, 0.5, 2)
-        metrics = build_metrics(bs, modes)
-        y = np.array([0.0, 0.0, 3.0, -1.0, -1.0, -1.0])
-        for m in M_GRID:
-            if m >= 2.0:
-                r = stationary_residual(y, bs, metrics, m)
-                assert abs(r - self.reference_residual(y, bs, modes, m)) <= 1e-12
-            else:
-                with pytest.raises(SingularGradientError, match="block 1"):
-                    self.reference_residual(y, bs, modes, m)
-                with pytest.raises(SingularGradientError, match="block 'zero'"):
-                    stationary_residual(y, bs, metrics, m)
 
 
 class TestThinFactor:
@@ -828,8 +778,7 @@ class TestBackMapping:
         modes = ModeSelector.uniform("A", "A", bs.n_blocks)
         cfg = SolverConfig(m=2.0, epsilon=1e-13, max_iter=50_000)
         sol = solve(bs, modes, cfg)
-        metrics = build_metrics(bs, modes)
-        r_orig = stationary_residual(sol.y_super, bs, metrics, 2.0)
+        r_orig = reference_residual(sol.y_super, bs, modes, 2.0)
         assert r_orig <= 1e-6
         assert abs(r_orig - sol.trace.fixed_point_residual) <= 1e-8
 
@@ -875,11 +824,10 @@ class TestBackMapping:
     def test_random_component_is_not_stationary(self):
         bs = random_blockset(26, b=3, n=14, js=[2, 2, 3])
         modes = ModeSelector.uniform("A", "A", 3)
-        metrics = build_metrics(bs, modes)
         rng = np.random.default_rng(0)
         y = rng.standard_normal(bs.n)
         y -= y.mean()
-        assert stationary_residual(y, bs, metrics, 2.0) > 0.01
+        assert reference_residual(y, bs, modes, 2.0) > 0.01
 
     def test_exact_first_pc_is_a_fixed_point(self):
         # single block, Mode A: the leading principal component solves the
@@ -887,10 +835,9 @@ class TestBackMapping:
         rng = np.random.default_rng(27)
         bs = build_blockset([from_matrix("x", rng.standard_normal((12, 4)))])
         modes = ModeSelector.uniform("A", "A", 1)
-        metrics = build_metrics(bs, modes)
         u, s, _ = np.linalg.svd(bs.superblock, full_matrices=False)
         y = u[:, 0] * s[0]
-        assert stationary_residual(y, bs, metrics, 2.0) <= 1e-10
+        assert reference_residual(y, bs, modes, 2.0) <= 1e-10
 
 
 class TestRankDeficientModeB:
@@ -945,7 +892,6 @@ class TestAuxiliarySolve:
     def assert_residual_is_loop_step(bs, modes, m, y0=None, steps=4):
         # with a Mode B superblock of full column rank the stationary image
         # is the loop's next iterate, so the residual is the step length
-        metrics = build_metrics(bs, modes)
         for k in range(1, steps + 1):
             y, _, _ = reference_auxiliary_solve(
                 bs, modes.block_taus, m, epsilon=-np.inf, max_iter=k - 1, y0=y0
@@ -954,7 +900,7 @@ class TestAuxiliarySolve:
                 bs, modes.block_taus, m, epsilon=-np.inf, max_iter=k, y0=y0
             )
             step = np.linalg.norm(y_next / np.linalg.norm(y_next) - y / np.linalg.norm(y))
-            assert abs(stationary_residual(y, bs, metrics, m) - step) <= 1e-12
+            assert abs(reference_residual(y, bs, modes, m) - step) <= 1e-12
 
     def test_matches_reference_loop(self):
         bs = full_rank_blockset(27)
