@@ -11,9 +11,9 @@ non-numeric difference. For each file that differs the script prints the
 largest relative difference, then the largest per column (named by the
 header line, or by the key of a `key = value` line) with the first place
 it occurs, and every non-numeric difference. Quantities that sit at
-roundoff, such as a trace's `bound` near convergence, show large relative
-differences from tiny absolute ones; the per-column lines tell them
-apart. The exit status is 1 when any relative difference exceeds --rtol
+roundoff, such as a trace's `step_norm` near convergence, show large
+relative differences from tiny absolute ones; the per-column lines tell
+them apart. The exit status is 1 when any relative difference exceeds --rtol
 (default 0: identical numbers) or any non-numeric difference exists, and
 0 otherwise.
 """

@@ -4,7 +4,7 @@
 For every combination of exponent and shrinkage this script runs the solver
 on the same random multiblock instance, reports iterations to convergence
 and the fixed-point residual, and writes one plot-ready trace file per
-configuration (iteration, criterion value, step norm, ascent bound).
+configuration (iteration, criterion value, step norm).
 """
 
 import argparse
@@ -55,11 +55,10 @@ def main():
                 f"{str(monotone):>9}"
             )
             trace_file = out / f"trace_m{m:g}_tau{tau:g}.csv"
-            lines = ["iteration,psi,step_norm,bound", f"0,{sol.trace.psi[0]:.12g},,"]
+            lines = ["iteration,psi,step_norm", f"0,{sol.trace.psi[0]:.12g},"]
             for s in range(sol.trace.iterations):
                 lines.append(
-                    f"{s + 1},{sol.trace.psi[s + 1]:.12g},"
-                    f"{sol.trace.step_norm[s]:.12g},{sol.trace.bound[s]:.12g}"
+                    f"{s + 1},{sol.trace.psi[s + 1]:.12g},{sol.trace.step_norm[s]:.12g}"
                 )
             trace_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"\ntraces written to {out}/")

@@ -111,38 +111,37 @@ def _floats(value: str) -> list[float]:
 
 
 class _Option(NamedTuple):
-    field: str  # RunConfig field, also the argparse destination
     parse: Callable[[str], Any]  # _bool makes the flag a store_const switch
     choices: tuple[str, ...] | None
     help: str
 
 
-# config key -> option; the flag is "--" plus the key with "_" replaced by "-"
+# config key -> option; the key is also the RunConfig field and the argparse
+# destination, and the flag is "--" plus the key with "_" replaced by "-"
 _OPTIONS = {
-    "blocks": _Option("blocks", _csv_list, None, "comma-separated block files"),
-    "ids": _Option("ids", _csv_list, None, "comma-separated block names"),
-    "preset": _Option("preset", str, None, "method preset name (see: rcpca explain)"),
-    "split": _Option("split", int, None, "block count for mixed presets"),
-    "m": _Option("m", float, None, "criterion exponent (>= 1)"),
-    "tau": _Option("tau", _floats, None, "per-block shrinkage in [0,1]; one value broadcasts"),
-    "tau_super": _Option("tau_super", float, None, "superblock shrinkage in [0,1]"),
-    "scale": _Option("scale", str, ("none", "unit"),
-                     "unit-variance scaling of the columns (default none)"),
-    "delimiter": _Option("delimiter", str, tuple(_DELIMITERS), "cell delimiter"),
-    "id_column": _Option("id_column", _bool, None, "first column holds row identifiers"),
-    "epsilon": _Option("epsilon", float, None,
+    "blocks": _Option(_csv_list, None, "comma-separated block files"),
+    "ids": _Option(_csv_list, None, "comma-separated block names"),
+    "preset": _Option(str, None, "method preset name (see: rcpca explain)"),
+    "split": _Option(int, None, "block count for mixed presets"),
+    "m": _Option(float, None, "criterion exponent (>= 1)"),
+    "tau": _Option(_floats, None, "per-block shrinkage in [0,1]; one value broadcasts"),
+    "tau_super": _Option(float, None, "superblock shrinkage in [0,1]"),
+    "scale": _Option(str, ("none", "unit"), "unit-variance scaling of the columns (default none)"),
+    "delimiter": _Option(str, tuple(_DELIMITERS), "cell delimiter"),
+    "id_column": _Option(_bool, None, "first column holds row identifiers"),
+    "epsilon": _Option(float, None,
                        "convergence threshold: absolute bound on the per-iteration "
                        f"psi increment, at covariance scale (default {SolverConfig.epsilon:g})"),
-    "max_iter": _Option("max_iter", int, None, "iteration cap"),
-    "init": _Option("init", str, ("eigen", "random", "file"), "start vector"),
-    "init_file": _Option("init_file", str, None, "file with the start vector"),
-    "seed": _Option("seed", int, None, "seed for random starts"),
-    "starts": _Option("starts", int, None, "number of multi-starts"),
-    "deflate": _Option("deflate", str, ("global", "block", "loading", "own"),
+    "max_iter": _Option(int, None, "iteration cap"),
+    "init": _Option(str, ("eigen", "random", "file"), "start vector"),
+    "init_file": _Option(str, None, "file with the start vector"),
+    "seed": _Option(int, None, "seed for random starts"),
+    "starts": _Option(int, None, "number of multi-starts"),
+    "deflate": _Option(str, ("global", "block", "loading", "own"),
                        "deflation strategy for higher ranks"),
-    "components": _Option("components", int, None, "number of components to extract"),
-    "out": _Option("out", str, None, "output directory"),
-    "strict": _Option("strict", _bool, None, "exit 3 when any rank fails to converge"),
+    "components": _Option(int, None, "number of components to extract"),
+    "out": _Option(str, None, "output directory"),
+    "strict": _Option(_bool, None, "exit 3 when any rank fails to converge"),
 }
 
 
@@ -154,9 +153,8 @@ def _apply_config_file(cfg: RunConfig, values: dict[str, str]):
     for key, value in values.items():
         if key not in _OPTIONS:
             raise ConfigError(f"unknown config key {key!r}")
-        option = _OPTIONS[key]
         try:
-            setattr(cfg, option.field, option.parse(value))
+            setattr(cfg, key, _OPTIONS[key].parse(value))
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from None
 
@@ -165,10 +163,10 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         _apply_config_file(cfg, _parse_config_file(args.config))
-    for option in _OPTIONS.values():
-        value = getattr(args, option.field)
+    for key in _OPTIONS:
+        value = getattr(args, key)
         if value is not None:
-            setattr(cfg, option.field, value)
+            setattr(cfg, key, value)
     return cfg
 
 
@@ -205,7 +203,7 @@ def _validate(cfg: RunConfig) -> MethodPreset | None:
         if cfg.split is not None:
             raise ConfigError("--split applies to mixed presets only; explicit runs set --tau")
     for key, option in _OPTIONS.items():
-        value = getattr(cfg, option.field)
+        value = getattr(cfg, key)
         if option.choices is not None and value not in option.choices:
             allowed = ", ".join(option.choices[:-1]) + " or " + option.choices[-1]
             raise ConfigError(f"{_flag(key)} must be {allowed}, got {value!r}")
@@ -320,9 +318,9 @@ def _write_outputs(
             correlations.append((name, float(col @ ys) / (cn * y_norm) if cn > 0 else 0.0))
         _write_csv(out_dir / f"rank{r}_variable_correlations.csv", ("variable", "correlation"),
                    correlations)
-        _write_csv(out_dir / f"rank{r}_trace.csv", ("iteration", "psi", "step_norm", "bound"), [
-            ("0", trace.psi[0], "", ""),
-            *((str(s + 1), trace.psi[s + 1], trace.step_norm[s], trace.bound[s])
+        _write_csv(out_dir / f"rank{r}_trace.csv", ("iteration", "psi", "step_norm"), [
+            ("0", trace.psi[0], ""),
+            *((str(s + 1), trace.psi[s + 1], trace.step_norm[s])
               for s in range(trace.iterations)),
         ])
 
@@ -461,10 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", help="key = value config file; flags override it")
     for key, option in _OPTIONS.items():
         if option.parse is _bool:
-            p_run.add_argument(_flag(key), dest=option.field, action="store_const",
+            p_run.add_argument(_flag(key), dest=key, action="store_const",
                                const=True, help=option.help)
         else:
-            p_run.add_argument(_flag(key), dest=option.field, type=option.parse,
+            p_run.add_argument(_flag(key), dest=key, type=option.parse,
                                choices=option.choices, help=option.help)
     p_run.set_defaults(func=lambda args: run(_build_run_config(args)))
 

@@ -32,7 +32,7 @@ all: X^(r) = Pi_r X with Pi_r = I - YY' on the unit superblock components Y
 so far, so each block metric is built from the rank-1 Gram downdated by
 A_b = X_b'Y, X_b'Pi_r X_b / n = G_b - A_b A_b' / n, and each block component
 is Pi_r (X_b w_b). Ranks are inherently sequential; each per-rank solve is
-deterministic.
+deterministic. The orthogonality above holds for the components in the result.
 """
 
 from __future__ import annotations
@@ -56,18 +56,16 @@ class DeflationStrategy(str, Enum):
 
 @dataclass(eq=False)
 class MultiSolution:
-    """Per-rank solutions plus the orthogonality bookkeeping.
+    """Per-rank solutions of one extract, with its warnings.
 
-    The superblock components play the role of the global components, so
-    `superblock_component_correlations` is the global-component report.
+    The components are in `solutions`; which of them come out uncorrelated
+    depends on the strategy (see the module docstring).
     """
 
     strategy: DeflationStrategy
     requested_rank: int
     achieved_rank: int
     solutions: list[Solution]
-    block_component_correlations: list[np.ndarray]  # per block, R x R
-    superblock_component_correlations: np.ndarray  # R x R
     warnings: list[str] = field(default_factory=list)
 
 
@@ -141,7 +139,7 @@ def extract(
     if strategy is DeflationStrategy.OWN and modes.superblock_tau == 0.0:
         warnings.append(
             "own-component deflation with a Mode B superblock: orthogonality "
-            "guarantees are weakened; inspect the correlation report"
+            "guarantees are weakened; check the correlations of the ranks' components"
         )
 
     solutions: list[Solution] = []
@@ -177,25 +175,10 @@ def extract(
             whole = new
             del x  # its view would keep the previous array alive through the next solve
 
-    achieved = len(solutions)
-    block_comps = np.empty((blockset.n, blockset.n_blocks, achieved))  # n x B x R
-    for r, sol in enumerate(solutions):
-        block_comps[:, :, r] = np.array(sol.y_blocks).T
-    super_comps = np.column_stack([sol.y_super for sol in solutions])
     return MultiSolution(
         strategy=strategy,
         requested_rank=rank,
-        achieved_rank=achieved,
+        achieved_rank=len(solutions),
         solutions=solutions,
-        block_component_correlations=list(_correlations(block_comps.transpose(1, 0, 2))),
-        superblock_component_correlations=_correlations(super_comps),
         warnings=warnings,
     )
-
-
-def _correlations(columns: np.ndarray) -> np.ndarray:
-    """Pairwise correlations of already-centered columns, of each matrix in a stack."""
-    norms = np.linalg.norm(columns, axis=-2, keepdims=True)
-    norms = np.where(norms == 0.0, 1.0, norms)
-    u = columns / norms
-    return np.swapaxes(u, -1, -2) @ u

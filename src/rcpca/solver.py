@@ -172,14 +172,14 @@ class SolverConfig:
 class SolverTrace:
     """Per-iteration record of one maximizer run.
 
-    psi[0] is the start value and psi[s+1] the value after iteration s;
-    bound[s] is the ascent bound 2*(psi[s+1]-psi[s])/delta that dominates
-    step_norm[s]**2, with delta = m*psi[0] for criterion solves.
+    psi[0] is the start value and psi[s+1] the value after iteration s.
+    Every iteration was checked to satisfy, up to roundoff, the ascent bound
+    step_norm[s]**2 <= 2*(psi[s+1]-psi[s])/(degree*psi[0]), with degree = m
+    for criterion solves; the bound is a function of psi and is not stored.
     """
 
     psi: list[float]
     step_norm: list[float]
-    bound: list[float]
     iterations: int
     converged: bool
     fixed_point_residual: float
@@ -422,7 +422,6 @@ def sphere_maximize(
     floor = degree * psi
     psis = [psi]
     steps: list[float] = []
-    bounds: list[float] = []
     eps_hit = False
 
     for _ in range(config.max_iter):
@@ -437,7 +436,6 @@ def sphere_maximize(
         bound = 2.0 * dpsi / floor
         psis.append(psi_new)
         steps.append(step)
-        bounds.append(bound)
 
         slack = _MONOTONE_TOL * psi
         if dpsi < -slack:
@@ -468,7 +466,6 @@ def sphere_maximize(
     trace = SolverTrace(
         psi=psis,
         step_norm=steps,
-        bound=bounds,
         iterations=len(steps),
         converged=eps_hit and residual <= threshold,
         fixed_point_residual=residual,

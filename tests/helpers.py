@@ -13,6 +13,8 @@ the per-block image products for the transform's closed form.
 
 `build_metrics`, `transform` and `problem_from_qs` build the metrics and
 the transformed problem outside a solve, as the tests need them.
+`component_correlations` gives the correlations between an extract's ranks
+that the deflation orthogonality tests check.
 """
 
 from __future__ import annotations
@@ -58,6 +60,28 @@ def sample_cov(x: np.ndarray, y: np.ndarray) -> float:
 def component_matrix(solution):
     """Block components side by side (n x B)."""
     return np.column_stack(solution.y_blocks)
+
+
+def component_correlations(ms):
+    """Correlations of an extract's components across ranks.
+
+    Returns the R x R correlation matrix of each block's components and that
+    of the superblock components; a zero component correlates 0 with all.
+    """
+    first = ms.solutions[0]
+    block_comps = np.empty((first.y_super.shape[0], len(first.y_blocks), ms.achieved_rank))
+    for r, sol in enumerate(ms.solutions):  # n x B x R
+        block_comps[:, :, r] = np.array(sol.y_blocks).T
+    super_comps = np.column_stack([sol.y_super for sol in ms.solutions])
+    return list(_correlations(block_comps.transpose(1, 0, 2))), _correlations(super_comps)
+
+
+def _correlations(columns):
+    """Pairwise correlations of already-centered columns, of each matrix in a stack."""
+    norms = np.linalg.norm(columns, axis=-2, keepdims=True)
+    norms = np.where(norms == 0.0, 1.0, norms)
+    u = columns / norms
+    return np.swapaxes(u, -1, -2) @ u
 
 
 def build_metrics(blockset, modes):

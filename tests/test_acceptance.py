@@ -22,6 +22,7 @@ import pytest
 from helpers import (
     M_GRID,
     build_metrics,
+    component_correlations,
     component_matrix,
     full_rank_blockset,
     latent_blockset,
@@ -123,9 +124,10 @@ def test_criterion_02_step_norm_bound(sweep):
     runs, failures = sweep
     violations = 0
     worst = -np.inf
-    for _, _, sol in runs:
+    for _, m, sol in runs:
+        psi = np.asarray(sol.trace.psi)
         steps = np.asarray(sol.trace.step_norm)
-        bounds = np.asarray(sol.trace.bound)
+        bounds = 2.0 * np.diff(psi) / (m * psi[0])
         excess = steps**2 - bounds
         worst = max(worst, float(excess.max(initial=-np.inf)))
         violations += int((excess > ROUNDOFF).sum())
@@ -322,17 +324,14 @@ def test_criterion_09_deflation_orthogonality():
     def offdiag(c):
         return float(np.abs(c - np.diag(np.diag(c))).max())
 
-    own = extract(bs, modes, cfg, 3, "own")
-    own_worst = max(
-        max(offdiag(c) for c in own.block_component_correlations),
-        offdiag(own.superblock_component_correlations),
-    )
+    own_blocks, own_super = component_correlations(extract(bs, modes, cfg, 3, "own"))
+    own_worst = max(max(offdiag(c) for c in own_blocks), offdiag(own_super))
 
-    glob = extract(bs, modes, cfg, 3, "global")
-    glob_worst = offdiag(glob.superblock_component_correlations)
+    _, glob_super = component_correlations(extract(bs, modes, cfg, 3, "global"))
+    glob_worst = offdiag(glob_super)
 
     blk = extract(bs, modes, cfg, 3, "block")
-    blk_worst = max(offdiag(c) for c in blk.block_component_correlations)
+    blk_worst = max(offdiag(c) for c in component_correlations(blk)[0])
     membership = 0.0
     for b in range(3):
         basis, _ = np.linalg.qr(bs.blocks[b].matrix)

@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import re
 from pathlib import Path
@@ -149,6 +150,10 @@ class TestRun:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus = 1\n")
         assert main(["run", "--config", str(cfg)]) == 1
+
+    def test_config_keys_are_the_run_config_fields(self):
+        # each key doubles as its RunConfig field and argparse destination
+        assert [f.name for f in dataclasses.fields(RunConfig)] == list(_OPTIONS)
 
     def test_readme_lists_every_config_key(self):
         text = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -410,7 +415,7 @@ class TestRun:
         assert captured.err == (
             "warning: requested 9 components but the smallest block rank is 4; returning 4\n"
             "warning: own-component deflation with a Mode B superblock: orthogonality "
-            "guarantees are weakened; inspect the correlation report\n"
+            "guarantees are weakened; check the correlations of the ranks' components\n"
         )
         assert captured.out == f"wrote 4 rank(s) to {out}\n"
 

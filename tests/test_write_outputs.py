@@ -61,7 +61,6 @@ def write_case(out_dir: Path) -> None:
         trace=SolverTrace(
             psi=[0.1, 0.2345678901234, 0.234567890123457],
             step_norm=[0.5, 1.23456789012345e-7],
-            bound=[0.3, 2e-14],
             iterations=2,
             converged=True,
             fixed_point_residual=1.5e-13,
@@ -76,8 +75,7 @@ def write_case(out_dir: Path) -> None:
         contributions=[0.0, 1.0],
         trace=SolverTrace(
             psi=[0.0078125, 0.015625],
-            step_norm=[0.123456789012],
-            bound=[1e-300],
+            step_norm=[1e-300],
             iterations=1,
             converged=False,
             fixed_point_residual=0.0123456789012345,
@@ -89,8 +87,6 @@ def write_case(out_dir: Path) -> None:
         requested_rank=2,
         achieved_rank=2,
         solutions=[rank1, rank2],
-        block_component_correlations=[np.eye(2), np.eye(2)],
-        superblock_component_correlations=np.eye(2),
         warnings=["block beta nearly exhausted"],
     )
     cfg = RunConfig(
