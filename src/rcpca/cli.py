@@ -134,7 +134,7 @@ _OPTIONS = {
                        f"psi increment, at covariance scale (default {SolverConfig.epsilon:g})"),
     "max_iter": _Option(int, None, "iteration cap"),
     "init": _Option(str, ("eigen", "random", "file"), "start vector"),
-    "init_file": _Option(str, None, "file with the start vector"),
+    "init_file": _Option(str, None, "file with the start's superblock weights, one per column"),
     "seed": _Option(int, None, "seed for random starts"),
     "starts": _Option(int, None, "number of multi-starts"),
     "deflate": _Option(str, ("global", "block", "loading", "own"),
@@ -446,8 +446,16 @@ def _mode_name(tau: float) -> str:
     return MODE_LABEL.get(tau, f"shrinkage {tau:g}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1, the configuration-error code, on a bad command line; argparse exits 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rcpca",
         description="Consensus component analysis of multiblock data with "
                     "shrinkage metrics and a monotone solver.",

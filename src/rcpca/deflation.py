@@ -44,7 +44,7 @@ import numpy as np
 
 from .dataset import BlockSet
 from .metrics import ModeSelector
-from .solver import CarriedSuperblock, Solution, SolverConfig, solve_matrices
+from .solver import CarriedSuperblock, Solution, SolverConfig, add_rank_warnings, solve_matrices
 
 
 class DeflationStrategy(str, Enum):
@@ -175,6 +175,7 @@ def extract(
             whole = new
             del x  # its view would keep the previous array alive through the next solve
 
+    add_rank_warnings(solutions, widths, modes, ids)
     return MultiSolution(
         strategy=strategy,
         requested_rank=rank,

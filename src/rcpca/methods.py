@@ -2,10 +2,10 @@
 
 Published multiblock component methods correspond to fixed choices of the
 exponent m and the per-block shrinkage constants. Each preset carries those
-values, its original citation and, where one exists, a published stationary
-equation for the superblock component that `verify_stationary` evaluates
-directly on raw data matrices (independently of the solver's metric
-machinery, so the two routes cross-check each other).
+values, its original citation and the stationary equation (the published
+one, or for m2_ab the generic form) for the superblock component that
+`verify_stationary` evaluates directly on raw data matrices (independently
+of the solver's metric machinery, so the two routes cross-check each other).
 
 The catalog is immutable static data; every operation here is pure.
 """
@@ -214,19 +214,14 @@ def verify_stationary(
     solution: Solution,
     blockset: BlockSet,
 ) -> StationaryCheck:
-    """Angular residual of the preset's published stationary equation.
+    """Angular residual of the preset's stationary equation (published, or generic for m2_ab).
 
     The superblock component of a converged solution must be a fixed point
-    of the published map; the residual is the norm of the component of the
+    of that map; the residual is the norm of the component of the
     image orthogonal to the solution (scale- and sign-free), at most about
     1e-6 at convergence. The per-block modes come from the preset's
     selector, so a free m or an out-of-range split raises CatalogError.
     """
-    if preset.grid_row == 6:
-        raise UnsupportedVerificationError(
-            f"preset {preset.name!r} has no published stationary form; use the "
-            "generic fixed-point residual instead"
-        )
     modes = preset.selector(blockset.n_blocks)
     labels = [MODE_LABEL.get(tau) for tau in (*modes.block_taus, modes.superblock_tau)]
     if None in labels:

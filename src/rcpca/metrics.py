@@ -6,20 +6,21 @@ weight vector, tau = 0 (Mode B) normalizes the component variance, and
 intermediate values interpolate between the two (Ledoit-Wolf style
 shrinkage of the block covariance).
 
-A metric is stored once, as a thin factor B = `basis` * `scale` (J x r)
-of the row space of X with B'MB = I, and `cross` = GB, G = X'X/n. All the
-solver applies powers of M to lies in that row space: the image B'X'
-(`image`), the segments B_b'(G B_super) and the weights M^(-1) X'y, read
-off as B u. So M is never formed as a J x J matrix. At tau = 0 with J < n,
-when G certifiably has full rank, B = L^(-T) from G = LL' (`cross` = L,
-unit scale). Otherwise B = V diag(lambda^(-1/2)): V orthonormal, the
-eigenvalues of X'X/n on it are `variances` g and lambda = tau + (1 - tau) g,
-and M is tau*I on the complement; the eigendecomposition is of the smaller
-Gram matrix, XX' when J > n, so thousands of variables on tens of rows cost
-an n x n eigendecomposition. At tau = 0 a rank-deficient matrix gets
-Moore-Penrose semantics: negative powers annihilate the dropped null
-directions. Metrics are immutable; building metrics for distinct blocks is
-a pure function of the inputs.
+A metric is stored once, as a thin factor B (`factor`, J x r) of the row
+space of X with B'MB = I, and `cross` = GB, G = X'X/n. All the solver
+applies powers of M to lies in that row space: the image B'X' (`image`),
+the segments B_b'(G B_super) and the weights M^(-1) X'y, read off as B u.
+So M is never formed as a J x J matrix, and MB = tau*B + (1 - tau)*GB. Only
+`build_metric` knows which route gave B. At tau = 0 with J < n, when G
+certifiably has full rank, B = L^(-T) from G = LL' (`cross` = L). Otherwise
+B = V diag(lambda^(-1/2)): V orthonormal, the eigenvalues of X'X/n on it
+are `variances` g and lambda = tau + (1 - tau) g, and M is tau*I on the
+complement; the eigendecomposition is of the smaller Gram matrix, XX' when
+J > n, so thousands of variables on tens of rows cost an n x n
+eigendecomposition. At tau = 0 a rank-deficient matrix gets Moore-Penrose
+semantics: negative powers annihilate the dropped null directions. Metrics
+are immutable; building metrics for distinct blocks is a pure function of
+the inputs.
 """
 
 from __future__ import annotations
@@ -73,34 +74,23 @@ class ModeSelector:
 
 @dataclass(frozen=True, eq=False)
 class ShrinkageMetric:
-    """M = tau*I + (1-tau)*G, G = (1/n) X'X, kept as a thin factor B = basis * scale.
+    """M = tau*I + (1-tau)*G, G = (1/n) X'X, kept as a thin factor B with B'MB = I.
 
-    B'MB = I on the row space of X, and cross = GB. From an eigendecomposition,
-    basis = V is orthonormal, G V = V diag(variances) and scale = lambda^(-1/2),
+    B spans the row space of X, and cross = GB. From an eigendecomposition,
+    B = V diag(lambda^(-1/2)) with V orthonormal, G V = V diag(variances) and
     lambda = tau + (1 - tau) * variances. From a Cholesky factor G = LL' (tau = 0,
-    full rank), basis = L^(-T), scale = 1, cross = L and variances is None.
+    full rank), B = L^(-T), cross = L and variances is None.
     """
 
     tau: float
-    basis: np.ndarray  # J x rank, spanning the row space of X
-    scale: np.ndarray  # rank, the column scale of B
+    factor: np.ndarray  # J x rank, B
     cross: np.ndarray  # J x rank, G B
     variances: np.ndarray | None  # descending Gram eigenvalues s^2 / n, or None: Cholesky
     pseudo: bool  # True when tau = 0 dropped null directions
 
     @property
     def rank(self) -> int:
-        return self.scale.size
-
-    @property
-    def factor(self) -> np.ndarray:
-        """B itself: the basis on the Cholesky route, whose scale is 1."""
-        return self.basis if self.variances is None else self.basis * self.scale
-
-    @property
-    def cross_trace(self) -> float:
-        """tr(B'GB) = ||X B||_F^2 / n: the rank, or sum(variances * scale^2) for eigenpairs."""
-        return float(self.rank if self.variances is None else self.variances @ self.scale**2)
+        return self.factor.shape[1]
 
     def image(self, x: np.ndarray) -> np.ndarray:
         """P' = M^(-1/2) X' in the factor's coordinates: B'X', rank x n."""
@@ -143,7 +133,7 @@ def build_metric(data, tau: float, gram: np.ndarray | None = None) -> ShrinkageM
             low = np.linalg.cholesky(gram)
             inv = _lower_inverse(low)
             if np.linalg.norm(gram) * np.vdot(inv, inv) < 1.0 / DEFAULT_RANK_TOLERANCE:
-                return ShrinkageMetric(tau, inv.T, np.ones(j), low, None, False)
+                return ShrinkageMetric(tau, inv.T, low, None, False)
         except np.linalg.LinAlgError:
             pass  # not positive definite at roundoff: rank deficient
     vals, vecs = np.linalg.eigh(gram)  # reads the lower triangle only
@@ -162,7 +152,7 @@ def build_metric(data, tau: float, gram: np.ndarray | None = None) -> ShrinkageM
         vecs = (x.T @ vecs) / np.sqrt(n * vals)
     vals, vecs = np.ascontiguousarray(vals), np.ascontiguousarray(vecs)
     scale = (tau + (1.0 - tau) * vals) ** -0.5
-    return ShrinkageMetric(tau, vecs, scale, vecs * (vals * scale), vals, tau == 0.0 and rank < j)
+    return ShrinkageMetric(tau, vecs * scale, vecs * (vals * scale), vals, tau == 0.0 and rank < j)
 
 
 def _lower_inverse(low: np.ndarray, width: int = 32) -> np.ndarray:

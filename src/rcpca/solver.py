@@ -18,12 +18,11 @@ n x r_b and the iterate lives in the superblock factor's coordinates c:
 the segments Q_b = P_b'P_super are r_b x r_super whether the blocks are
 tall or wide, and read off H = X_B'P_super / n, which is the superblock
 metric's G B_super when the superblock is the concatenation of the blocks
-(`_transform`). A Mode B superblock of full column rank comes as a Cholesky
-factor B = L^(-T), whose coordinates span R^J, else as eigenpairs,
-B = V diag(lambda^(-1/2)) with c = V'v. The back-map reads the superblock
-weights B_super c and each block's covariance and weights off the segments
-Q_b c, in the block factor's coordinates. `TransformedProblem` is
-the one evaluator of psi and its gradient, and `sphere_maximize` the one
+(`_transform`). A random start draws the r_super coordinates, and explicit
+superblock weights w give c = (M B_super)'w. The back-map reads the
+superblock weights B_super c and each block's covariance and weights off
+the segments Q_b c, in the block factor's coordinates. `TransformedProblem`
+is the one evaluator of psi and its gradient, and `sphere_maximize` the one
 ascent loop. The operator stacks its segments into a single matrix, so psi
 is one matvec and the gradient one more transposed matvec. The iteration
 is scale-invariant, and the solver's slacks are relative to psi; the
@@ -129,11 +128,11 @@ class SolverConfig:
 
     init is "eigen" (dominant eigenvector of sum(Q_b'Q_b): a dense eigh below
     a superblock rank of 256, else block Lanczos within a basis budget, with
-    the eigh as fallback), "random" (Gaussian draw with this seed) or an
-    explicit start vector. A random or explicit start is J_super long; it is
-    projected onto the superblock factor's coordinates, and sphere_maximize
-    normalizes it there and rejects it (BadStartError) when the projection
-    is zero or the criterion is not positive at it.
+    the eigh as fallback), "random" (Gaussian draw of the superblock factor's
+    coordinates with this seed) or superblock weights w, J_super long, whose
+    M-projection onto the factor's span is the start: a solution's own
+    w_super restarts it. sphere_maximize normalizes the start and rejects it
+    (BadStartError) when it is zero or the criterion is not positive at it.
     Additional starts beyond the first are random with seeds seed+1,
     seed+2, ... and the winner is the largest criterion value (ties keep
     the earliest start). When every start fails, the solve raises
@@ -202,7 +201,7 @@ class GradientOracle:
 class Solution:
     """Converged weights, components and diagnostics of one rank.
 
-    block_ranks holds the factor rank of each block metric.
+    block_ranks and superblock_rank hold the factor ranks of the metrics.
     """
 
     w_super: np.ndarray
@@ -213,6 +212,7 @@ class Solution:
     contributions: np.ndarray
     trace: SolverTrace
     block_ranks: tuple[int, ...] = ()
+    superblock_rank: int = 0
 
 
 class CarriedSuperblock:
@@ -252,7 +252,7 @@ class CarriedSuperblock:
     def deflate(self, y: np.ndarray) -> None:
         """Add the component y of the last solve to E, and under global to Y and A."""
         xy = self.x.T @ y
-        c = self.metric.scale * (self.metric.basis.T @ xy)
+        c = self.metric.factor.T @ xy
         c = (c / np.linalg.norm(c))[:, None]
         self.off = c if self.off is None else np.hstack([self.off, c])
         if not self.separate:
@@ -290,10 +290,6 @@ def _transform(whole, widths, ids, metrics, m, superblock=None) -> TransformedPr
     `superblock`. A segment at roundoff of ||P_b||_F ||P_super||_F / n,
     ||P||_F^2 = n tr(B'GB), raises NonContributingBlockError.
     """
-    if len(metrics) != len(widths) + 1:
-        raise DimensionError(
-            f"need {len(widths) + 1} metrics (blocks plus superblock), got {len(metrics)}"
-        )
     sup, off = metrics[-1], None
     if isinstance(superblock, CarriedSuperblock):
         off = superblock.off
@@ -303,7 +299,7 @@ def _transform(whole, widths, ids, metrics, m, superblock=None) -> TransformedPr
     else:
         h = whole.T @ sup.image(superblock).T / superblock.shape[0]
     if off is None:
-        norm = math.sqrt(sup.cross_trace)
+        norm = math.sqrt(np.vdot(sup.factor, sup.cross))
     else:
         # the superblock deflated on the components in E: H (I - EE'), and its
         # tr(B'GB), the rank at tau = 0, less one per component
@@ -314,7 +310,7 @@ def _transform(whole, widths, ids, metrics, m, superblock=None) -> TransformedPr
     stacked = np.empty((offsets[-1], h.shape[1]))
     for b, (met, rows) in enumerate(zip(metrics, np.split(h, np.cumsum(widths)[:-1]))):
         q = np.matmul(met.factor.T, rows, out=stacked[offsets[b]:offsets[b + 1]])
-        if np.linalg.norm(q) <= 1e-14 * math.sqrt(met.cross_trace) * norm:
+        if np.linalg.norm(q) <= 1e-14 * math.sqrt(np.vdot(met.factor, met.cross)) * norm:
             raise NonContributingBlockError(
                 f"block {ids[b]!r} has zero cross-product with the superblock "
                 "and cannot contribute; drop it from the analysis"
@@ -366,25 +362,25 @@ def _eigen_start(problem: TransformedProblem) -> tuple[np.ndarray, bool]:
 def _start(sup: ShrinkageMetric, off, config: SolverConfig, k: int) -> np.ndarray:
     """Start k in the superblock factor's coordinates, off E: the init at k = 0, else a draw.
 
-    The draw is standard Gaussian with seed config.seed + k, and so is its
-    projection V'v, or v itself for a Cholesky factor, whose row space is
-    R^J; sphere_maximize normalizes it to a uniform point on the sphere. A
-    projection at roundoff of the start's norm is returned as exact zeros,
-    so that sphere_maximize, which also rejects a start with no positive
-    criterion, rejects it as a zero start.
+    The draw is standard Gaussian in the factor's r coordinates with seed
+    config.seed + k, a uniform point on the sphere once normalized. Explicit
+    superblock weights w give c = (MB)'w, so that Bc is w's M-projection onto
+    the factor's span. A start at roundoff of ||MB||_F ||w||, or of the
+    draw's norm, is returned as exact zeros, which sphere_maximize rejects
+    as a zero start.
     """
     if k == 0 and not isinstance(config.init, str):
-        v = np.asarray(config.init, dtype=float).ravel()
-        if v.shape[0] != sup.basis.shape[0]:
-            raise DimensionError(
-                f"start vector has length {v.shape[0]}, expected {sup.basis.shape[0]}"
-            )
+        w = np.asarray(config.init, dtype=float).ravel()
+        if len(w) != len(sup.factor):
+            raise DimensionError(f"start vector has length {len(w)}, expected {len(sup.factor)}")
+        mb = sup.tau * sup.factor + (1.0 - sup.tau) * sup.cross
+        c, size = mb.T @ w, np.linalg.norm(mb) * np.linalg.norm(w)
     else:
-        v = np.random.default_rng(config.seed + k).standard_normal(sup.basis.shape[0])
-    c = v if sup.variances is None else sup.basis.T @ v
+        c = np.random.default_rng(config.seed + k).standard_normal(sup.rank)
+        size = np.linalg.norm(c)
     if off is not None:
         c = c - off @ (off.T @ c)
-    return c if np.linalg.norm(c) > _ROUNDOFF_TOL * np.linalg.norm(v) else np.zeros_like(c)
+    return c if np.linalg.norm(c) > _ROUNDOFF_TOL * size else np.zeros_like(c)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +476,9 @@ def sphere_maximize(
 def solve(blockset: BlockSet, modes: ModeSelector, config: SolverConfig) -> Solution:
     """Run the full pipeline on a BlockSet: metrics, transform, maximize, map back."""
     widths = [b.n_vars for b in blockset.blocks]
-    return solve_matrices(blockset.superblock, widths, modes, config, ids=blockset.ids)
+    sol = solve_matrices(blockset.superblock, widths, modes, config, ids=blockset.ids)
+    add_rank_warnings([sol], widths, modes, blockset.ids)
+    return sol
 
 
 def solve_matrices(
@@ -521,12 +519,6 @@ def solve_matrices(
     problem = _transform(blocks, widths, names, metrics, config.m, superblock)
 
     warnings: list[str] = []
-    for b, met in enumerate(metrics[:-1]):
-        if met.pseudo:
-            warnings.append(
-                f"block {names[b]!r} is rank deficient under Mode B; using the "
-                "column-space projector route"
-            )
     results = []
     last_failure: Exception | None = None
     for k in range(config.n_starts):
@@ -549,17 +541,6 @@ def solve_matrices(
         raise AllStartsFailedError(f"every start failed; last failure: {last_failure}")
     _, _, c, trace = max(results, key=lambda res: res[0])  # ties keep the earliest start
     trace.warnings.extend(warnings)
-
-    # of the rank-1 superblock when it is carried: ranks >= 2 lose the earlier
-    # components' directions by construction (least-norm weights, see _back_map)
-    if metrics[-1].pseudo:
-        warnings_txt = (
-            "superblock is rank deficient under Mode B: the reported superblock "
-            "weights are one least-norm solution; interpret the component through "
-            "its correlations instead"
-        )
-        trace.warnings.append(warnings_txt)
-
     return _back_map(c, trace, problem, mats, smat, names, metrics, config.m, off, units)
 
 
@@ -576,10 +557,10 @@ def _back_map(c, trace, problem, mats, smat, ids, metrics, m, off, units) -> Sol
     With `units` Y (a CarriedSuperblock under global) the blocks are X_b
     deflated on Y, and each block component is Pi (X_b w_b), Pi = I - YY'.
     """
-    sup = metrics[-1]
-    w_super = w_smat = sup.basis @ (c * sup.scale)
+    factor = metrics[-1].factor
+    w_super = w_smat = factor @ c
     if off is not None:
-        z = np.linalg.qr(sup.basis @ (off * sup.scale[:, None]))[0]
+        z = np.linalg.qr(factor @ off)[0]
         w_super = w_smat - z @ (z.T @ w_smat)
     # the same product that gave psi at c, so that sum(covs**m) is psi exactly
     segments = problem.stacked @ c
@@ -599,7 +580,7 @@ def _back_map(c, trace, problem, mats, smat, ids, metrics, m, off, units) -> Sol
             raise NonContributingBlockError(
                 f"block {ids[b]!r} is uncorrelated with the superblock component"
             )
-        w_b = met.basis @ (met.scale * (seg / covs[b]))
+        w_b = met.factor @ (seg / covs[b])
         w_blocks.append(w_b)
         y_blocks.append(mat @ w_b)
     if units is not None:
@@ -616,7 +597,29 @@ def _back_map(c, trace, problem, mats, smat, ids, metrics, m, off, units) -> Sol
         contributions=contributions(covs, m),
         trace=trace,
         block_ranks=tuple(met.rank for met in metrics[:-1]),
+        superblock_rank=metrics[-1].rank,
     )
+
+
+def add_rank_warnings(solutions: Sequence[Solution], widths, modes, ids) -> None:
+    """Warn at every rank of each Mode B block and superblock whose rank-1 metric is deficient.
+
+    Deflation makes later metrics rank deficient by construction, so only
+    rank 1's describe the data. Block warnings go before a solve's own, the
+    superblock's after them.
+    """
+    first = solutions[0]
+    blocks = [
+        f"block {name!r} is rank deficient under Mode B; using the column-space projector route"
+        for name, tau, rank, width in zip(ids, modes.block_taus, first.block_ranks, widths)
+        if tau == 0.0 and rank < width
+    ]
+    sup = [
+        "superblock is rank deficient under Mode B: the reported superblock weights are one "
+        "least-norm solution; interpret the component through its correlations instead"
+    ] if modes.superblock_tau == 0.0 and first.superblock_rank < sum(widths) else []
+    for sol in solutions:
+        sol.trace.warnings[:] = [*blocks, *sol.trace.warnings, *sup]
 
 
 def contributions(covs: Sequence[float], m: float) -> np.ndarray:

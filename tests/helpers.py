@@ -111,7 +111,7 @@ def superblock_coordinates(solution, metric):
     roundoff; MB = tau B + (1 - tau) GB, which is V diag(lambda^(1/2)) for an
     eigenbasis and L for a Cholesky factor.
     """
-    mb = metric.tau * (metric.basis * metric.scale) + (1.0 - metric.tau) * metric.cross
+    mb = metric.tau * metric.factor + (1.0 - metric.tau) * metric.cross
     c = mb.T @ solution.w_super
     return c / np.linalg.norm(c)
 
@@ -275,11 +275,16 @@ def factor_power(met, power):
     powers need an eigendecomposition, which that factor does not hold.
     """
     if met.variances is None:
-        factor = {1.0: met.cross, -1.0: met.basis * met.scale}[power]
+        factor = {1.0: met.cross, -1.0: met.factor}[power]
         return factor @ factor.T
-    v = met.basis
+    v = eigenbasis(met)
     rest = met.tau**power if met.tau > 0.0 else 0.0
     return (v * metric_eigenvalues(met) ** power) @ v.T + rest * (np.eye(v.shape[0]) - v @ v.T)
+
+
+def eigenbasis(met):
+    """The orthonormal V of an eigenbasis factor B = V diag(lambda^(-1/2))."""
+    return met.factor * np.sqrt(metric_eigenvalues(met))
 
 
 def metric_eigenvalues(met):
@@ -298,9 +303,9 @@ def metric_condition(met):
 def eigh_factor(x, tau):
     """The eigendecomposition route of `build_metric`, written out: its fields, in order.
 
-    (basis, scale, cross, variances, pseudo): descending eigenpairs of the
-    smaller Gram matrix, cut at DEFAULT_RANK_TOLERANCE (tau = 0) or at
-    roundoff (tau > 0), V = X'U/s for a wide matrix, scale lambda^(-1/2) and
+    (factor, cross, variances, pseudo): descending eigenpairs of the smaller
+    Gram matrix, cut at DEFAULT_RANK_TOLERANCE (tau = 0) or at roundoff
+    (tau > 0), V = X'U/s for a wide matrix, factor V diag(lambda^(-1/2)) and
     cross V diag(g lambda^(-1/2)).
     """
     n, j = x.shape
@@ -313,7 +318,17 @@ def eigh_factor(x, tau):
         vecs = (x.T @ vecs) / np.sqrt(n * vals)
     vals, vecs = np.ascontiguousarray(vals), np.ascontiguousarray(vecs)
     scale = (tau + (1.0 - tau) * vals) ** -0.5
-    return vecs, scale, vecs * (vals * scale), vals, tau == 0.0 and rank < j
+    return vecs * scale, vecs * (vals * scale), vals, tau == 0.0 and rank < j
+
+
+def deficient_superblock(seed):
+    """A duplicated column: the rank-1 superblock is rank deficient (the eigh route)."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((25, 4))
+    return build_blockset([
+        from_matrix("dup", np.column_stack([base, base[:, 2]])),
+        from_matrix("full", rng.standard_normal((25, 5))),
+    ])
 
 
 def without_cholesky(monkeypatch):

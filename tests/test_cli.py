@@ -262,6 +262,20 @@ class TestRun:
         at = lines.index("init = file")
         assert lines[at + 1:at + 3] == [f"init_file = {vec}", "seed = 0"]
 
+    def test_own_superblock_weights_restart_the_run(self, tmp_path):
+        # a file start holds superblock weights, so a run's own restart it at its
+        # solution, here on a Mode B superblock
+        common = ["run", "--blocks", DEMO_BLOCKS, "--id-column", "--scale", "unit",
+                  "--preset", "hierarchical_pca"]
+        assert main([*common, "--out", str(tmp_path / "o")]) == 0
+        rows = (tmp_path / "o" / "rank1_weights_superblock.csv").read_text().splitlines()
+        vec = tmp_path / "w.txt"
+        vec.write_text("\n".join(row.rsplit(",", 1)[1] for row in rows[1:]) + "\n")
+        assert main([*common, "--init", "file", "--init-file", str(vec),
+                     "--out", str(tmp_path / "warm")]) == 0
+        manifest = (tmp_path / "warm" / "manifest.txt").read_text().splitlines()
+        assert "rank1_iterations = 1" in manifest
+
     @pytest.mark.parametrize("extra", [(), ("--init", "random")], ids=["eigen", "random"])
     def test_manifest_names_no_start_file_without_one(self, tmp_path, extra):
         assert run_demo(tmp_path / "o", *extra) == 0
@@ -326,9 +340,28 @@ class TestRun:
     def test_bad_tau_flag_message(self, capsys):
         with pytest.raises(SystemExit) as info:
             build_parser().parse_args(["run", "--tau", "a"])
-        assert info.value.code == 2
+        assert info.value.code == 1
         err = capsys.readouterr().err
         assert "argument --tau: expected comma-separated numbers, got 'a'" in err, err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--deflate", "none"], "argument --deflate: invalid choice: 'none'"),
+        (["run", "--m", "abc"], "argument --m: invalid float value: 'abc'"),
+        (["run", "--bogus"], "unrecognized arguments: --bogus"),
+    ], ids=["bad_choice", "bad_number", "unknown_flag"])
+    def test_parser_errors_exit_1(self, capsys, argv, message):
+        # 2 is the data-error code
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["--version"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "flag, value", [("--scale", "log"), ("--delimiter", "semicolon"),

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from helpers import (
     component_correlations,
     data_deflation_extract,
+    deficient_superblock,
     latent_blockset,
     random_blockset,
     random_modes,
@@ -301,11 +302,12 @@ def assert_carried_matches_fresh_factor(bs, modes, config, strategy):
     for r, (ref, smat) in enumerate(fresh_factor_ranks(bs, modes, config, ms)):
         got = ms.solutions[r]
         assert got.trace.iterations == ref.trace.iterations, r
-        # a deflated superblock factored afresh is rank deficient and warns at
-        # every rank >= 2; the carried factor warns only when rank 1's superblock is
-        fresh = [w for w in ref.trace.warnings if not w.startswith(SUPERBLOCK_DEFICIENT)]
-        rank_one = [w for w in first.trace.warnings if w.startswith(SUPERBLOCK_DEFICIENT)]
-        assert got.trace.warnings == fresh + rank_one, r
+        # solve_matrices warns of no rank deficiency; extract repeats rank 1's
+        # block warnings before each rank's own and its superblock warning after
+        deficient = [w for w in first.trace.warnings if "rank deficient under Mode B" in w]
+        blocks = [w for w in deficient if not w.startswith(SUPERBLOCK_DEFICIENT)]
+        rank_one = [w for w in deficient if w.startswith(SUPERBLOCK_DEFICIENT)]
+        assert got.trace.warnings == blocks + ref.trace.warnings + rank_one, r
         y, y_ref = got.y_super, ref.y_super
         assert 1.0 - abs(y @ y_ref) / (np.linalg.norm(y) * np.linalg.norm(y_ref)) <= 1e-12, r
         # the least-norm weights of the deflated superblock, cut where its metric cuts
@@ -344,16 +346,6 @@ def column_scaled(bs, scales=(1e-2, 1.0, 1e2)):
     cols = np.cumsum([0] + [b.n_vars for b in bs.blocks])
     return build_blockset([from_matrix(b.id, x[:, lo:hi], scale=False)
                            for b, lo, hi in zip(bs.blocks, cols[:-1], cols[1:])])
-
-
-def deficient_superblock(seed):
-    """A duplicated column: the rank-1 superblock is rank deficient (the eigh route)."""
-    rng = np.random.default_rng(seed)
-    base = rng.standard_normal((25, 4))
-    return build_blockset([
-        from_matrix("dup", np.column_stack([base, base[:, 2]])),
-        from_matrix("full", rng.standard_normal((25, 5))),
-    ])
 
 
 DATA_DEFLATION_CASES = {
@@ -458,6 +450,22 @@ class TestCarriedSuperblock:
             assert ms.achieved_rank == 3
             for sol in ms.solutions:
                 assert any(w.startswith(SUPERBLOCK_DEFICIENT) for w in sol.trace.warnings) == warned
+
+    @pytest.mark.parametrize("strategy", list(DeflationStrategy))
+    def test_rank_deficiency_warnings_follow_rank_one(self, strategy):
+        # every deflation leaves a Mode B block or superblock rank deficient; the
+        # warnings at every rank name the matrices whose rank-1 metric is
+        full, deficient = random_blockset(3, b=3, n=30, js=[3, 4, 5]), deficient_superblock(21)
+        expected = [
+            "block 'dup' is rank deficient under Mode B; using the column-space projector route",
+            SUPERBLOCK_DEFICIENT + ": the reported superblock weights are one least-norm "
+            "solution; interpret the component through its correlations instead",
+        ]
+        for bs, warned in ((full, []), (deficient, expected)):
+            ms = extract(bs, ModeSelector.uniform("B", "B", bs.n_blocks), CFG, 3, strategy)
+            assert ms.achieved_rank == 3
+            for r, sol in enumerate(ms.solutions):
+                assert [w for w in sol.trace.warnings if "rank deficient" in w] == warned, r
 
 
 # ---------------------------------------------------------------------------

@@ -155,13 +155,13 @@ class TestVerifyStationary:
         hacked = dataclasses.replace(sol, y_super=y)
         assert verify_stationary(p, hacked, bs).residual > 0.01
 
-    def test_blank_grid_row_is_unsupported(self):
+    @pytest.mark.parametrize("name", [n for n in preset_names()
+                                      if preset(n).citation == "method grid"])
+    def test_every_grid_row_fixed_point(self, name):
         bs = latent_blockset(9)
-        p = preset("m2_ab")
-        assert p.grid_row == 6
+        p = preset(name)
         sol = converged(bs, p.selector(bs.n_blocks), p.m)
-        with pytest.raises(UnsupportedVerificationError):
-            verify_stationary(p, sol, bs)
+        assert verify_stationary(p, sol, bs).residual <= 1e-6
 
 
     @pytest.mark.parametrize("tau_blocks, tau_superblock", [(0.5, 1.0), (1.0, 0.25)])

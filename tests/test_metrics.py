@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import eigh_factor, latent_blockset, reference_metric_power, without_cholesky
+from helpers import (
+    eigenbasis,
+    eigh_factor,
+    latent_blockset,
+    reference_metric_power,
+    without_cholesky,
+)
 from helpers import factor_power as power
 from rcpca import (
     ModeSelector,
@@ -54,17 +60,17 @@ class TestBuildMetric:
         # block of full rank has a Cholesky factor instead: G B = L = cross, B'GB = I
         x = random_block_matrix(4, *shape)
         met = build_metric(x, tau)
-        v = met.basis
         if tau == 0.0 and shape[1] < shape[0]:
+            b = met.factor
             assert met.variances is None
-            np.testing.assert_array_equal(met.scale, np.ones(shape[1]))
-            np.testing.assert_allclose(x.T @ (x @ v) / shape[0], met.cross, atol=1e-12)
-            np.testing.assert_allclose(v.T @ met.cross, np.eye(shape[1]), atol=1e-12)
+            np.testing.assert_allclose(x.T @ (x @ b) / shape[0], met.cross, atol=1e-12)
+            np.testing.assert_allclose(b.T @ met.cross, np.eye(shape[1]), atol=1e-12)
             return
+        v = eigenbasis(met)
         np.testing.assert_allclose(v.T @ v, np.eye(v.shape[1]), atol=1e-12)
         np.testing.assert_allclose(x.T @ (x @ v) / shape[0], v * met.variances, atol=1e-12)
-        np.testing.assert_array_equal(met.scale, (tau + (1.0 - tau) * met.variances) ** -0.5)
-        np.testing.assert_array_equal(met.cross, v * (met.variances * met.scale))
+        for got, expected in zip((met.factor, met.cross, met.variances), eigh_factor(x, tau)):
+            np.testing.assert_array_equal(got, expected)
 
     def test_tau_out_of_range(self):
         with pytest.raises(ValueError):
@@ -92,7 +98,7 @@ class TestBuildMetric:
         # symmetric root M^(-1/2) = V diag(lambda^(-1/2)) V' from an eigenbasis
         x = random_block_matrix(seed)
         met = build_metric(x, tau)
-        whitener = met.basis * met.scale
+        whitener = met.factor
         dense = tau * np.eye(4) + (1.0 - tau) * (x.T @ x) / x.shape[0]
         np.testing.assert_allclose(whitener.T @ dense @ whitener, np.eye(4), atol=1e-8)
         np.testing.assert_allclose(
@@ -159,9 +165,8 @@ class TestFactorRoute:
         gram = x.T @ x / n
         met = build_metric(x, 0.0)
         assert met.variances is None and not met.pseudo and met.rank == j
-        np.testing.assert_array_equal(met.scale, np.ones(j))
         np.testing.assert_array_equal(met.cross, np.linalg.cholesky(gram))  # GB = L
-        b = met.basis * met.scale
+        b = met.factor
         assert not np.tril(b, -1).any()  # B = L^(-T) is upper triangular
         np.testing.assert_allclose(b.T @ gram @ b, np.eye(j), atol=1e-12)  # B'GB = I
         np.testing.assert_allclose(gram @ b, met.cross, atol=1e-12)
@@ -185,7 +190,7 @@ class TestFactorRoute:
         met = build_metric(x, 0.0)
         assert met.variances is not None
         assert (met.rank, met.pseudo) == (rank, pseudo)
-        fields = (met.basis, met.scale, met.cross, met.variances, met.pseudo)
+        fields = (met.factor, met.cross, met.variances, met.pseudo)
         for got, expected in zip(fields, eigh_factor(x, 0.0)):
             np.testing.assert_array_equal(got, expected)
 
@@ -193,7 +198,7 @@ class TestFactorRoute:
         x = random_block_matrix(24, n=30, j=6)
         for tau in (1e-12, 0.3, 1.0):
             met = build_metric(x, tau)
-            for got, expected in zip((met.basis, met.scale, met.cross, met.variances),
+            for got, expected in zip((met.factor, met.cross, met.variances),
                                      eigh_factor(x, tau)):
                 np.testing.assert_array_equal(got, expected)
 
@@ -209,7 +214,7 @@ class TestFactorRoute:
         x = random_block_matrix(25, n=30, j=6)
         without_cholesky(monkeypatch)
         met = build_metric(x, 0.0)
-        for got, expected in zip((met.basis, met.scale, met.cross, met.variances),
+        for got, expected in zip((met.factor, met.cross, met.variances),
                                  eigh_factor(x, 0.0)):
             np.testing.assert_array_equal(got, expected)
 
@@ -288,9 +293,7 @@ class TestInvSqrtApply:
         met = build_metric(x, tau=0.0)
         np.testing.assert_allclose(power(met, 1.0), np.diag([4.0, 1.0]), atol=1e-12)
         # the Cholesky factor of a diagonal Gram is its square root
-        np.testing.assert_allclose(
-            met.basis * met.scale, np.diag([0.5, 1.0]), atol=1e-12
-        )
+        np.testing.assert_allclose(met.factor, np.diag([0.5, 1.0]), atol=1e-12)
 
     def test_null_space_annihilated(self):
         # (1/n) X'X = diag(1, 0)

@@ -9,6 +9,7 @@ from helpers import (
     build_metrics,
     collinear_blockset,
     component_matrix,
+    deficient_superblock,
     factor_power,
     full_rank_blockset,
     latent_blockset,
@@ -68,11 +69,11 @@ class TestTransform:
         bs = random_blockset(0, b=2, n=10, js=[2, 3], normalize=False)
         metrics = build_metrics(bs, ModeSelector.uniform("A", "A", 2))
         problem = transform(bs, metrics, 2.0)
-        basis = metrics[-1].basis
+        basis = metrics[-1].factor
         for b in range(2):
             # segments are in the factors' coordinates: map them back to J-space
             np.testing.assert_allclose(
-                metrics[b].basis @ q_blocks(problem)[b] @ basis.T,
+                metrics[b].factor @ q_blocks(problem)[b] @ basis.T,
                 bs.blocks[b].matrix.T @ bs.superblock / bs.n,
                 atol=1e-12,
             )
@@ -82,7 +83,7 @@ class TestTransform:
         metrics = build_metrics(bs, ModeSelector.uniform("A", "A", 1))
         problem = transform(bs, metrics, 2.0)
         x = bs.blocks[0].matrix
-        basis = metrics[0].basis
+        basis = metrics[0].factor
         np.testing.assert_allclose(
             basis @ q_blocks(problem)[0] @ basis.T, x.T @ x / bs.n, atol=1e-12
         )
@@ -420,6 +421,15 @@ def top_gap_spectrum(gap, d=400):
     return np.concatenate([[1.0, 1.0 - gap], rest])
 
 
+# superblock -> (blockset, tau_super), with Mode A blocks and m = 4
+WARM_STARTS = {
+    "mode_a": (lambda: random_blockset(7, b=3, n=30, js=[3, 4, 5]), 1.0),
+    "rank_deficient_mode_b": (lambda: deficient_superblock(21), 0.0),
+    "half_shrinkage": (lambda: random_blockset(7, b=3, n=30, js=[3, 4, 5]), 0.5),
+    "full_rank_mode_b": (lambda: random_blockset(7, b=3, n=30, js=[3, 4, 5]), 0.0),
+}
+
+
 class TestInitV:
     def test_eigen_start_diagonal(self):
         problem = problem_from_qs([np.diag([2.0, 1.0])], m=2.0)
@@ -428,8 +438,8 @@ class TestInitV:
         assert abs(v[1]) <= 1e-12
 
     def test_random_is_deterministic(self):
-        # the seeded J-dimensional draw in the superblock factor's coordinates:
-        # a Cholesky factor spans R^J, and its coordinates take the draw itself
+        # the seeded draw of the superblock factor's coordinates, J of them for
+        # the Cholesky factor of a full-rank Mode B superblock
         bs = random_blockset(5, b=2, n=12, js=[3, 2])
         modes = ModeSelector.uniform("A", "B", 2)
         cfg = SolverConfig(m=2.0, init="random", seed=42)
@@ -442,13 +452,18 @@ class TestInitV:
         problem = transform(bs, metrics, 2.0)
         assert s1.trace.psi[0] == pytest.approx(problem.value(c / np.linalg.norm(c)), rel=1e-12)
 
-    def test_random_is_projected_onto_an_eigenbasis(self):
-        # a superblock factored by eigh (tau > 0) takes the draw's projection V'v
-        bs = random_blockset(5, b=2, n=12, js=[3, 2])
-        modes = ModeSelector.uniform("A", 0.5, 2)
+    @pytest.mark.parametrize("tau_super, n, rank", [(0.0, 12, 5), (0.5, 12, 5), (0.5, 4, 3)],
+                             ids=["cholesky", "eigh", "eigh_wide"])
+    def test_random_is_a_draw_of_the_factor_coordinates(self, tau_super, n, rank):
+        # the seeded standard Gaussian draw of the superblock factor's r
+        # coordinates, whichever route factored it
+        bs = random_blockset(5, b=2, n=n, js=[3, 2])
+        modes = ModeSelector.uniform("A", tau_super, 2)
         sol = solve(bs, modes, SolverConfig(m=2.0, init="random", seed=42))
         metrics = build_metrics(bs, modes)
-        c = metrics[-1].basis.T @ np.random.default_rng(42).standard_normal(5)
+        assert (metrics[-1].variances is None) == (tau_super == 0.0)
+        assert metrics[-1].rank == rank
+        c = np.random.default_rng(42).standard_normal(rank)
         problem = transform(bs, metrics, 2.0)
         assert sol.trace.psi[0] == pytest.approx(problem.value(c / np.linalg.norm(c)), rel=1e-12)
 
@@ -459,10 +474,23 @@ class TestInitV:
         metrics = build_metrics(bs, modes)
         problem = transform(bs, metrics, 2.0)
         sol = solve(bs, modes, SolverConfig(m=2.0, init=np.array([3.0, 4.0])))
-        unit = metrics[-1].basis.T @ np.array([0.6, 0.8])
+        unit = metrics[-1].factor.T @ np.array([0.6, 0.8])
         assert sol.trace.psi[0] == pytest.approx(problem.value(unit), rel=1e-12)
         unit_sol = solve(bs, modes, SolverConfig(m=2.0, init=np.array([0.6, 0.8])))
         np.testing.assert_allclose(sol.trace.psi, unit_sol.trace.psi, rtol=1e-12)
+
+    @pytest.mark.parametrize("superblock", list(WARM_STARTS))
+    def test_own_weights_restart_at_the_solution(self, superblock):
+        # an explicit start holds superblock weights: Bc, c = (MB)'w, is w's
+        # M-projection onto the factor's span, which is w_super itself
+        make, tau_super = WARM_STARTS[superblock]
+        bs = make()
+        modes = ModeSelector.uniform("A", tau_super, bs.n_blocks)
+        sol = solve(bs, modes, SolverConfig(m=4.0, epsilon=1e-14))
+        assert sol.trace.converged
+        warm = solve(bs, modes, SolverConfig(m=4.0, epsilon=1e-14, init=sol.w_super))
+        assert warm.trace.iterations == 1
+        assert abs(warm.trace.psi[0] - sol.trace.psi[-1]) <= 1e-12 * sol.trace.psi[-1]
 
     def test_given_with_zero_criterion(self):
         # the start's superblock component [0, 0, 2, -2] is orthogonal to the only block
