@@ -44,7 +44,7 @@ def main():
     print(f"{'m':>4} {'tau':>5} {'psi':>14} {'iters':>6} {'residual':>10} {'monotone':>9}")
     for m in M_VALUES:
         for tau in TAU_VALUES:
-            modes = ModeSelector.uniform(tau, tau, bs.n_blocks)
+            modes = ModeSelector.from_taus([tau] * bs.n_blocks, tau)
             cfg = SolverConfig(m=m, epsilon=args.epsilon, max_iter=100_000)
             sol = solve(bs, modes, cfg)
             deltas = np.diff(sol.trace.psi)

@@ -182,6 +182,10 @@ def _validate(cfg: RunConfig) -> MethodPreset | None:
     ids = cfg.ids or [Path(p).stem for p in cfg.blocks]
     if len(set(ids)) != len(ids):
         raise ConfigError(f"block ids must be unique, got {ids}")
+    if any(Path(bid).name != bid for bid in ids):  # output file names end in the id
+        raise ConfigError(f"block ids must be names without a path separator, got {ids}")
+    if any(p.exists() and not p.is_dir() for p in (Path(cfg.out), *Path(cfg.out).parents)):
+        raise ConfigError(f"--out {cfg.out} is a file or lies under one; name a directory")
     if cfg.m is not None and not (cfg.m >= 1.0 and math.isfinite(cfg.m)):
         raise ConfigError(f"--m must be a finite number >= 1, got {cfg.m!r}")
     entry = None
@@ -242,7 +246,10 @@ def _solver_config(cfg: RunConfig, entry: MethodPreset | None) -> SolverConfig:
         if not path.is_file():
             raise DataError(f"start-vector file not found or not a file: {cfg.init_file}")
         try:
-            values = [float(s) for s in path.read_text().split()]
+            values = [float(s) for s in path.read_text(encoding="utf-8").split()]
+        except UnicodeDecodeError:  # a ValueError too
+            raise DataError(f"start-vector file {cfg.init_file} is not UTF-8 text; "
+                            "save it as UTF-8") from None
         except ValueError:
             raise DataError(f"start-vector file {cfg.init_file} must hold numbers") from None
         if not all(map(math.isfinite, values)):

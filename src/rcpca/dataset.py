@@ -33,9 +33,6 @@ from .errors import (
     ParseError,
 )
 
-# |column mean| must stay below this times the column norm after centering
-_CENTER_RTOL = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class Preprocessing:
@@ -49,7 +46,8 @@ class Preprocessing:
 
 @dataclass(frozen=True, eq=False)
 class Block:
-    """One centered (optionally scaled) data matrix plus its provenance."""
+    """One data matrix plus its provenance. `from_matrix` and `load_block` center (and
+    optionally scale) it; the tests, not this constructor, pin the centering."""
 
     id: str
     matrix: np.ndarray
@@ -64,10 +62,11 @@ class Block:
             raise DimensionError(f"block {self.id!r}: need at least 2 rows, got {n}")
         if j < 1:
             raise DimensionError(f"block {self.id!r}: need at least 1 column")
-        norms = np.linalg.norm(x, axis=0)
-        means = np.abs(x.mean(axis=0))
-        if np.any(means > _CENTER_RTOL * np.maximum(norms, 1.0)):
-            raise DataError(f"block {self.id!r}: columns are not centered")
+        pre = self.preprocessing
+        if len(pre.columns) != j:
+            raise DimensionError(f"block {self.id!r}: {j} columns, names for {len(pre.columns)}")
+        if pre.row_ids is not None and len(pre.row_ids) != n:
+            raise DimensionError(f"block {self.id!r}: {n} rows, row ids for {len(pre.row_ids)}")
 
     @property
     def n(self) -> int:
@@ -124,7 +123,6 @@ def _preprocess(
     row_ids: Sequence[str] | None,
     scale: bool,
 ) -> Block:
-    raw = np.asarray(raw, dtype=float)
     means = raw.mean(axis=0)
     centered = raw - means
     # second pass kills the roundoff residual left by large offsets

@@ -63,11 +63,6 @@ class ModeSelector:
                 raise ValueError(f"tau must lie in [0, 1], got {tau}")
 
     @staticmethod
-    def uniform(blocks, superblock, n_blocks: int) -> "ModeSelector":
-        tau = mode_tau(blocks)
-        return ModeSelector((tau,) * n_blocks, mode_tau(superblock))
-
-    @staticmethod
     def from_taus(block_taus: Sequence, superblock) -> "ModeSelector":
         return ModeSelector(tuple(mode_tau(t) for t in block_taus), mode_tau(superblock))
 
@@ -86,7 +81,6 @@ class ShrinkageMetric:
     factor: np.ndarray  # J x rank, B
     cross: np.ndarray  # J x rank, G B
     variances: np.ndarray | None  # descending Gram eigenvalues s^2 / n, or None: Cholesky
-    pseudo: bool  # True when tau = 0 dropped null directions
 
     @property
     def rank(self) -> int:
@@ -133,7 +127,7 @@ def build_metric(data, tau: float, gram: np.ndarray | None = None) -> ShrinkageM
             low = np.linalg.cholesky(gram)
             inv = _lower_inverse(low)
             if np.linalg.norm(gram) * np.vdot(inv, inv) < 1.0 / DEFAULT_RANK_TOLERANCE:
-                return ShrinkageMetric(tau, inv.T, low, None, False)
+                return ShrinkageMetric(tau, inv.T, low, None)
         except np.linalg.LinAlgError:
             pass  # not positive definite at roundoff: rank deficient
     vals, vecs = np.linalg.eigh(gram)  # reads the lower triangle only
@@ -152,7 +146,7 @@ def build_metric(data, tau: float, gram: np.ndarray | None = None) -> ShrinkageM
         vecs = (x.T @ vecs) / np.sqrt(n * vals)
     vals, vecs = np.ascontiguousarray(vals), np.ascontiguousarray(vecs)
     scale = (tau + (1.0 - tau) * vals) ** -0.5
-    return ShrinkageMetric(tau, vecs * scale, vecs * (vals * scale), vals, tau == 0.0 and rank < j)
+    return ShrinkageMetric(tau, vecs * scale, vecs * (vals * scale), vals)
 
 
 def _lower_inverse(low: np.ndarray, width: int = 32) -> np.ndarray:

@@ -149,6 +149,11 @@ def random_modes(seed, blockset, taus=TAU_GRID):
     return ModeSelector(block_taus, super_tau)
 
 
+def uniform_modes(block_mode, superblock_mode, n_blocks):
+    """One mode ('A', 'B' or a tau) for every block, and one for the superblock."""
+    return ModeSelector.from_taus([block_mode] * n_blocks, superblock_mode)
+
+
 def random_m(seed, grid=M_GRID):
     rng = np.random.default_rng(seed + 104729)
     return float(rng.choice(grid))
@@ -300,10 +305,15 @@ def metric_condition(met):
     return lam.max() / lam.min()
 
 
+def is_pseudo(met):
+    """True when a tau = 0 metric dropped null directions (pseudo-inverse semantics)."""
+    return met.tau == 0.0 and met.rank < met.factor.shape[0]
+
+
 def eigh_factor(x, tau):
     """The eigendecomposition route of `build_metric`, written out: its fields, in order.
 
-    (factor, cross, variances, pseudo): descending eigenpairs of the smaller
+    (factor, cross, variances): descending eigenpairs of the smaller
     Gram matrix, cut at DEFAULT_RANK_TOLERANCE (tau = 0) or at roundoff
     (tau > 0), V = X'U/s for a wide matrix, factor V diag(lambda^(-1/2)) and
     cross V diag(g lambda^(-1/2)).
@@ -318,7 +328,7 @@ def eigh_factor(x, tau):
         vecs = (x.T @ vecs) / np.sqrt(n * vals)
     vals, vecs = np.ascontiguousarray(vals), np.ascontiguousarray(vecs)
     scale = (tau + (1.0 - tau) * vals) ** -0.5
-    return vecs * scale, vecs * (vals * scale), vals, tau == 0.0 and rank < j
+    return vecs * scale, vecs * (vals * scale), vals
 
 
 def deficient_superblock(seed):

@@ -38,10 +38,10 @@ from helpers import (
     scaled_blockset,
     superblock_coordinates,
     transform,
+    uniform_modes,
     wide_blockset,
 )
 from rcpca import (
-    ModeSelector,
     SolverConfig,
     contributions,
     extract,
@@ -80,7 +80,7 @@ def _sweep_cases():
             yield scale, seed, bs, random_modes(seed, bs), random_m(seed)
     for seed in range(N_TINY):
         bs = scaled_blockset(random_blockset(seed, normalize=False), TINY_SCALE)
-        yield TINY_SCALE, seed, bs, ModeSelector.uniform("A", "A", bs.n_blocks), 2.0
+        yield TINY_SCALE, seed, bs, uniform_modes("A", "A", bs.n_blocks), 2.0
     for seed in range(N_WIDE):
         bs = wide_blockset(seed)
         yield 1.0, seed, bs, random_modes(seed, bs), random_m(seed)
@@ -181,7 +181,7 @@ def test_criterion_04_pca_identity_mode_a():
     for seed in range(10):
         bs = latent_blockset(seed, n=22, js=(4, 3, 2)) if seed % 2 else \
             random_blockset(seed + 300, b=3, n=20, js=[3, 4, 2])
-        modes = ModeSelector.uniform("A", "A", bs.n_blocks)
+        modes = uniform_modes("A", "A", bs.n_blocks)
         sol = solve(bs, modes, SolverConfig(m=2.0, epsilon=1e-14, max_iter=100_000))
         y = sol.y_super
         for op in (
@@ -216,7 +216,7 @@ def test_criterion_05_sumcor_global_optimum():
         float(s @ corr @ s)
         for s in (np.array([i, j, k]) for i in (1, -1) for j in (1, -1) for k in (1, -1))
     )
-    sol3 = solve(bs3, ModeSelector.uniform("B", "B", 3), cfg)
+    sol3 = solve(bs3, uniform_modes("B", "B", 3), cfg)
     err_enum = abs(sol3.trace.psi[-1] - np.sqrt(best_enum))
 
     # two 2-column blocks: brute-force angle grid, step 1e-3 rad
@@ -229,7 +229,7 @@ def test_criterion_05_sumcor_global_optimum():
         a = y1.T @ y2[:, start:start + 512]
         best_cor = max(best_cor, float(a.max()))
     best_grid = 2.0 + 2.0 * best_cor
-    sol2 = solve(bs2, ModeSelector.uniform("B", "B", 2), cfg)
+    sol2 = solve(bs2, uniform_modes("B", "B", 2), cfg)
     err_grid = abs(sol2.trace.psi[-1]**2 - best_grid)
 
     # criterion value equals the root of the summed correlation matrix
@@ -318,7 +318,7 @@ def test_criterion_08_hierarchical_pca_signature():
 
 def test_criterion_09_deflation_orthogonality():
     bs = random_blockset(900, b=3, n=20, js=[4, 4, 4])
-    modes = ModeSelector.uniform("A", "A", 3)
+    modes = uniform_modes("A", "A", 3)
     cfg = SolverConfig(m=2.0, epsilon=1e-13, max_iter=100_000)
 
     def offdiag(c):
@@ -358,7 +358,7 @@ def test_criterion_10_mode_b_superblock_equivalence():
         )
         block_mode = "A" if seed % 4 < 2 else "B"
         m = 1.0 if seed % 3 == 0 else 2.0
-        modes = ModeSelector.uniform(block_mode, "B", bs.n_blocks)
+        modes = uniform_modes(block_mode, "B", bs.n_blocks)
         metrics = build_metrics(bs, modes)
         c0, _ = _eigen_start(transform(bs, metrics, m))
         y0 = metrics[-1].image(bs.superblock).T @ c0

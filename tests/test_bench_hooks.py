@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_blockset, transform
-from rcpca import ModeSelector, SolverConfig, cli, dataset, deflation, solver
+from helpers import random_blockset, transform, uniform_modes
+from rcpca import SolverConfig, cli, dataset, deflation, solver
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMO = ROOT / "data" / "demo"
@@ -51,7 +51,7 @@ def library_extract(n_blocks, rank):
     raws = [random_blockset(40 + b, b=1, n=30, js=[3]).superblock for b in range(n_blocks)]
     blocks = [dataset.from_matrix(f"b{b + 1}", x) for b, x in enumerate(raws)]
     blockset = dataset.build_blockset(blocks)
-    modes = ModeSelector.uniform("A", "A", n_blocks)
+    modes = uniform_modes("A", "A", n_blocks)
     return deflation.extract(blockset, modes, SolverConfig(m=2.0), rank, "global")
 
 

@@ -285,13 +285,15 @@ class TestRun:
         assert "init_file" not in keys
 
     @pytest.mark.parametrize("text, message", [
-        ("1\nx\n", "data error: start-vector file {vec} must hold numbers"),
-        ("0\n" * 9, "error: every start failed; last failure: start vector is zero"),
-        ("1\n2\n3\n", "data error: start vector has length 3, expected 9"),
-    ], ids=["not_numeric", "all_zero", "wrong_length"])
+        (b"1\nx\n", "data error: start-vector file {vec} must hold numbers"),
+        (b"0\n" * 9, "error: every start failed; last failure: start vector is zero"),
+        (b"1\n2\n3\n", "data error: start vector has length 3, expected 9"),
+        (b"0.3\n" * 8 + b"0.3\xe9\n",
+         "data error: start-vector file {vec} is not UTF-8 text; save it as UTF-8"),
+    ], ids=["not_numeric", "all_zero", "wrong_length", "not_utf8"])
     def test_start_file_faults_exit_2(self, tmp_path, capsys, text, message):
         vec = tmp_path / "v0.txt"
-        vec.write_text(text)
+        vec.write_bytes(text)
         assert run_demo(tmp_path / "o", "--init", "file", "--init-file", str(vec)) == 2
         assert capsys.readouterr().err == message.format(vec=vec) + "\n"
         assert not (tmp_path / "o").exists()
@@ -430,13 +432,31 @@ class TestRun:
          "tau must lie in [0, 1], got 1.5"),
         (["--blocks", DEMO_BLOCKS, "--m", "2", "--tau", "1", "--tau-super", "-0.5"],
          "tau must lie in [0, 1], got -0.5"),
+        (["--blocks", DEMO_BLOCKS, "--ids", "a/b,c", "--preset", "consensus_pca"],
+         "block ids must be names without a path separator, got ['a/b', 'c']"),
+        (["--blocks", DEMO_BLOCKS, "--ids", "a,c/", "--preset", "consensus_pca"],
+         "block ids must be names without a path separator, got ['a', 'c/']"),
     ], ids=["no_blocks", "ids_count", "no_preset_no_m", "tau_count", "tau_above_1",
-            "tau_super_below_0"])
+            "tau_super_below_0", "id_with_a_separator", "id_ending_in_a_separator"])
     def test_run_specification_faults_exit_1(self, tmp_path, capsys, argv, message):
         out = tmp_path / "o"
         assert main(["run", *argv, "--id-column", "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["taken", "taken/o"])
+    def test_out_under_an_existing_file_exits_1(self, tmp_path, capsys, monkeypatch, out):
+        import rcpca.cli as cli
+
+        monkeypatch.setattr(cli, "load_block", None)  # no block is read
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        assert run_demo(tmp_path / out) == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: --out {tmp_path / out} is a file or lies under one; "
+            "name a directory\n"
+        )
+        assert taken.read_text() == "not a directory\n"
 
     def test_extract_warnings_go_to_stderr(self, tmp_path, capsys):
         out = tmp_path / "o"

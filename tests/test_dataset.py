@@ -209,6 +209,16 @@ class TestLoadBlock:
                 matrix[0, 0] = 1.0
         np.testing.assert_array_equal(data, before)
 
+    @pytest.mark.parametrize("names, message", [
+        ({"columns": ["x"]}, "block 'a': 3 columns, names for 1"),
+        ({"columns": ["x", "y", "z", "w"]}, "block 'a': 3 columns, names for 4"),
+        ({"row_ids": ["r1", "r2"]}, "block 'a': 4 rows, row ids for 2"),
+        ({"row_ids": [f"r{i}" for i in range(5)]}, "block 'a': 4 rows, row ids for 5"),
+    ], ids=["too_few_columns", "too_many_columns", "too_few_row_ids", "too_many_row_ids"])
+    def test_names_must_match_the_shape(self, names, message):
+        with pytest.raises(DimensionError, match=message):
+            from_matrix("a", np.arange(12.0).reshape(4, 3), **names)
+
 
 # cells numpy's reader takes, and cells that send a table to the csv reader
 FAST_CELLS = ["0", "-0", "-2.5", " 3e-4 ", "1e5 ", "\xa07", "\x1c4", "12345678.9"]

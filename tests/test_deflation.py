@@ -11,11 +11,11 @@ from helpers import (
     random_blockset,
     random_modes,
     scaled_blockset,
+    uniform_modes,
     without_cholesky,
 )
 from rcpca import (
     DeflationStrategy,
-    ModeSelector,
     SolverConfig,
     build_blockset,
     deflate,
@@ -118,7 +118,7 @@ class TestExtract:
         image = ShrinkageMetric.image
         monkeypatch.setattr(ShrinkageMetric, "image", lambda met, x: images.append(x) or image(met, x))
         bs = random_blockset(13, b=4, n=30, js=[3, 5, 4, 3])
-        modes = ModeSelector.uniform("A", "A", 4)
+        modes = uniform_modes("A", "A", 4)
         expected = solve(bs, modes, CFG)
         assert images == []
         with monkeypatch.context() as patch:
@@ -143,7 +143,7 @@ class TestExtract:
                 from_matrix("pair", np.column_stack([u, u + 10.0**-k * v])),
                 from_matrix("full", np.column_stack(full)),
             ])
-            ms = extract(bs, ModeSelector.uniform("A", superblock, 2), CFG, 3, strategy)
+            ms = extract(bs, uniform_modes("A", superblock, 2), CFG, 3, strategy)
             cap = 2 if k <= 6 else 1
             assert ms.solutions[0].block_ranks == (cap, 3), k
             assert ms.achieved_rank == cap, k
@@ -153,7 +153,7 @@ class TestExtract:
 
     def test_rank_one_equals_plain_solve(self):
         bs = random_blockset(1, b=3, n=15, js=[3, 2, 4])
-        modes = ModeSelector.uniform("A", "A", 3)
+        modes = uniform_modes("A", "A", 3)
         for strategy in DeflationStrategy:
             ms = extract(bs, modes, CFG, 1, strategy)
             sol = solve(bs, modes, CFG)
@@ -162,7 +162,7 @@ class TestExtract:
 
     def test_own_strategy_orthogonality(self):
         bs = random_blockset(2, b=3, n=20, js=[4, 4, 4])
-        modes = ModeSelector.uniform("A", "A", 3)
+        modes = uniform_modes("A", "A", 3)
         blocks, superblock = component_correlations(extract(bs, modes, CFG, 2, "own"))
         for c in blocks:
             assert off_diagonal_max(c) <= 1e-8
@@ -170,13 +170,13 @@ class TestExtract:
 
     def test_global_strategy_superblock_orthogonality(self):
         bs = random_blockset(3, b=3, n=20, js=[4, 4, 4])
-        modes = ModeSelector.uniform("A", "A", 3)
+        modes = uniform_modes("A", "A", 3)
         _, superblock = component_correlations(extract(bs, modes, CFG, 2, "global"))
         assert off_diagonal_max(superblock) <= 1e-8
 
     def test_block_strategy_block_space_and_orthogonality(self):
         bs = random_blockset(4, b=3, n=20, js=[4, 4, 4])
-        modes = ModeSelector.uniform("A", "A", 3)
+        modes = uniform_modes("A", "A", 3)
         ms = extract(bs, modes, CFG, 3, "block")
         for b, c in enumerate(component_correlations(ms)[0]):
             assert off_diagonal_max(c) <= 1e-8
@@ -188,7 +188,7 @@ class TestExtract:
 
     def test_loading_strategy_keeps_block_space(self):
         bs = random_blockset(5, b=2, n=18, js=[4, 3])
-        modes = ModeSelector.uniform("A", "A", 2)
+        modes = uniform_modes("A", "A", 2)
         ms = extract(bs, modes, CFG, 2, "loading")
         for b in range(2):
             basis, _ = np.linalg.qr(bs.blocks[b].matrix)
@@ -198,7 +198,7 @@ class TestExtract:
 
     def test_rank_capped_with_warning(self):
         bs = random_blockset(6, b=2, n=15, js=[2, 5])
-        modes = ModeSelector.uniform("A", "A", 2)
+        modes = uniform_modes("A", "A", 2)
         ms = extract(bs, modes, CFG, 5, "block")
         assert ms.achieved_rank == 2
         assert ms.requested_rank == 5
@@ -214,7 +214,7 @@ class TestExtract:
         cap = min(int(np.linalg.matrix_rank(b.matrix)) for b in bs.blocks)
         assert cap == 3
         for tau in (0.0, 0.5, 1.0):
-            ms = extract(bs, ModeSelector.uniform(tau, 1.0, 2), CFG, 6, "global")
+            ms = extract(bs, uniform_modes(tau, 1.0, 2), CFG, 6, "global")
             assert ms.achieved_rank == cap
             assert ms.warnings == [
                 f"requested 6 components but the smallest block rank is {cap}; returning {cap}"
@@ -222,7 +222,7 @@ class TestExtract:
 
     def test_wide_block_caps_at_n_minus_one(self):
         bs = random_blockset(12, b=2, n=8, js=[20, 30])
-        ms = extract(bs, ModeSelector.uniform("A", "A", 2), CFG, 10, "global")
+        ms = extract(bs, uniform_modes("A", "A", 2), CFG, 10, "global")
         assert ms.achieved_rank == 7
         assert ms.warnings == [
             "requested 10 components but the smallest block rank is 7; returning 7"
@@ -230,7 +230,7 @@ class TestExtract:
 
     def test_mode_b_superblock_own_strategy_warns(self):
         bs = latent_blockset(7)
-        modes = ModeSelector.uniform("A", "B", bs.n_blocks)
+        modes = uniform_modes("A", "B", bs.n_blocks)
         ms = extract(bs, modes, CFG, 2, "own")
         assert any("Mode B" in w for w in ms.warnings)
 
@@ -238,14 +238,14 @@ class TestExtract:
         # after one deflation a Mode B block is rank deficient; the pseudo
         # metric route must carry the next rank without errors
         bs = latent_blockset(9, n=25, js=(3, 3, 3))
-        modes = ModeSelector.uniform("B", "B", 3)
+        modes = uniform_modes("B", "B", 3)
         ms = extract(bs, modes, SolverConfig(m=2.0, epsilon=1e-12), 2, "own")
         assert ms.achieved_rank == 2
 
     def test_bad_rank(self):
         bs = random_blockset(10, b=2, n=10, js=[2, 2])
         with pytest.raises(ValueError):
-            extract(bs, ModeSelector.uniform("A", "A", 2), CFG, 0, "own")
+            extract(bs, uniform_modes("A", "A", 2), CFG, 0, "own")
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +395,7 @@ class TestCarriedSuperblock:
         build = solver.build_metric
         monkeypatch.setattr(solver, "build_metric", lambda *args: calls.append(1) or build(*args))
         bs = random_blockset(5, b=4, n=30, js=[3, 4, 3, 5])
-        ms = extract(bs, ModeSelector.uniform("B", "B", 4), SolverConfig(m=2.0), rank, strategy)
+        ms = extract(bs, uniform_modes("B", "B", 4), SolverConfig(m=2.0), rank, strategy)
         assert ms.achieved_rank == rank
         assert len(calls) == 4 * rank + 1
 
@@ -428,7 +428,7 @@ class TestCarriedSuperblock:
         calls = []
         monkeypatch.setattr(deflation, "deflate", lambda *args: calls.append(1) or deflate(*args))
         bs = random_blockset(5, b=4, n=30, js=[3, 4, 3, 5])
-        ms = extract(bs, ModeSelector.uniform("B", superblock, 4), SolverConfig(), 3, strategy)
+        ms = extract(bs, uniform_modes("B", superblock, 4), SolverConfig(), 3, strategy)
         assert ms.achieved_rank == 3
         mode_b = superblock == "B"
         expected = {"global": 0 if mode_b else 2, "block": 8, "loading": 0,
@@ -438,14 +438,14 @@ class TestCarriedSuperblock:
     @pytest.mark.parametrize("strategy", ["global", "own"])
     def test_superblock_warning_only_for_a_rank_deficient_rank_one(self, strategy):
         # ranks >= 2 lose the earlier components' directions by construction
-        modes = ModeSelector.uniform("A", "B", 3)
+        modes = uniform_modes("A", "B", 3)
         full = extract(random_blockset(3, b=3, n=30, js=[3, 4, 5]), modes, CFG, 3, strategy)
         rng = np.random.default_rng(21)
         base = rng.standard_normal((25, 4))
         deficient = extract(build_blockset([
             from_matrix("dup", np.column_stack([base, base[:, 2]])),
             from_matrix("full", rng.standard_normal((25, 5))),
-        ]), ModeSelector.uniform("A", "B", 2), CFG, 3, strategy)
+        ]), uniform_modes("A", "B", 2), CFG, 3, strategy)
         for ms, warned in ((full, False), (deficient, True)):
             assert ms.achieved_rank == 3
             for sol in ms.solutions:
@@ -462,7 +462,7 @@ class TestCarriedSuperblock:
             "solution; interpret the component through its correlations instead",
         ]
         for bs, warned in ((full, []), (deficient, expected)):
-            ms = extract(bs, ModeSelector.uniform("B", "B", bs.n_blocks), CFG, 3, strategy)
+            ms = extract(bs, uniform_modes("B", "B", bs.n_blocks), CFG, 3, strategy)
             assert ms.achieved_rank == 3
             for r, sol in enumerate(ms.solutions):
                 assert [w for w in sol.trace.warnings if "rank deficient" in w] == warned, r

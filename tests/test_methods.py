@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 import rcpca
-from helpers import component_matrix, full_rank_blockset, latent_blockset
+from helpers import component_matrix, full_rank_blockset, latent_blockset, uniform_modes
 from rcpca import (
     MethodPreset,
-    ModeSelector,
     SolverConfig,
     build_blockset,
     from_matrix,
@@ -213,8 +212,8 @@ class TestPresetEquivalences:
     def test_m2_superblock_mode_does_not_change_direction(self):
         # Mode A vs Mode B superblock: same solution up to normalization
         bs = full_rank_blockset(11)
-        sol_a = converged(bs, ModeSelector.uniform("A", "A", bs.n_blocks), 2.0)
-        sol_b = converged(bs, ModeSelector.uniform("A", "B", bs.n_blocks), 2.0)
+        sol_a = converged(bs, uniform_modes("A", "A", bs.n_blocks), 2.0)
+        sol_b = converged(bs, uniform_modes("A", "B", bs.n_blocks), 2.0)
         cos = abs(sol_a.y_super @ sol_b.y_super) / (
             np.linalg.norm(sol_a.y_super) * np.linalg.norm(sol_b.y_super)
         )

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from helpers import (
     eigenbasis,
     eigh_factor,
+    is_pseudo,
     latent_blockset,
     reference_metric_power,
+    uniform_modes,
     without_cholesky,
 )
 from helpers import factor_power as power
@@ -118,7 +120,7 @@ class TestBuildMetric:
         x = np.column_stack([base, 2 * base])
         x = x - x.mean(axis=0)
         met = build_metric(x, tau=0.0)
-        assert met.pseudo
+        assert is_pseudo(met)
         assert met.rank == 1
         # inverse annihilates the null space: M M^+ M = M
         m_mat = power(met, 1.0)
@@ -164,7 +166,7 @@ class TestFactorRoute:
         x = random_block_matrix(j, n=n, j=j)
         gram = x.T @ x / n
         met = build_metric(x, 0.0)
-        assert met.variances is None and not met.pseudo and met.rank == j
+        assert met.variances is None and not is_pseudo(met) and met.rank == j
         np.testing.assert_array_equal(met.cross, np.linalg.cholesky(gram))  # GB = L
         b = met.factor
         assert not np.tril(b, -1).any()  # B = L^(-T) is upper triangular
@@ -181,7 +183,7 @@ class TestFactorRoute:
         assert certified_bound(below) < 1.0 / DEFAULT_RANK_TOLERANCE < certified_bound(above)
         assert build_metric(below, 0.0).variances is None
         met = build_metric(above, 0.0)
-        assert met.variances is not None and met.rank == 4 and not met.pseudo
+        assert met.variances is not None and met.rank == 4 and not is_pseudo(met)
 
     @pytest.mark.parametrize("name", sorted(EIGH_ROUTE_INPUTS))
     def test_eigh_route_inputs_keep_their_factor(self, name):
@@ -189,8 +191,8 @@ class TestFactorRoute:
         x = make()
         met = build_metric(x, 0.0)
         assert met.variances is not None
-        assert (met.rank, met.pseudo) == (rank, pseudo)
-        fields = (met.factor, met.cross, met.variances, met.pseudo)
+        assert (met.rank, is_pseudo(met)) == (rank, pseudo)
+        fields = (met.factor, met.cross, met.variances)
         for got, expected in zip(fields, eigh_factor(x, 0.0)):
             np.testing.assert_array_equal(got, expected)
 
@@ -205,9 +207,9 @@ class TestFactorRoute:
     def test_kappa_above_1e10_takes_the_pseudo_route_and_warns(self):
         x = spectrum_matrix([1.0, 0.5, 1.0, 1e-12])
         bs = build_blockset([from_matrix("x", x, scale=False)])
-        warnings = solve(bs, ModeSelector.uniform("A", "B", 1), SolverConfig()).trace.warnings
+        warnings = solve(bs, uniform_modes("A", "B", 1), SolverConfig()).trace.warnings
         assert any(w.startswith("superblock is rank deficient under Mode B") for w in warnings)
-        warnings = solve(bs, ModeSelector.uniform("B", "B", 1), SolverConfig()).trace.warnings
+        warnings = solve(bs, uniform_modes("B", "B", 1), SolverConfig()).trace.warnings
         assert any(w.startswith("block 'x' is rank deficient under Mode B") for w in warnings)
 
     def test_without_cholesky_gives_the_eigh_factor(self, monkeypatch):
@@ -336,7 +338,7 @@ class TestProjector:
 
 class TestModeSelector:
     def test_uniform(self):
-        sel = ModeSelector.uniform("A", "B", 3)
+        sel = ModeSelector.from_taus(["A"] * 3, "B")
         assert sel.block_taus == (1.0, 1.0, 1.0)
         assert sel.superblock_tau == 0.0
 

@@ -32,6 +32,7 @@ from helpers import (
     superblock_coordinates,
     superblock_from_block_components,
     transform,
+    uniform_modes,
     wide_blockset,
 )
 from rcpca import (
@@ -67,7 +68,7 @@ def step(problem, v):
 class TestTransform:
     def test_mode_a_gives_cross_products(self):
         bs = random_blockset(0, b=2, n=10, js=[2, 3], normalize=False)
-        metrics = build_metrics(bs, ModeSelector.uniform("A", "A", 2))
+        metrics = build_metrics(bs, uniform_modes("A", "A", 2))
         problem = transform(bs, metrics, 2.0)
         basis = metrics[-1].factor
         for b in range(2):
@@ -80,7 +81,7 @@ class TestTransform:
 
     def test_single_block_mode_a(self):
         bs = random_blockset(1, b=1, n=8, js=[3], normalize=False)
-        metrics = build_metrics(bs, ModeSelector.uniform("A", "A", 1))
+        metrics = build_metrics(bs, uniform_modes("A", "A", 1))
         problem = transform(bs, metrics, 2.0)
         x = bs.blocks[0].matrix
         basis = metrics[0].factor
@@ -90,7 +91,7 @@ class TestTransform:
 
     def test_single_column_mode_b(self):
         bs = build_blockset([from_matrix("x", [[1.0], [-1.0]])])
-        metrics = build_metrics(bs, ModeSelector.uniform("B", "B", 1))
+        metrics = build_metrics(bs, uniform_modes("B", "B", 1))
         problem = transform(bs, metrics, 2.0)
         np.testing.assert_allclose(q_blocks(problem)[0], [[1.0]], atol=1e-12)
 
@@ -98,7 +99,7 @@ class TestTransform:
         good = from_matrix("good", np.random.default_rng(0).standard_normal((6, 2)))
         zero = from_matrix("zero", np.zeros((6, 2)))
         bs = build_blockset([good, zero])
-        metrics = build_metrics(bs, ModeSelector.uniform("A", "A", 2))
+        metrics = build_metrics(bs, uniform_modes("A", "A", 2))
         with pytest.raises(NonContributingBlockError, match="zero"):
             transform(bs, metrics, 2.0)
 
@@ -148,7 +149,7 @@ class TestTransformSources:
             mats = [b.matrix for b in bs.blocks]
             for block_tau in TAU_GRID:
                 for super_tau in TAU_GRID:
-                    modes = ModeSelector.uniform(block_tau, super_tau, bs.n_blocks)
+                    modes = uniform_modes(block_tau, super_tau, bs.n_blocks)
                     metrics = build_metrics(bs, modes)
                     problem = transform(bs, metrics, 2.0)
                     assert_matches_reference_q(problem, mats, bs.superblock, metrics)
@@ -183,7 +184,7 @@ class TestTransformSources:
         rng = np.random.default_rng(0)
         good = from_matrix("good", rng.standard_normal((6, 2)))
         zero = from_matrix("zero", np.zeros((6, 2)))
-        modes = ModeSelector.uniform("A", "A", 2)
+        modes = uniform_modes("A", "A", 2)
         with pytest.raises(NonContributingBlockError, match="block 'zero'"):
             solve(build_blockset([good, zero]), modes, SolverConfig())
         # an explicit superblock orthogonal to the second block's columns
@@ -204,7 +205,7 @@ class TestTransformSources:
         blocks = rng.standard_normal((6, 5))
         superblock = rng.standard_normal((superblock_rows, 5))
         with pytest.raises(DimensionError, match=f"^{message}$"):
-            solve_matrices(blocks, widths, ModeSelector.uniform("A", "A", 2), SolverConfig(),
+            solve_matrices(blocks, widths, uniform_modes("A", "A", 2), SolverConfig(),
                            superblock=superblock)
 
     def test_back_map_names_an_uncorrelated_block_by_id(self):
@@ -213,7 +214,7 @@ class TestTransformSources:
         q = from_matrix("q", [[0.0], [0.0], [1.0], [-1.0]])
         cfg = SolverConfig(m=2.0, init=np.array([1.0, 0.0]))
         with pytest.raises(NonContributingBlockError, match="block 'q' is uncorrelated"):
-            solve(build_blockset([p, q]), ModeSelector.uniform("A", "A", 2), cfg)
+            solve(build_blockset([p, q]), uniform_modes("A", "A", 2), cfg)
 
 
 class TestCriterion:
@@ -299,7 +300,7 @@ class TestGradient:
         ])
         config = SolverConfig(m=1.5, init=np.array([1.0, 0.0]))
         with pytest.raises(AllStartsFailedError) as info:
-            solve(bs, ModeSelector.uniform("A", "A", 2), config)
+            solve(bs, uniform_modes("A", "A", 2), config)
         assert str(info.value).startswith(
             "every start failed; last failure: block 'q': ||Q v|| vanished and m = 1.5 < 2"
         ), str(info.value)
@@ -354,7 +355,7 @@ class TestThinFactor:
                 for seed in range(2):
                     bs = latent_blockset(seed + 1500, n=n, js=tuple(js), full_rank=False)
                     # Mode B on a superblock of rank n - 1 is the identity on components
-                    modes = ModeSelector.uniform(tau, tau if sum(js) < n - 1 else 0.3, 3)
+                    modes = uniform_modes(tau, tau if sum(js) < n - 1 else 0.3, 3)
                     cfg = SolverConfig(m=m, epsilon=1e-12, max_iter=20_000)
                     sol = solve(bs, modes, cfg)
                     psi_ref, y_ref = reference_solve(bs, modes, m, epsilon=1e-12, max_iter=20_000)
@@ -384,7 +385,7 @@ def many_block_problem(scale):
         x = f @ rng.standard_normal((3, 8)) + rng.standard_normal((400, 8))
         blocks.append(from_matrix(f"b{b + 1}", scale * x, scale=False))
     bs = build_blockset(blocks)
-    return transform(bs, build_metrics(bs, ModeSelector.uniform("A", "B", 40)), 2.0)
+    return transform(bs, build_metrics(bs, uniform_modes("A", "B", 40)), 2.0)
 
 
 def spectrum_blockset(eigenvalues, n=420):
@@ -441,7 +442,7 @@ class TestInitV:
         # the seeded draw of the superblock factor's coordinates, J of them for
         # the Cholesky factor of a full-rank Mode B superblock
         bs = random_blockset(5, b=2, n=12, js=[3, 2])
-        modes = ModeSelector.uniform("A", "B", 2)
+        modes = uniform_modes("A", "B", 2)
         cfg = SolverConfig(m=2.0, init="random", seed=42)
         s1, s2 = solve(bs, modes, cfg), solve(bs, modes, cfg)
         np.testing.assert_array_equal(s1.trace.psi, s2.trace.psi)
@@ -458,7 +459,7 @@ class TestInitV:
         # the seeded standard Gaussian draw of the superblock factor's r
         # coordinates, whichever route factored it
         bs = random_blockset(5, b=2, n=n, js=[3, 2])
-        modes = ModeSelector.uniform("A", tau_super, 2)
+        modes = uniform_modes("A", tau_super, 2)
         sol = solve(bs, modes, SolverConfig(m=2.0, init="random", seed=42))
         metrics = build_metrics(bs, modes)
         assert (metrics[-1].variances is None) == (tau_super == 0.0)
@@ -470,7 +471,7 @@ class TestInitV:
     def test_given_is_normalized(self):
         # full-rank Mode A superblock: the basis is orthogonal, so ||V'v|| = ||v|| = 5
         bs = random_blockset(6, b=1, n=10, js=[2])
-        modes = ModeSelector.uniform("A", "A", 1)
+        modes = uniform_modes("A", "A", 1)
         metrics = build_metrics(bs, modes)
         problem = transform(bs, metrics, 2.0)
         sol = solve(bs, modes, SolverConfig(m=2.0, init=np.array([3.0, 4.0])))
@@ -485,7 +486,7 @@ class TestInitV:
         # M-projection onto the factor's span, which is w_super itself
         make, tau_super = WARM_STARTS[superblock]
         bs = make()
-        modes = ModeSelector.uniform("A", tau_super, bs.n_blocks)
+        modes = uniform_modes("A", tau_super, bs.n_blocks)
         sol = solve(bs, modes, SolverConfig(m=4.0, epsilon=1e-14))
         assert sol.trace.converged
         warm = solve(bs, modes, SolverConfig(m=4.0, epsilon=1e-14, init=sol.w_super))
@@ -496,7 +497,7 @@ class TestInitV:
         # the start's superblock component [0, 0, 2, -2] is orthogonal to the only block
         block = np.array([[1.0], [-1.0], [0.0], [0.0]])
         superblock = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]])
-        modes = ModeSelector.uniform("A", "A", 1)
+        modes = uniform_modes("A", "A", 1)
         cfg = SolverConfig(m=2.0, init=np.array([0.0, 1.0]))
         with pytest.raises(AllStartsFailedError) as info:
             solve_matrices(block, [1], modes, cfg, superblock=superblock)
@@ -510,7 +511,7 @@ class TestInitV:
         # the zero second column leaves e1 as the superblock basis, exactly
         x = [[1.0, 0.0], [-1.0, 0.0], [2.0, 0.0], [-2.0, 0.0]]
         bs = build_blockset([from_matrix("x", x, scale=False)])
-        modes = ModeSelector.uniform("A", "A", 1)
+        modes = uniform_modes("A", "A", 1)
         cfg = SolverConfig(m=2.0, init=np.array(start))
         with pytest.raises(AllStartsFailedError) as info:
             solve(bs, modes, cfg)
@@ -525,7 +526,7 @@ class TestInitV:
         rng = np.random.default_rng(3)
         a, b = rng.standard_normal((2, 10))
         bs = build_blockset([from_matrix("x", np.column_stack([a, a, b]), scale=False)])
-        modes = ModeSelector.uniform("A", "A", 1)
+        modes = uniform_modes("A", "A", 1)
         cfg = SolverConfig(m=2.0, init=np.array([1.0, -1.0, 0.0]))
         with pytest.raises(AllStartsFailedError) as info:
             solve(bs, modes, cfg)
@@ -553,7 +554,7 @@ class TestInitV:
     @pytest.mark.parametrize("gap, multiple", [(0.0, True), (1e-6, False)])
     def test_krylov_start_double_top_eigenvalue(self, gap, multiple, monkeypatch):
         bs = spectrum_blockset(top_gap_spectrum(gap))
-        modes = ModeSelector.uniform("A", "B", 1)
+        modes = uniform_modes("A", "B", 1)
         problem = transform(bs, build_metrics(bs, modes), 2.0)
         assert problem.dim == 400
         top = np.linalg.eigh(problem.stacked.T @ problem.stacked)[1][:, -2:]
@@ -571,7 +572,7 @@ class TestInitV:
         # ratio halving at every step left cannot reach 1e-14 within the budget
         lam = np.concatenate([[1.0, 0.99], np.random.default_rng(5).uniform(0.0, 0.99, 398)])
         bs = spectrum_blockset(lam)
-        problem = transform(bs, build_metrics(bs, ModeSelector.uniform("A", "B", 1)), 2.0)
+        problem = transform(bs, build_metrics(bs, uniform_modes("A", "B", 1)), 2.0)
         sizes = eigh_sizes(monkeypatch)
         _eigen_start(problem)
         assert sizes[-1] == problem.dim  # the dense eigh
@@ -582,7 +583,7 @@ class TestInitV:
         # needs about 200 vectors at d = 400, past the budget of 50
         lam = np.concatenate([[1.0, 0.99], np.random.default_rng(5).uniform(0.0, 0.99, 398)])
         bs = spectrum_blockset(lam)
-        problem = transform(bs, build_metrics(bs, ModeSelector.uniform("A", "B", 1)), 2.0)
+        problem = transform(bs, build_metrics(bs, uniform_modes("A", "B", 1)), 2.0)
         vals, vecs = np.linalg.eigh(problem.stacked.T @ problem.stacked)
         v, degenerate = _eigen_start(problem)
         np.testing.assert_array_equal(v, vecs[:, -1])
@@ -670,7 +671,7 @@ class TestSolve:
         x = np.array([[1.0], [-1.0]])
         bs = build_blockset([from_matrix("a", x), from_matrix("b", x)])
         cfg = SolverConfig(m=2.0, epsilon=1e-14)
-        sol = solve(bs, ModeSelector.uniform("A", "A", 2), cfg)
+        sol = solve(bs, uniform_modes("A", "A", 2), cfg)
         np.testing.assert_allclose(np.abs(sol.w_super), [1, 1] / np.sqrt(2), atol=1e-8)
         assert sol.w_super[0] > 0  # sign convention: largest entry positive
         np.testing.assert_allclose(sol.y_super, [np.sqrt(2.0), -np.sqrt(2.0)], atol=1e-8)
@@ -682,7 +683,7 @@ class TestSolve:
         x = np.array([[1.0], [-1.0]])
         bs = build_blockset([from_matrix("a", x), from_matrix("b", -x)])
         cfg = SolverConfig(m=2.0, epsilon=1e-14)
-        sol = solve(bs, ModeSelector.uniform("A", "A", 2), cfg)
+        sol = solve(bs, uniform_modes("A", "A", 2), cfg)
         np.testing.assert_allclose(sol.contributions, [0.5, 0.5], atol=1e-10)
         # weights disagree in sign, components track the superblock either way
         assert np.sign(sol.w_blocks[0][0]) != np.sign(sol.w_blocks[1][0])
@@ -693,7 +694,7 @@ class TestSolve:
         bs = build_blockset([from_matrix("x", x)])
         for m in (2.0, 3.0):
             cfg = SolverConfig(m=m, epsilon=1e-14, max_iter=20_000)
-            sol = solve(bs, ModeSelector.uniform("A", "A", 1), cfg)
+            sol = solve(bs, uniform_modes("A", "A", 1), cfg)
             _, _, vt = np.linalg.svd(x)
             cos = abs(vt[0] @ sol.w_super)
             assert cos >= 1 - 1e-9
@@ -722,7 +723,7 @@ class TestSolve:
 
     def test_multi_start_deterministic(self):
         bs = random_blockset(11, b=3, n=10, js=[1, 1, 1])
-        modes = ModeSelector.uniform("B", "B", 3)
+        modes = uniform_modes("B", "B", 3)
         cfg = SolverConfig(m=1.0, epsilon=1e-13, n_starts=5, seed=3, init="random")
         s1 = solve(bs, modes, cfg)
         s2 = solve(bs, modes, cfg)
@@ -734,7 +735,7 @@ class TestSolve:
         # eigenvalue for the eigen start
         x = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         bs = build_blockset([from_matrix("x", x)])
-        sol = solve(bs, ModeSelector.uniform("A", "A", 1), SolverConfig(m=2.0))
+        sol = solve(bs, uniform_modes("A", "A", 1), SolverConfig(m=2.0))
         assert any("multiple" in w for w in sol.trace.warnings)
 
     def test_m2_matches_dense_eigensolver(self):
@@ -756,7 +757,7 @@ class TestSolve:
 class TestBackMapping:
     def test_sumcor_criterion_identity(self):
         bs = full_rank_blockset(21)
-        modes = ModeSelector.uniform("B", "B", bs.n_blocks)
+        modes = uniform_modes("B", "B", bs.n_blocks)
         cfg = SolverConfig(m=1.0, epsilon=1e-13, max_iter=50_000)
         sol = solve(bs, modes, cfg)
         ys = [y / np.sqrt(sample_cov(y, y)) for y in sol.y_blocks]
@@ -765,7 +766,7 @@ class TestBackMapping:
 
     def test_superblock_is_sum_of_components_m1_mode_b(self):
         bs = latent_blockset(22)
-        modes = ModeSelector.uniform("A", "B", bs.n_blocks)
+        modes = uniform_modes("A", "B", bs.n_blocks)
         cfg = SolverConfig(m=1.0, epsilon=1e-15, max_iter=50_000)
         sol = solve(bs, modes, cfg)
         s = np.sum(sol.y_blocks, axis=0)
@@ -784,7 +785,7 @@ class TestBackMapping:
 
     def test_mode_b_superblock_component_is_pc_of_components(self):
         bs = latent_blockset(23)
-        modes = ModeSelector.uniform("A", "B", bs.n_blocks)
+        modes = uniform_modes("A", "B", bs.n_blocks)
         cfg = SolverConfig(m=2.0, epsilon=1e-14, max_iter=50_000)
         sol = solve(bs, modes, cfg)
         yy = component_matrix(sol) @ component_matrix(sol).T
@@ -794,7 +795,7 @@ class TestBackMapping:
 
     def test_mode_a_component_identity(self):
         bs = random_blockset(24, b=3, n=16, js=[2, 3, 2])
-        modes = ModeSelector.uniform("A", "A", 3)
+        modes = uniform_modes("A", "A", 3)
         cfg = SolverConfig(m=2.0, epsilon=1e-14)
         sol = solve(bs, modes, cfg)
         yy = component_matrix(sol) @ component_matrix(sol).T @ sol.y_super
@@ -803,7 +804,7 @@ class TestBackMapping:
 
     def test_fixed_point_residuals_agree(self):
         bs = latent_blockset(25)
-        modes = ModeSelector.uniform("A", "A", bs.n_blocks)
+        modes = uniform_modes("A", "A", bs.n_blocks)
         cfg = SolverConfig(m=2.0, epsilon=1e-13, max_iter=50_000)
         sol = solve(bs, modes, cfg)
         r_orig = reference_residual(sol.y_super, bs, modes, 2.0)
@@ -851,7 +852,7 @@ class TestBackMapping:
 
     def test_random_component_is_not_stationary(self):
         bs = random_blockset(26, b=3, n=14, js=[2, 2, 3])
-        modes = ModeSelector.uniform("A", "A", 3)
+        modes = uniform_modes("A", "A", 3)
         rng = np.random.default_rng(0)
         y = rng.standard_normal(bs.n)
         y -= y.mean()
@@ -862,7 +863,7 @@ class TestBackMapping:
         # stationary equation exactly, no solver involved
         rng = np.random.default_rng(27)
         bs = build_blockset([from_matrix("x", rng.standard_normal((12, 4)))])
-        modes = ModeSelector.uniform("A", "A", 1)
+        modes = uniform_modes("A", "A", 1)
         u, s, _ = np.linalg.svd(bs.superblock, full_matrices=False)
         y = u[:, 0] * s[0]
         assert reference_residual(y, bs, modes, 2.0) <= 1e-10
@@ -878,7 +879,7 @@ class TestRankDeficientModeB:
             for i in range(3)
         ]
         bs = build_blockset(blocks)
-        modes = ModeSelector.uniform("B", "B", 3)
+        modes = uniform_modes("B", "B", 3)
         cfg = SolverConfig(m=2.0, epsilon=1e-12, max_iter=100_000)
         sol = solve(bs, modes, cfg)
         assert any("least-norm" in w for w in sol.trace.warnings)
@@ -906,7 +907,7 @@ class TestAuxiliarySolve:
 
     def test_matches_explicit_superblock_solve(self):
         bs = full_rank_blockset(27)
-        modes = ModeSelector.uniform("B", "B", bs.n_blocks)
+        modes = uniform_modes("B", "B", bs.n_blocks)
         cfg = SolverConfig(m=2.0, epsilon=1e-14, max_iter=50_000)
         sol = solve(bs, modes, cfg)
         y_aux, _, values = reference_auxiliary_solve(bs, modes.block_taus, 2.0, epsilon=1e-14)
@@ -932,7 +933,7 @@ class TestAuxiliarySolve:
 
     def test_matches_reference_loop(self):
         bs = full_rank_blockset(27)
-        self.assert_residual_is_loop_step(bs, ModeSelector.uniform("B", "B", bs.n_blocks), 2.0)
+        self.assert_residual_is_loop_step(bs, uniform_modes("B", "B", bs.n_blocks), 2.0)
 
     def test_matches_reference_loop_on_criterion_10_instances(self):
         # the 20 instances and starts of acceptance criterion 10
@@ -945,7 +946,7 @@ class TestAuxiliarySolve:
             )
             block_mode = "A" if seed % 4 < 2 else "B"
             m = 1.0 if seed % 3 == 0 else 2.0
-            modes = ModeSelector.uniform(block_mode, "B", bs.n_blocks)
+            modes = uniform_modes(block_mode, "B", bs.n_blocks)
             metrics = build_metrics(bs, modes)
             c0, _ = _eigen_start(transform(bs, metrics, m))
             y0 = metrics[-1].image(bs.superblock).T @ c0
