@@ -32,7 +32,7 @@ def make_instance(seed, n=40, js=(5, 4, 6), shared=0.6):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--epsilon", type=float, default=1e-12)
+    ap.add_argument("--epsilon", type=float, default=1e-10)
     ap.add_argument("--out", default="convergence_out")
     args = ap.parse_args()
 

@@ -43,7 +43,7 @@ def main():
     for name, kwargs in PRESETS:
         p = preset(name, **kwargs)
         modes = p.selector(bs.n_blocks)
-        cfg = SolverConfig(m=p.m, epsilon=1e-12, max_iter=100_000)
+        cfg = SolverConfig(m=p.m, epsilon=1e-10, max_iter=100_000)
         sol = solve(bs, modes, cfg)
         stat = f"{verify_stationary(p, sol, bs).residual:.1e}"
         contrib = np.array2string(sol.contributions, precision=3)

@@ -130,8 +130,8 @@ _OPTIONS = {
     "delimiter": _Option(str, tuple(_DELIMITERS), "cell delimiter"),
     "id_column": _Option(_bool, None, "first column holds row identifiers"),
     "epsilon": _Option(float, None,
-                       "convergence threshold: absolute bound on the per-iteration "
-                       f"psi increment, at covariance scale (default {SolverConfig.epsilon:g})"),
+                       "convergence threshold on the step between unit iterates, "
+                       f"independent of the data's units (default {SolverConfig.epsilon:g})"),
     "max_iter": _Option(int, None, "iteration cap"),
     "init": _Option(str, ("eigen", "random", "file"), "start vector"),
     "init_file": _Option(str, None, "file with the start's superblock weights, one per column"),
@@ -375,9 +375,7 @@ def run(cfg: RunConfig) -> int:
     )
     _write_outputs(Path(cfg.out), cfg, blockset, modes, solver_cfg.m, result)
     not_converged = [
-        f"rank {r} reached max_iter ({t.iterations} iterations)" if t.iterations == cfg.max_iter
-        else f"rank {r} stopped after {t.iterations} iterations with fixed-point residual "
-        f"{t.fixed_point_residual:.3e} above its threshold"
+        f"rank {r} reached max_iter ({t.iterations} iterations)"
         for r, t in enumerate((s.trace for s in result.solutions), start=1) if not t.converged
     ]
     for w in result.warnings:

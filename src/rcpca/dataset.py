@@ -123,6 +123,8 @@ def _preprocess(
     row_ids: Sequence[str] | None,
     scale: bool,
 ) -> Block:
+    if len(columns) != raw.shape[1]:  # before the zero-variance test names a column
+        raise DimensionError(f"block {id!r}: {raw.shape[1]} columns, names for {len(columns)}")
     means = raw.mean(axis=0)
     centered = raw - means
     # second pass kills the roundoff residual left by large offsets

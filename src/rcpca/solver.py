@@ -25,7 +25,7 @@ the segments Q_b c, in the block factor's coordinates. `TransformedProblem`
 is the one evaluator of psi and its gradient, and `sphere_maximize` the one
 ascent loop. The operator stacks its segments into a single matrix, so psi
 is one matvec and the gradient one more transposed matvec. The iteration
-is scale-invariant, and the solver's slacks are relative to psi; the
+and its stop test are scale-invariant, and so are the solver's slacks; the
 monotone, step-bound and sandwich checks run at every iteration. The eigen
 start is the top eigenvector of S'S from a dense eigh below a size gate,
 else from block Lanczos within a basis budget, falling back to the eigh
@@ -138,9 +138,9 @@ class SolverConfig:
     the earliest start). When every start fails, the solve raises
     AllStartsFailedError naming the last failure.
 
-    epsilon is an absolute threshold on the psi increment of one
-    iteration, at the covariance scale: the solve stops once psi rises by
-    no more than epsilon.
+    epsilon bounds the step ||v_new - v|| between unit iterates, the
+    fixed-point residual at v: the solve stops at the first step no longer
+    than epsilon, whatever the data's units and m.
 
     Every iteration checks that psi did not decrease (up to 1e-12 * psi),
     the ascent step bound and the minorizer sandwich; a violation raises
@@ -148,7 +148,7 @@ class SolverConfig:
     """
 
     m: float = 2.0
-    epsilon: float = 1e-10
+    epsilon: float = 1e-6
     max_iter: int = 10_000
     init: str | np.ndarray = "eigen"
     seed: int = 0
@@ -173,8 +173,8 @@ class SolverTrace:
 
     psi[0] is the start value and psi[s+1] the value after iteration s.
     Every iteration was checked to satisfy, up to roundoff, the ascent bound
-    step_norm[s]**2 <= 2*(psi[s+1]-psi[s])/(degree*psi[0]), with degree = m
-    for criterion solves; the bound is a function of psi and is not stored.
+    step_norm[s]**2 <= 2*(psi[s+1]-psi[s])/||grad(v_s)||, a gradient norm of
+    at least m*psi[0] for the criterion. converged: the last step fell to epsilon.
     """
 
     psi: list[float]
@@ -391,20 +391,18 @@ def sphere_maximize(
     oracle: GradientOracle,
     config: SolverConfig,
     v0: np.ndarray,
-    degree: float,
 ) -> tuple[np.ndarray, SolverTrace]:
     """Maximize a convex differentiable objective on the unit sphere.
 
-    Iterates v <- grad(v)/||grad(v)|| until the objective increment drops
-    to config.epsilon or max_iter is reached (the latter returns the best
+    Iterates v <- grad(v)/||grad(v)|| until the step ||v_new - v|| drops to
+    config.epsilon or max_iter is reached (the latter returns the last
     iterate with converged=False rather than raising). The start v0 must
     have a positive objective value. `oracle` is anything with `value` and
     `grad`, such as a TransformedProblem or a GradientOracle.
 
-    The objective must be positively homogeneous of the given degree (m for
-    the criterion): then v'grad(v) = degree*value(v), so gradient norms stay
-    above degree*value(v0), the floor that ties the ascent bound to the
-    start value. Monotonicity and sandwich slacks are relative to psi.
+    By convexity psi(v_new) - psi(v) >= grad(v)'(v_new - v), which is
+    ||grad(v)|| step^2 / 2: the ascent bound, which like the monotonicity
+    and sandwich slacks does not depend on the objective's scale.
     """
     v = np.asarray(v0, dtype=float).ravel()
     nrm = np.linalg.norm(v)
@@ -415,10 +413,8 @@ def sphere_maximize(
     if not psi > 0.0:
         raise BadStartError("objective is not positive at the start vector")
 
-    floor = degree * psi
     psis = [psi]
     steps: list[float] = []
-    eps_hit = False
 
     for _ in range(config.max_iter):
         g = oracle.grad(v)
@@ -429,7 +425,7 @@ def sphere_maximize(
         psi_new = float(oracle.value(v_new))
         dpsi = psi_new - psi
         step = float(np.linalg.norm(v_new - v))
-        bound = 2.0 * dpsi / floor
+        bound = 2.0 * dpsi / gn
         psis.append(psi_new)
         steps.append(step)
 
@@ -451,19 +447,17 @@ def sphere_maximize(
             )
 
         v, psi = v_new, psi_new
-        if dpsi <= config.epsilon:
-            eps_hit = True
+        if step <= config.epsilon:
             break
 
     g = oracle.grad(v)
     gn = float(np.linalg.norm(g))
     residual = float(np.linalg.norm(g / gn - v)) if gn > 0.0 else math.inf
-    threshold = math.sqrt(2.0 * config.epsilon / floor)
     trace = SolverTrace(
         psi=psis,
         step_norm=steps,
         iterations=len(steps),
-        converged=eps_hit and residual <= threshold,
+        converged=steps[-1] <= config.epsilon,
         fixed_point_residual=residual,
     )
     return v, trace
@@ -532,7 +526,7 @@ def solve_matrices(
                     )
             else:
                 c0 = _start(metrics[-1], off, config, k)
-            c, trace = sphere_maximize(problem, config, c0, config.m)
+            c, trace = sphere_maximize(problem, config, c0)
         except (SingularGradientError, BadStartError) as exc:
             last_failure = exc
             continue

@@ -370,7 +370,7 @@ def reference_dense_q_blocks(mats, smat, modes):
     ]
 
 
-def reference_solve(blockset, modes, m, epsilon=1e-12, max_iter=10_000):
+def reference_solve(blockset, modes, m, epsilon=1e-10, max_iter=10_000):
     """The J-space solve from the eigen start on dense Q_b, block by block.
 
     Returns the psi trace and the superblock component.
@@ -383,7 +383,7 @@ def reference_solve(blockset, modes, m, epsilon=1e-12, max_iter=10_000):
     )
     v0 = np.linalg.eigh(reference_gram(qs))[1][:, -1]
     cfg = SolverConfig(m=m, epsilon=epsilon, max_iter=max_iter)
-    v, trace = sphere_maximize(oracle, cfg, v0, m)
+    v, trace = sphere_maximize(oracle, cfg, v0)
     w_super = reference_metric_power(blockset.superblock, modes.superblock_tau, -0.5) @ v
     return trace.psi, blockset.superblock @ w_super
 

@@ -164,7 +164,7 @@ def test_criterion_03_eigen_oracle_m2():
         if gap < max(1e-4, 0.02 * vals[-1]):
             continue
         accepted += 1
-        cfg = SolverConfig(m=2.0, epsilon=1e-14, max_iter=100_000,
+        cfg = SolverConfig(m=2.0, epsilon=1e-10, max_iter=100_000,
                            init="random", seed=seed)
         sol = solve(bs, modes, cfg)
         # the eigenvector is in the superblock factor's coordinates
@@ -182,7 +182,7 @@ def test_criterion_04_pca_identity_mode_a():
         bs = latent_blockset(seed, n=22, js=(4, 3, 2)) if seed % 2 else \
             random_blockset(seed + 300, b=3, n=20, js=[3, 4, 2])
         modes = uniform_modes("A", "A", bs.n_blocks)
-        sol = solve(bs, modes, SolverConfig(m=2.0, epsilon=1e-14, max_iter=100_000))
+        sol = solve(bs, modes, SolverConfig(m=2.0, epsilon=1e-10, max_iter=100_000))
         y = sol.y_super
         for op in (
             bs.superblock @ (bs.superblock.T @ y),
@@ -204,7 +204,7 @@ def _grid_components(x, thetas):
 
 
 def test_criterion_05_sumcor_global_optimum():
-    cfg = SolverConfig(m=1.0, epsilon=1e-14, max_iter=100_000, n_starts=8)
+    cfg = SolverConfig(m=1.0, epsilon=1e-10, max_iter=100_000, n_starts=8)
 
     # three single-column blocks: sign patterns are enumerable
     rng = np.random.default_rng(99)
@@ -289,7 +289,7 @@ def test_criterion_07_fixed_point_residuals():
     all_converged = True
     for bs, p in cases:
         modes = p.selector(bs.n_blocks)
-        cfg = SolverConfig(m=p.m, epsilon=1e-12, max_iter=200_000)
+        cfg = SolverConfig(m=p.m, epsilon=1e-10, max_iter=200_000)
         sol = solve(bs, modes, cfg)
         all_converged &= sol.trace.converged
         worst_fp = max(worst_fp, sol.trace.fixed_point_residual)
@@ -307,7 +307,7 @@ def test_criterion_08_hierarchical_pca_signature():
     p = get_preset("hierarchical_pca")
     for seed in range(5):
         bs = latent_blockset(seed + 700, n=26, js=(4, 4, 3))
-        cfg = SolverConfig(m=4.0, epsilon=1e-13, max_iter=200_000)
+        cfg = SolverConfig(m=4.0, epsilon=1e-10, max_iter=200_000)
         sol = solve(bs, p.selector(bs.n_blocks), cfg)
         worst = max(worst, verify_stationary(p, sol, bs).residual)
     ok = worst <= 1e-6
@@ -319,7 +319,7 @@ def test_criterion_08_hierarchical_pca_signature():
 def test_criterion_09_deflation_orthogonality():
     bs = random_blockset(900, b=3, n=20, js=[4, 4, 4])
     modes = uniform_modes("A", "A", 3)
-    cfg = SolverConfig(m=2.0, epsilon=1e-13, max_iter=100_000)
+    cfg = SolverConfig(m=2.0, epsilon=1e-10, max_iter=100_000)
 
     def offdiag(c):
         return float(np.abs(c - np.diag(np.diag(c))).max())
@@ -362,7 +362,7 @@ def test_criterion_10_mode_b_superblock_equivalence():
         metrics = build_metrics(bs, modes)
         c0, _ = _eigen_start(transform(bs, metrics, m))
         y0 = metrics[-1].image(bs.superblock).T @ c0
-        cfg = SolverConfig(m=m, epsilon=1e-13, max_iter=200_000)
+        cfg = SolverConfig(m=m, epsilon=1e-10, max_iter=200_000)
         sol = solve(bs, modes, cfg)
         y_aux, _, _ = reference_auxiliary_solve(
             bs, modes.block_taus, m, epsilon=1e-13, max_iter=200_000, y0=y0

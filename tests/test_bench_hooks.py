@@ -118,8 +118,8 @@ def test_sphere_maximize_takes_the_tracer_oracle(tracing):
     span = tracing.Span("solver.sphere_maximize", None)
     oracle = tracing.Tracer._timed_oracle(problem, span)
     assert isinstance(oracle, solver.GradientOracle)
-    v, trace = solver.sphere_maximize(oracle, cfg, v0, 2.0)
-    v_ref, trace_ref = solver.sphere_maximize(problem, cfg, v0, 2.0)
+    v, trace = solver.sphere_maximize(oracle, cfg, v0)
+    v_ref, trace_ref = solver.sphere_maximize(problem, cfg, v0)
     np.testing.assert_array_equal(v, v_ref)
     assert trace.psi == trace_ref.psi
     assert span.extra["evals"] == 2 * trace.iterations + 2

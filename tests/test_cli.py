@@ -243,11 +243,7 @@ class TestRun:
     @pytest.mark.parametrize("extra, reason", [
         (("--max-iter", "1", "--epsilon", "1e-30", "--init", "random"),
          r"rank 1 reached max_iter \(1 iterations\)"),
-        # the psi increment falls below epsilon before the residual reaches its threshold
-        (("--preset", "hierarchical_pca", "--epsilon", "1e-20"),
-         r"rank 1 stopped after \d+ iterations with fixed-point residual \d\.\d{3}e-\d+ "
-         "above its threshold"),
-    ], ids=["max_iter", "residual"])
+    ], ids=["max_iter"])
     def test_non_convergence_names_the_stop_reason(self, tmp_path, capsys, extra, reason):
         assert run_demo(tmp_path / "o", *extra) == 0
         err = capsys.readouterr().err

@@ -214,10 +214,14 @@ class TestLoadBlock:
         ({"columns": ["x", "y", "z", "w"]}, "block 'a': 3 columns, names for 4"),
         ({"row_ids": ["r1", "r2"]}, "block 'a': 4 rows, row ids for 2"),
         ({"row_ids": [f"r{i}" for i in range(5)]}, "block 'a': 4 rows, row ids for 5"),
-    ], ids=["too_few_columns", "too_many_columns", "too_few_row_ids", "too_many_row_ids"])
+        # checked before scaling names the constant third column
+        ({"columns": ["x"], "scale": True}, "block 'a': 3 columns, names for 1"),
+    ], ids=["too_few_columns", "too_many_columns", "too_few_row_ids", "too_many_row_ids",
+            "too_few_columns_scaled"])
     def test_names_must_match_the_shape(self, names, message):
+        x = np.column_stack([np.arange(8.0).reshape(4, 2), np.ones(4)])
         with pytest.raises(DimensionError, match=message):
-            from_matrix("a", np.arange(12.0).reshape(4, 3), **names)
+            from_matrix("a", x, **names)
 
 
 # cells numpy's reader takes, and cells that send a table to the csv reader

@@ -30,7 +30,7 @@ from rcpca import (
 )
 from rcpca.metrics import ShrinkageMetric
 
-CFG = SolverConfig(m=2.0, epsilon=1e-13, max_iter=50_000)
+CFG = SolverConfig(m=2.0, epsilon=1e-10, max_iter=50_000)
 
 
 def off_diagonal_max(c):
@@ -239,7 +239,7 @@ class TestExtract:
         # metric route must carry the next rank without errors
         bs = latent_blockset(9, n=25, js=(3, 3, 3))
         modes = uniform_modes("B", "B", 3)
-        ms = extract(bs, modes, SolverConfig(m=2.0, epsilon=1e-12), 2, "own")
+        ms = extract(bs, modes, SolverConfig(m=2.0, epsilon=1e-10), 2, "own")
         assert ms.achieved_rank == 2
 
     def test_bad_rank(self):
@@ -250,17 +250,6 @@ class TestExtract:
 
 # ---------------------------------------------------------------------------
 # a Mode B superblock factored once per extract (global and own)
-
-
-def carried_config(bs, modes, m):
-    """Stop once psi rises by at most 1e-12 of the rank-1 psi.
-
-    The library's epsilon is absolute (ROADMAP item 1): at x1e3 with m = 4,
-    psi ~ 1e12 leaves only roundoff non-increases to stop on, and two
-    transforms that agree to roundoff then stop a few iterations apart,
-    rank 1 included. Relative to psi, every stop decision is clear of roundoff.
-    """
-    return SolverConfig(m=m, epsilon=1e-12 * solve(bs, modes, SolverConfig(m=m)).trace.psi[-1])
 
 
 def fresh_factor_ranks(bs, modes, config, ms):
@@ -369,7 +358,7 @@ class TestCarriedSuperblock:
             bs = scaled_blockset(random_blockset(seed, b=3, n=30, js=[3, 4, 5]), scale)
             modes = entry.selector(bs.n_blocks)
             assert modes.superblock_tau == 0.0
-            config = carried_config(bs, modes, entry.m)
+            config = SolverConfig(m=entry.m)
             assert_carried_matches_fresh_factor(bs, modes, config, strategy)
 
     @pytest.mark.parametrize("strategy", ["global", "own"])
@@ -383,7 +372,7 @@ class TestCarriedSuperblock:
         ])
         entry = preset(name)
         modes = entry.selector(2)
-        config = carried_config(bs, modes, entry.m)
+        config = SolverConfig(m=entry.m)
         warnings = solve(bs, modes, config).trace.warnings
         assert any("superblock is rank deficient" in w for w in warnings)
         assert_carried_matches_fresh_factor(bs, modes, config, strategy)
@@ -406,7 +395,7 @@ class TestCarriedSuperblock:
         for seed in range(2):
             bs = DATA_DEFLATION_CASES[case](seed)
             modes = entry.selector(bs.n_blocks)
-            config = carried_config(bs, modes, entry.m)
+            config = SolverConfig(m=entry.m)
             ms = extract(bs, modes, config, 3, "global")
             ref, _ = data_deflation_extract(bs, modes, config, 3)
             assert ms.achieved_rank == 3
@@ -503,10 +492,10 @@ class TestCholeskyRoute:
     """Every Mode B superblock preset, strategy and scale, against the eigh factor.
 
     The same extract runs twice, the second time with every metric factored
-    by eigh; at carried_config's relative epsilon the iteration counts and
-    warnings agree, y_super agrees to 1 - |cos| <= 1e-12 and w_super is the
-    least-norm solution within 100 kappa u (kappa of the rank-1 superblock or
-    of the rank's own superblock, whichever is larger).
+    by eigh; at the default epsilon the iteration counts and warnings agree,
+    y_super agrees to 1 - |cos| <= 1e-12 and w_super is the least-norm
+    solution within 100 kappa u (kappa of the rank-1 superblock or of the
+    rank's own superblock, whichever is larger).
     """
 
     @pytest.mark.parametrize("strategy", list(DeflationStrategy))
@@ -519,7 +508,7 @@ class TestCholeskyRoute:
             for seed in range(2):
                 bs = scaled_blockset(random_blockset(seed, b=3, n=30, js=[3, 4, 5]), scale)
                 modes = entry.selector(bs.n_blocks)
-                config = carried_config(bs, modes, entry.m)
+                config = SolverConfig(m=entry.m)
                 ms = extract(bs, modes, config, 3, strategy)
                 with monkeypatch.context() as patch:
                     without_cholesky(patch)
@@ -537,3 +526,46 @@ class TestCholeskyRoute:
                     err = np.linalg.norm(got.w_super - least_norm) / np.linalg.norm(least_norm)
                     kappa = max(condition(bs.superblock), condition(smat))
                     assert err <= 100 * kappa * u, (case, err / kappa / u)
+
+
+# ---------------------------------------------------------------------------
+# the data's units
+
+
+def unit_free_presets():
+    """Every preset whose blocks share one tau of 0 or 1 and whose superblock's tau is 0 or 1.
+
+    At tau = 1 the metric is I and P = X scales with the data; at tau = 0 it
+    is X'X/n and P = X M^(-1/2) does not. Data multiplied by s then multiply
+    every Q_b = P_b'P_super by one power of s, which leaves the map
+    v -> grad/||grad|| and the step test unchanged. A fractional tau is
+    excluded because its metric tau I + (1 - tau) X'X/n is not
+    scale-equivariant, and a mix of Mode A and Mode B blocks (mixed_carroll)
+    because it reweights the blocks by s.
+    """
+    out = []
+    for name in preset_names():
+        entry = preset(name)
+        if entry.tau_blocks in (0.0, 1.0) and entry.tau_superblock in (0.0, 1.0):
+            out.append(preset(name, m=None if entry.m else 3.0))
+    return out
+
+
+@pytest.mark.parametrize("strategy", ["global", "own"])
+@pytest.mark.parametrize("entry", unit_free_presets(), ids=lambda e: e.name)
+def test_scaling_the_data_leaves_the_solve_unchanged(entry, strategy):
+    config = SolverConfig(m=entry.m)
+    for seed in range(2):
+        bs = random_blockset(seed, b=3, n=30, js=[3, 4, 5])
+        modes = entry.selector(bs.n_blocks)
+        ref = extract(bs, modes, config, 2, strategy)
+        for scale in (1e-8, 1e-3, 1e3, 1e8):
+            ms = extract(scaled_blockset(bs, scale), modes, config, 2, strategy)
+            assert ms.achieved_rank == ref.achieved_rank == 2
+            for r, (got, exp) in enumerate(zip(ms.solutions, ref.solutions)):
+                case = (seed, scale, r)
+                assert got.trace.converged and exp.trace.converged, case
+                assert got.trace.iterations == exp.trace.iterations, case
+                pairs = zip([got.y_super, *got.y_blocks], [exp.y_super, *exp.y_blocks])
+                for b, (y, y_ref) in enumerate(pairs):
+                    assert cosine_gap(y, y_ref) <= 1e-12, (case, b)

@@ -20,7 +20,7 @@ from rcpca import (
 from rcpca.errors import CatalogError, SingularGradientError, UnsupportedVerificationError
 
 
-def converged(bs, modes, m, eps=1e-14):
+def converged(bs, modes, m, eps=1e-10):
     cfg = SolverConfig(m=m, epsilon=eps, max_iter=100_000)
     return solve(bs, modes, cfg)
 
