@@ -23,16 +23,12 @@ Each rank writes one n x J array whose column views are the blocks: the
 deflated superblock (global), or the deflated blocks, which are the
 superblock too except under own, which passes its superblock separately.
 Block metrics are rebuilt at every rank, so the normalization constraints
-keep their meaning. A Mode B superblock under global or own is factored once:
-deflating it on its own component only projects that component off its
-column space, so later ranks solve in the rank-1 factor's coordinates with
-the earlier components projected off (`solver.CarriedSuperblock`), and own
-no longer deflates a superblock array. Under global it writes no array at
-all: X^(r) = Pi_r X with Pi_r = I - YY' on the unit superblock components Y
-so far, so each block metric is built from the rank-1 Gram downdated by
-A_b = X_b'Y, X_b'Pi_r X_b / n = G_b - A_b A_b' / n, and each block component
-is Pi_r (X_b w_b). Ranks are inherently sequential; each per-rank solve is
-deterministic. The orthogonality above holds for the components in the result.
+keep their meaning. A Mode B superblock under global or own writes no array
+(`solver.CarriedSuperblock`): it is factored once, and block b at rank r is
+Pi_b X_b, Pi_b = I - Y_b Y_b' on the unit components Y_b so far (the
+superblock's under global, b's own under own). Ranks are inherently
+sequential; each per-rank solve is deterministic. The orthogonality above
+holds for the components in the result.
 """
 
 from __future__ import annotations
@@ -122,21 +118,21 @@ def extract(
     sqrt(eps) ||X_b||_F.
     """
     strategy = DeflationStrategy(strategy)
+    own = strategy is DeflationStrategy.OWN
     if rank < 1:
         raise ValueError("rank must be at least 1")
 
-    # smat: own's separate superblock from rank 2 on, or a Mode B superblock's
-    # carried factor, since deflating it on its own component only projects that off
+    # smat: own's separate superblock from rank 2 on, or a Mode B superblock carried
     whole, smat = blockset.superblock, None
+    widths = [b.n_vars for b in blockset.blocks]
     if (strategy in (DeflationStrategy.GLOBAL, DeflationStrategy.OWN)
             and modes.superblock_tau == 0.0):
-        smat = CarriedSuperblock(whole, separate=strategy is DeflationStrategy.OWN)
-    widths = [b.n_vars for b in blockset.blocks]
+        smat = CarriedSuperblock(whole, widths)
     cuts = np.cumsum(widths)[:-1]
     ids = list(blockset.ids)
 
     warnings: list[str] = []
-    if strategy is DeflationStrategy.OWN and modes.superblock_tau == 0.0:
+    if own and modes.superblock_tau == 0.0:
         warnings.append(
             "own-component deflation with a Mode B superblock: orthogonality "
             "guarantees are weakened; check the correlations of the ranks' components"
@@ -155,16 +151,15 @@ def extract(
             ))
         if r + 1 >= target:
             break
-        if isinstance(smat, CarriedSuperblock):
+        if isinstance(smat, CarriedSuperblock) and own:  # each block on its own y_b
+            smat.deflate(sol.y_super, sol.y_blocks, sol.w_blocks)
+        elif isinstance(smat, CarriedSuperblock):  # every block on y_super
             smat.deflate(sol.y_super)
-        elif strategy is DeflationStrategy.OWN:  # the superblock on its own component
-            smat = deflate(whole if smat is None else smat, sol.y_super)
-        if strategy is DeflationStrategy.GLOBAL:
-            # a carried superblock deflates no array: the blocks stay X_b, deflated
-            # implicitly by the components it carries
-            if smat is None:
-                whole = deflate(whole, sol.y_super)
+        elif strategy is DeflationStrategy.GLOBAL:
+            whole = deflate(whole, sol.y_super)
         else:  # each block on its loading direction or its own y_b, into its columns
+            if own:  # the superblock on its own component
+                smat = deflate(whole if smat is None else smat, sol.y_super)
             new = np.empty_like(whole)
             for x, y_b, out in zip(np.split(whole, cuts, axis=1), sol.y_blocks,
                                    np.split(new, cuts, axis=1)):

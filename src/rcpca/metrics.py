@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, DimensionError, ModeBInfeasibleError
+from .errors import DimensionError, ModeBInfeasibleError
 
 DEFAULT_RANK_TOLERANCE = 1e-10
 
@@ -103,11 +103,11 @@ def build_metric(data, tau: float, gram: np.ndarray | None = None) -> ShrinkageM
     would keep every direction too. Otherwise it is the eigendecomposition
     of X'X/n when J <= n, and of XX'/n = U diag(s^2/n) U' otherwise, with
     V = X'U/s. Gram eigenvalues at or below the rank cut-off times the
-    largest one are dropped. For tau > 0 the cut-off is roundoff,
-    max(n, J) * machine epsilon: M is tau on a dropped direction, and only
-    directions that are zero at roundoff go. For tau = 0 it is
-    DEFAULT_RANK_TOLERANCE, and the dropped directions get pseudo-inverse
-    semantics.
+    largest one are dropped, all of a zero matrix's. For tau > 0 the
+    cut-off is roundoff, max(n, J) * machine epsilon: M is tau on a dropped
+    direction, and only directions that are zero at roundoff go. For tau = 0
+    it is DEFAULT_RANK_TOLERANCE, and the dropped directions get
+    pseudo-inverse semantics.
 
     tau = 0 requires rank(X) < n: with full row rank every centered vector
     lies in the column space and Mode B degenerates, so regularization is
@@ -132,8 +132,6 @@ def build_metric(data, tau: float, gram: np.ndarray | None = None) -> ShrinkageM
             pass  # not positive definite at roundoff: rank deficient
     vals, vecs = np.linalg.eigh(gram)  # reads the lower triangle only
     vals, vecs = vals[::-1], vecs[:, ::-1]
-    if tau == 0.0 and vals[0] <= 0.0:
-        raise DataError("metric is identically zero (zero block with tau = 0)")
     cut = DEFAULT_RANK_TOLERANCE if tau == 0.0 else max(n, j) * np.finfo(float).eps
     rank = int((vals > cut * vals[0]).sum())
     if tau == 0.0 and rank == n:

@@ -33,13 +33,11 @@ once Lanczos has used up the budget or cannot converge within it. A solve
 is deterministic given its configuration and never modifies the problem it
 reads.
 
-Under `global` and `own` deflation a Mode B superblock is factored once, at
-rank 1 (`CarriedSuperblock`): later ranks solve in those coordinates with
-the earlier components projected off (segments, random and explicit starts,
-and the superblock weights), and at rank 1 the solve is the plain one. Under
-`global` the deflated blocks are never formed either: their metrics come
-from the rank-1 block Grams downdated on the earlier components, and their
-components are projected off them.
+Under `global` and `own` a Mode B superblock is factored once, at rank 1
+(`CarriedSuperblock`), and no deflated block is formed: later ranks solve
+in those coordinates off the earlier components, with block metrics from
+the rank-1 block Grams downdated on the components each block is deflated
+on (the superblock's, or its own).
 """
 
 from __future__ import annotations
@@ -216,53 +214,58 @@ class Solution:
 
 
 class CarriedSuperblock:
-    """A Mode B superblock X factored once and deflated on its own components.
+    """A Mode B superblock X, factored once, and its blocks, deflated on unit components.
 
-    The factor B of X is built by the first solve that reads it, and
-    P = X B satisfies P'P / n = I. Each component y = P c
-    found so far adds its unit c = P'y / n as a column of E (`off`), and X
-    deflated on those components has the column-space projector
-    P (I - EE') P' / n, so later solves keep X's coordinates, restricted to
-    the complement of E. With `separate` the blocks are deflated their own
-    way (`own`) and the transform takes their product with P; otherwise they
-    are X deflated on the same components (`global`), and the superblock's
-    closed form holds.
-
-    Under `global` the deflated blocks are never formed: they are Pi X_b,
-    Pi = I - YY' with the unit components Y (`units`), and A = X'Y (`cross`)
-    turns the rank-1 Grams G_b = X_b'X_b / n (`grams`) into their Grams
-    X_b'Pi X_b / n = G_b - A_b A_b' / n. Downdating the data Grams rather than
-    the factor keeps each block's relative accuracy when the superblock factor
-    is an eigh of an ill-conditioned X. A wide block, whose metric factors
-    X_b X_b' / n, gets Pi X_b = X_b - Y A_b'; `_back_map` returns Pi (X_b w_b).
+    P = X B, with B the factor the first solve builds, has P'P / n = I. Each
+    superblock component y = P c adds its unit c = P'y / n to E (`off`), and X
+    deflated on them has the column-space projector P (I - EE') P' / n, so
+    later solves keep X's coordinates, off E. Block b is Pi_b X_b, never
+    formed: Pi_b = I - Y_b Y_b', Y_b the columns of Y (`units`) that `owner`
+    marks for b, the superblock's components (`global`) or b's own (`own`).
+    b's rows of F = X'Y (`cross`) on them, A_b = X_b'Y_b, downdate its rank-1
+    Gram G_b = X_b'X_b / n (`grams`), which keeps its relative accuracy
+    whatever the superblock's conditioning, to G_b - A_b A_b' / n; a wide
+    block gets Pi_b X_b = X_b - Y_b A_b'.
     """
 
-    def __init__(self, x: np.ndarray, separate: bool):
-        self.x, self.separate = x, separate
+    def __init__(self, x: np.ndarray, widths: Sequence[int]):
+        self.x, self.widths = x, list(widths)
         self.metric: ShrinkageMetric | None = None
-        self.off: np.ndarray | None = None  # E, once there is a component
-        self.units = self.cross = None  # Y and A under global, once there is a component
-        self.grams: list | None = None  # G_b, or None for a wide block, under global
+        self.off = self.units = self.cross = self.owner = self.bf = None  # E, Y, F, owner, B'F/n
+        self.grams: list | None = None  # G_b, or None for a wide block
+        self.weights: list = [None] * len(widths)  # W_b, the block's own earlier weights
 
     def factor(self) -> ShrinkageMetric:
         if self.metric is None:
             self.metric = build_metric(self.x, 0.0)
         return self.metric
 
-    def deflate(self, y: np.ndarray) -> None:
-        """Add the component y of the last solve to E, and under global to Y and A."""
+    def deflate(self, y: np.ndarray, y_blocks=None, w_blocks=None) -> None:
+        """Add the superblock component y to E, and to Y y or each block's own y_b (from w_b)."""
         xy = self.x.T @ y
         c = self.metric.factor.T @ xy
         c = (c / np.linalg.norm(c))[:, None]
         self.off = c if self.off is None else np.hstack([self.off, c])
-        if not self.separate:
+        if y_blocks is None:
             nrm = np.linalg.norm(y)
-            u, a = (y / nrm)[:, None], (xy / nrm)[:, None]
-            self.units = u if self.units is None else np.hstack([self.units, u])
-            self.cross = a if self.cross is None else np.hstack([self.cross, a])
+            u, f, owner = (y / nrm)[:, None], (xy / nrm)[:, None], np.ones((len(self.widths), 1))
+        else:
+            u = np.column_stack(y_blocks)
+            u /= np.linalg.norm(u, axis=0)
+            f, owner = self.x.T @ u, np.eye(len(y_blocks))
+            self.weights = [w[:, None] if old is None else np.column_stack([old, w])
+                            for old, w in zip(self.weights, w_blocks)]
+        new = [u, f, owner, self.metric.factor.T @ f / len(self.x)]
+        if self.units is not None:
+            new = [np.hstack(p) for p in zip((self.units, self.cross, self.owner, self.bf), new)]
+        self.units, self.cross, self.owner, self.bf = new
+
+    def _owned(self) -> np.ndarray:
+        """A: F with block b's rows kept on b's columns of Y only."""
+        return self.cross * np.repeat(self.owner, self.widths, axis=0)
 
     def block_data(self, mats: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray | None]]:
-        """(data, Gram or None) of each block deflated on Y, for `build_metric`.
+        """(data, Gram or None) of each block deflated on its Y_b, for `build_metric`.
 
         The rank-1 Grams are formed here by build_metric's own expression, so
         rank 1 is the plain solve, byte for byte.
@@ -272,9 +275,24 @@ class CarriedSuperblock:
             self.grams = [mat.T @ mat / n if mat.shape[1] <= n else None for mat in mats]
         if self.units is None:
             return list(zip(mats, self.grams))
-        rows = np.split(self.cross, np.cumsum([mat.shape[1] for mat in mats])[:-1])
-        return [(mat, g - a @ a.T / n) if g is not None else (mat - self.units @ a.T, None)
+        rows = np.split(self._owned(), np.cumsum(self.widths)[:-1])
+        data = [(mat, g - a @ a.T / n) if g is not None else (mat - self.units @ a.T, None)
                 for mat, g, a in zip(mats, self.grams, rows)]
+        for (_, g), w in zip(data, self.weights):
+            if g is not None and w is not None:  # Pi_b X_b W_b = 0; the downdate's is roundoff
+                z = np.linalg.qr(w)[0]
+                g -= z @ (z.T @ g)
+                g -= (g @ z) @ z.T
+        return data
+
+    def rows(self) -> np.ndarray:
+        """H: block b's rows X_b'Pi_b P / n = (GB - AC')_b, C = B'F / n, off E, in one product."""
+        h = self.metric.cross
+        if self.off is None:
+            return h
+        c = self.bf - self.off @ (self.off.T @ self.bf)
+        p = np.hstack([h @ self.off, self._owned()]) @ np.vstack([self.off.T, c.T])
+        return np.subtract(h, p, out=p)
 
 
 # ---------------------------------------------------------------------------
@@ -286,25 +304,21 @@ def _transform(whole, widths, ids, metrics, m, superblock=None) -> TransformedPr
 
     Segment b is B_b' H[rows of b], H = X_B'P_super / n: G B_super, the
     superblock metric's `cross`, when the blocks of `whole` are the
-    superblock, else one product of X_B' with the image of the separate
-    `superblock`. A segment at roundoff of ||P_b||_F ||P_super||_F / n,
-    ||P||_F^2 = n tr(B'GB), raises NonContributingBlockError.
+    superblock; a CarriedSuperblock's closed form, off its E; else one
+    product of X_B' with the image of the separate `superblock`. A segment
+    at roundoff of ||P_b||_F ||P_super||_F / n, ||P||_F^2 = n tr(B'GB),
+    raises NonContributingBlockError.
     """
     sup, off = metrics[-1], None
     if isinstance(superblock, CarriedSuperblock):
-        off = superblock.off
-        superblock = superblock.x if superblock.separate and off is not None else None
-    if superblock is None:
+        h, off = superblock.rows(), superblock.off
+    elif superblock is None:
         h = sup.cross
     else:
         h = whole.T @ sup.image(superblock).T / superblock.shape[0]
     if off is None:
         norm = math.sqrt(np.vdot(sup.factor, sup.cross))
-    else:
-        # the superblock deflated on the components in E: H (I - EE'), and its
-        # tr(B'GB), the rank at tau = 0, less one per component
-        p = (h @ off) @ off.T
-        h = np.subtract(h, p, out=p)
+    else:  # tr(B'GB) of the superblock deflated on E: the rank at tau = 0, less one per component
         norm = math.sqrt(sup.rank - off.shape[1])
     offsets = np.cumsum([0] + [met.rank for met in metrics[:-1]])
     stacked = np.empty((offsets[-1], h.shape[1]))
@@ -486,10 +500,9 @@ def solve_matrices(
     """Solve on the n x J array `blocks`, whose consecutive `widths` columns are the blocks.
 
     The blocks side by side are the superblock unless a separate
-    `superblock` is given. Deflation passes one from rank 2 on: `own`
-    deflates the superblock on its own component, so it is no longer the
-    concatenation of the deflated blocks, and a Mode B superblock under
-    `global` or `own` comes as a CarriedSuperblock, factored at rank 1 only.
+    `superblock` is given: from rank 2 on, `own` passes its superblock
+    deflated on its own components, and with a Mode B superblock `global`
+    and `own` pass a CarriedSuperblock, which deflates the rank-1 `blocks`.
     """
     if len(modes.block_taus) != len(widths):
         raise DimensionError(f"{len(modes.block_taus)} block taus for {len(widths)} blocks")
@@ -501,15 +514,9 @@ def solve_matrices(
         raise DimensionError(f"superblock has {smat.shape[0]} rows, not {blocks.shape[0]}")
     names = list(ids) if ids is not None else [str(b + 1) for b in range(len(widths))]
     mats = np.split(blocks, np.cumsum(widths)[:-1], axis=1)
-    data = ([(mat, None) for mat in mats] if carried is None or carried.separate
-            else carried.block_data(mats))
+    data = [(mat, None) for mat in mats] if carried is None else carried.block_data(mats)
     metrics = [build_metric(x, tau, gram) for (x, gram), tau in zip(data, modes.block_taus)]
-    if carried is None:
-        metrics.append(build_metric(smat, modes.superblock_tau))
-        off = units = None
-    else:
-        metrics.append(carried.factor())
-        off, units = carried.off, carried.units
+    metrics.append(carried.factor() if carried else build_metric(smat, modes.superblock_tau))
     problem = _transform(blocks, widths, names, metrics, config.m, superblock)
 
     warnings: list[str] = []
@@ -525,7 +532,7 @@ def solve_matrices(
                         "multiple; the iterate sequence may not be unique"
                     )
             else:
-                c0 = _start(metrics[-1], off, config, k)
+                c0 = _start(metrics[-1], carried and carried.off, config, k)
             c, trace = sphere_maximize(problem, config, c0)
         except (SingularGradientError, BadStartError) as exc:
             last_failure = exc
@@ -535,10 +542,10 @@ def solve_matrices(
         raise AllStartsFailedError(f"every start failed; last failure: {last_failure}")
     _, _, c, trace = max(results, key=lambda res: res[0])  # ties keep the earliest start
     trace.warnings.extend(warnings)
-    return _back_map(c, trace, problem, mats, smat, names, metrics, config.m, off, units)
+    return _back_map(c, trace, problem, mats, smat, names, metrics, config.m, carried)
 
 
-def _back_map(c, trace, problem, mats, smat, ids, metrics, m, off, units) -> Solution:
+def _back_map(c, trace, problem, mats, smat, ids, metrics, m, carried) -> Solution:
     """Weights and components from the solution c (superblock factor coordinates).
 
     Segment b of problem.stacked @ c is P_b'y_super / n, so its norm is
@@ -548,10 +555,10 @@ def _back_map(c, trace, problem, mats, smat, ids, metrics, m, off, units) -> Sol
     which spans the null space of the deflated superblock within the row
     space of smat: the least-norm solution for the deflated superblock, which
     is rank deficient by construction, so no warning says so at ranks >= 2.
-    With `units` Y (a CarriedSuperblock under global) the blocks are X_b
-    deflated on Y, and each block component is Pi (X_b w_b), Pi = I - YY'.
+    A `carried` superblock's blocks are X_b deflated on Y_b, and each block
+    component is Pi_b (X_b w_b).
     """
-    factor = metrics[-1].factor
+    factor, off = metrics[-1].factor, None if carried is None else carried.off
     w_super = w_smat = factor @ c
     if off is not None:
         z = np.linalg.qr(factor @ off)[0]
@@ -577,9 +584,9 @@ def _back_map(c, trace, problem, mats, smat, ids, metrics, m, off, units) -> Sol
         w_b = met.factor @ (seg / covs[b])
         w_blocks.append(w_b)
         y_blocks.append(mat @ w_b)
-    if units is not None:
+    if carried is not None and carried.units is not None:  # Pi_b (X_b w_b)
         ys = np.array(y_blocks)
-        ys -= (ys @ units) @ units.T
+        ys -= ((ys @ carried.units) * carried.owner) @ carried.units.T
         y_blocks = list(ys)
 
     return Solution(

@@ -485,34 +485,53 @@ def reference_auxiliary_solve(blockset, block_taus, m, epsilon=1e-12, max_iter=1
 
 
 class _DeflatedBlocks(CarriedSuperblock):
-    """A carried Mode B superblock whose blocks come in deflated, as data."""
+    """A carried Mode B superblock whose blocks come in deflated, as data.
 
-    def __init__(self, x):
-        super().__init__(x, separate=False)
+    From rank 2 on, the segments' rows are the product of the deflated
+    blocks with the rank-1 superblock image: no Gram downdate and no closed
+    form. The blocks are deflated one rank-one regression at a time, on the
+    superblock component or each on its own.
+    """
+
+    def __init__(self, x, widths):
+        super().__init__(x, widths)
+        self.blocks = x
 
     def block_data(self, mats):
         return [(mat, None) for mat in mats]
 
-    def deflate(self, y):
-        super().deflate(y)
-        self.units = self.cross = None  # the blocks are deflated already
+    def rows(self):
+        if self.off is None:  # rank 1 is the plain solve, bit for bit
+            return super().rows()
+        h = self.blocks.T @ self.metric.image(self.x).T / self.x.shape[0]
+        return h - (h @ self.off) @ self.off.T  # the superblock deflated on E
+
+    def deflate(self, y, y_blocks=None, w_blocks=None):
+        super().deflate(y, y_blocks, w_blocks)
+        self.units = self.cross = self.owner = None  # the blocks are deflated already
+        mats = np.split(self.blocks, np.cumsum(self.widths)[:-1], axis=1)
+        ys = [y] * len(mats) if y_blocks is None else y_blocks
+        self.blocks = np.hstack([deflate(mat, y_b) for mat, y_b in zip(mats, ys)])
 
 
-def data_deflation_extract(blockset, modes, config, rank):
-    """`extract` under global with a Mode B superblock, deflating the data.
+def data_deflation_extract(blockset, modes, config, rank, strategy="global"):
+    """`extract` under global or own with a Mode B superblock, deflating the data.
 
-    Each rank solves on the n x J superblock deflated on every earlier
-    superblock component, with the rank-1 superblock factor carried: block
-    metrics from the deflated blocks' own Grams and block components X_b w_b
-    of the deflated blocks. Returns (solutions, deflated array per rank).
+    Each rank solves on the blocks deflated on every earlier superblock
+    component (global) or on each block's own earlier components (own),
+    with the rank-1 superblock factor carried: block metrics from the
+    deflated blocks' own Grams, segments from their product with the
+    superblock image, and block components X_b w_b of the deflated blocks.
     """
     widths = [b.n_vars for b in blockset.blocks]
-    whole, carried = blockset.superblock, _DeflatedBlocks(blockset.superblock)
-    solutions, wholes = [], []
+    carried = _DeflatedBlocks(blockset.superblock, widths)
+    solutions = []
     for _ in range(rank):
-        sol = solve_matrices(whole, widths, modes, config, ids=blockset.ids, superblock=carried)
+        sol = solve_matrices(carried.blocks, widths, modes, config, ids=blockset.ids,
+                             superblock=carried)
         solutions.append(sol)
-        wholes.append(whole)
-        carried.deflate(sol.y_super)
-        whole = deflate(whole, sol.y_super)
-    return solutions, wholes
+        if strategy == "own":
+            carried.deflate(sol.y_super, sol.y_blocks, sol.w_blocks)
+        else:
+            carried.deflate(sol.y_super)
+    return solutions

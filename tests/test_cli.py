@@ -486,6 +486,22 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("data error: block 'long': row 3: field larger than field limit"), err
 
+    @pytest.mark.parametrize("name", ["sumcor", "hierarchical_pca", "consensus_pca"])
+    def test_constant_block_is_named_and_exits_2(self, tmp_path, capsys, name):
+        # every column constant: the block is zero once centred, under Mode B or A
+        ids = [line.split(",")[0] for line in (DEMO / "process.csv").read_text().splitlines()]
+        const = tmp_path / "const.csv"
+        rows = "".join(f"{i},3,-1\n" for i in ids[1:])
+        const.write_text("batch,k1,k2\n" + rows, encoding="utf-8")
+        code = main(["run", "--blocks", f"{DEMO / 'process.csv'},{const}", "--id-column",
+                     "--preset", name, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "data error: block 'const' has zero cross-product with the superblock and "
+            "cannot contribute; drop it from the analysis\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_config_file_not_utf8_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"preset = caf\xe9\n")

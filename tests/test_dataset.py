@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import sample_cov
 from rcpca import build_blockset, dataset, from_matrix, load_block
-from rcpca.dataset import _cell, _csv_table, _preprocess
+from rcpca.dataset import Block, Preprocessing, _cell, _csv_table, _preprocess
 from rcpca.errors import (
     DataError,
     DegenerateColumnError,
@@ -382,6 +382,42 @@ class TestBuildBlockset:
         b2 = load_block(p2, id_column=True)
         with pytest.raises(DataError, match="identifiers"):
             build_blockset([b1, b2])
+
+
+class TestFromMatrix:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        x = np.arange(6.0).reshape(3, 2)
+        x[1, 0] = bad
+        with pytest.raises(DataError, match="block 'a': non-finite values are not supported"):
+            from_matrix("a", x)
+
+    def test_one_dimensional_input_is_one_column(self):
+        b = from_matrix("a", [1.0, 2.0, 6.0])
+        assert b.matrix.shape == (3, 1)
+        np.testing.assert_allclose(b.matrix[:, 0], [-2.0, -1.0, 3.0])
+        assert b.columns == ("v1",)
+
+
+class TestBlock:
+    """The Block constructor checks shapes itself, whatever built its matrix."""
+
+    @staticmethod
+    def preprocessing(j):
+        return Preprocessing(means=np.zeros(j), scales=None,
+                             columns=tuple(f"c{k}" for k in range(j)), row_ids=None)
+
+    def test_one_dimensional_matrix_rejected(self):
+        with pytest.raises(DimensionError, match="block 'a': expected a 2-d matrix"):
+            Block("a", np.zeros(3), self.preprocessing(1))
+
+    def test_one_row_rejected(self):
+        with pytest.raises(DimensionError, match="block 'a': need at least 2 rows, got 1"):
+            Block("a", np.zeros((1, 2)), self.preprocessing(2))
+
+    def test_column_name_count_checked(self):
+        with pytest.raises(DimensionError, match="block 'a': 2 columns, names for 3"):
+            Block("a", np.zeros((4, 2)), self.preprocessing(3))
 
 
 class TestSampleCov:

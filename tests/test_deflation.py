@@ -388,16 +388,14 @@ class TestCarriedSuperblock:
         assert ms.achieved_rank == rank
         assert len(calls) == 4 * rank + 1
 
-    @pytest.mark.parametrize("case", list(DATA_DEFLATION_CASES))
-    @pytest.mark.parametrize("entry", mode_b_superblock_presets(), ids=lambda e: e.name)
-    def test_global_matches_deflating_the_data(self, entry, case):
-        # global carries the block Grams G_b - A_b A_b'/n where the data was deflated
+    @staticmethod
+    def assert_matches_deflating_the_data(entry, case, strategy):
         for seed in range(2):
             bs = DATA_DEFLATION_CASES[case](seed)
             modes = entry.selector(bs.n_blocks)
             config = SolverConfig(m=entry.m)
-            ms = extract(bs, modes, config, 3, "global")
-            ref, _ = data_deflation_extract(bs, modes, config, 3)
+            ms = extract(bs, modes, config, 3, strategy)
+            ref = data_deflation_extract(bs, modes, config, 3, strategy)
             assert ms.achieved_rank == 3
             for r, (got, exp) in enumerate(zip(ms.solutions, ref)):
                 assert got.trace.iterations == exp.trace.iterations, (seed, r)
@@ -409,11 +407,25 @@ class TestCarriedSuperblock:
                 for b, (y, y_ref) in enumerate(pairs):
                     assert cosine_gap(y, y_ref) <= 1e-12, (seed, r, b)
 
+    @pytest.mark.parametrize("case", list(DATA_DEFLATION_CASES))
+    @pytest.mark.parametrize("entry", mode_b_superblock_presets(), ids=lambda e: e.name)
+    def test_global_matches_deflating_the_data(self, entry, case):
+        # global carries the block Grams G_b - A_b A_b'/n where the data was deflated
+        self.assert_matches_deflating_the_data(entry, case, "global")
+
+    @pytest.mark.parametrize("case", list(DATA_DEFLATION_CASES))
+    @pytest.mark.parametrize("entry", mode_b_superblock_presets(), ids=lambda e: e.name)
+    def test_own_matches_deflating_the_data(self, entry, case):
+        # own carries them downdated on each block's own components, and the
+        # segments' closed form GB - A(F'B)/n where the data was deflated
+        self.assert_matches_deflating_the_data(entry, case, "own")
+
     @pytest.mark.parametrize("strategy", list(DeflationStrategy))
     @pytest.mark.parametrize("superblock", ["A", "B"])
     def test_deflated_arrays_per_strategy(self, monkeypatch, strategy, superblock):
         # 4 blocks, 3 ranks: two deflations of each block (block, own) or of the
-        # superblock (global, own's separate one), none under global with Mode B
+        # superblock (global, own's separate one), none with a Mode B superblock
+        # under global or own
         calls = []
         monkeypatch.setattr(deflation, "deflate", lambda *args: calls.append(1) or deflate(*args))
         bs = random_blockset(5, b=4, n=30, js=[3, 4, 3, 5])
@@ -421,8 +433,37 @@ class TestCarriedSuperblock:
         assert ms.achieved_rank == 3
         mode_b = superblock == "B"
         expected = {"global": 0 if mode_b else 2, "block": 8, "loading": 0,
-                    "own": 8 if mode_b else 10}[DeflationStrategy(strategy).value]
+                    "own": 0 if mode_b else 10}[DeflationStrategy(strategy).value]
         assert len(calls) == expected
+
+    @pytest.mark.parametrize("strategy", ["global", "own"])
+    @pytest.mark.parametrize("init", ["random", "weights"])
+    def test_starts_and_components_stay_off_earlier_ranks(self, monkeypatch, init, strategy):
+        # random draws and explicit weights alike start off E at ranks >= 2
+        starts = []
+        start = solver._start
+
+        def recorded(sup, off, config, k):
+            c = start(sup, off, config, k)
+            starts.append((off, c))
+            return c
+
+        monkeypatch.setattr(solver, "_start", recorded)
+        bs = random_blockset(4, b=3, n=30, js=[3, 4, 5])
+        w0 = np.random.default_rng(1).standard_normal(12) if init == "weights" else init
+        config = SolverConfig(init=w0, n_starts=3, seed=5)
+        ms = extract(bs, uniform_modes("A", "B", 3), config, 3, strategy)
+        assert ms.achieved_rank == 3
+        assert len(starts) == 9
+        for r in (1, 2):
+            for off, c in starts[3 * r:3 * r + 3]:
+                assert off.shape[1] == r
+                assert np.linalg.norm(c) > 0.0
+                assert np.abs(off.T @ c).max() <= 1e-14 * np.linalg.norm(c), r
+        ys = [sol.y_super / np.linalg.norm(sol.y_super) for sol in ms.solutions]
+        for r in (1, 2):
+            for earlier in ys[:r]:
+                assert abs(ys[r] @ earlier) <= 1e-12, r
 
     @pytest.mark.parametrize("strategy", ["global", "own"])
     def test_superblock_warning_only_for_a_rank_deficient_rank_one(self, strategy):

@@ -19,6 +19,7 @@ from rcpca import (
     build_blockset,
     build_metric,
     from_matrix,
+    mode_tau,
     preset,
     solve,
 )
@@ -350,3 +351,8 @@ class TestModeSelector:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             ModeSelector((1.2,), 0.0)
+
+    @pytest.mark.parametrize("letter", ["C", "AB", ""])
+    def test_unknown_mode_letter(self, letter):
+        with pytest.raises(ValueError, match="unknown mode .*; expected 'A', 'B' or a number"):
+            mode_tau(letter)

@@ -677,6 +677,20 @@ class TestSphereMaximize:
         assert sol.trace.converged and sol.trace.step_norm[-1] <= delta
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"epsilon": 0.0}, "epsilon must be positive"),
+        ({"epsilon": -1e-6}, "epsilon must be positive"),
+        ({"epsilon": np.nan}, "epsilon must be positive"),
+        ({"max_iter": 0}, "max_iter must be at least 1"),
+        ({"n_starts": 0}, "n_starts must be at least 1"),
+        ({"init": "lanczos"}, "unknown init 'lanczos'"),
+    ])
+    def test_rejects(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(**kwargs)
+
+
 class TestSolve:
     def test_two_identical_single_column_blocks(self):
         x = np.array([[1.0], [-1.0]])
