@@ -107,9 +107,7 @@ def extract(
 
     The achievable rank is capped at the smallest block rank, read from
     the rank-1 metric factors; when the request exceeds it, the result is
-    truncated with a warning rather than failing. Mode B on the superblock
-    combined with the `own` strategy is allowed but flagged: the
-    orthogonality guarantees are weaker there.
+    truncated with a warning rather than failing.
 
     Below the cap no deflation annihilates a block, so none is checked for.
     Every deflation is a rank-one projection, so by Cauchy interlacing a
@@ -132,12 +130,6 @@ def extract(
     ids = list(blockset.ids)
 
     warnings: list[str] = []
-    if own and modes.superblock_tau == 0.0:
-        warnings.append(
-            "own-component deflation with a Mode B superblock: orthogonality "
-            "guarantees are weakened; check the correlations of the ranks' components"
-        )
-
     solutions: list[Solution] = []
     target = rank
     for r in range(rank):

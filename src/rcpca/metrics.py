@@ -11,8 +11,10 @@ space of X with B'MB = I, and `cross` = GB, G = X'X/n. All the solver
 applies powers of M to lies in that row space: the image B'X' (`image`),
 the segments B_b'(G B_super) and the weights M^(-1) X'y, read off as B u.
 So M is never formed as a J x J matrix, and MB = tau*B + (1 - tau)*GB. Only
-`build_metric` knows which route gave B. At tau = 0 with J < n, when G
-certifiably has full rank, B = L^(-T) from G = LL' (`cross` = L). Otherwise
+this module knows which route gave B. At tau = 0 with J < n, when G
+certifiably has full rank, B = L^(-T) from G = LL' (`cross` = L):
+`cholesky_metrics` takes that route for a stack of same-shape matrices in
+one call, and `build_metric` for one matrix, as a stack of one. Otherwise
 B = V diag(lambda^(-1/2)): V orthonormal, the eigenvalues of X'X/n on it
 are `variances` g and lambda = tau + (1 - tau) g, and M is tau*I on the
 complement; the eigendecomposition is of the smaller Gram matrix, XX' when
@@ -97,17 +99,16 @@ def build_metric(data, tau: float, gram: np.ndarray | None = None) -> ShrinkageM
     `gram`, when given, stands for X'X/n of a matrix with J <= n, such as a
     Gram the caller downdated; the data then only gives the shape.
 
-    At tau = 0 with J < n the factor is G = X'X/n = LL' when the Cholesky
-    factorization succeeds and certifies full rank: kappa(G) <=
-    ||G||_F ||L^(-1)||_F^2 < 1/DEFAULT_RANK_TOLERANCE, so the eigendecomposition
-    would keep every direction too. Otherwise it is the eigendecomposition
-    of X'X/n when J <= n, and of XX'/n = U diag(s^2/n) U' otherwise, with
-    V = X'U/s. Gram eigenvalues at or below the rank cut-off times the
-    largest one are dropped, all of a zero matrix's. For tau > 0 the
-    cut-off is roundoff, max(n, J) * machine epsilon: M is tau on a dropped
-    direction, and only directions that are zero at roundoff go. For tau = 0
-    it is DEFAULT_RANK_TOLERANCE, and the dropped directions get
-    pseudo-inverse semantics.
+    At tau = 0 with J < n the factor is `cholesky_metrics`'s, from G =
+    X'X/n = LL' as a stack of one, when it certifies full rank: the
+    eigendecomposition would then keep every direction too. Otherwise it is
+    the eigendecomposition of X'X/n when J <= n, and of XX'/n = U
+    diag(s^2/n) U' otherwise, with V = X'U/s. Gram eigenvalues at or below
+    the rank cut-off times the largest one are dropped, all of a zero
+    matrix's. For tau > 0 the cut-off is roundoff, max(n, J) * machine
+    epsilon: M is tau on a dropped direction, and only directions that are
+    zero at roundoff go. For tau = 0 it is DEFAULT_RANK_TOLERANCE, and the
+    dropped directions get pseudo-inverse semantics.
 
     tau = 0 requires rank(X) < n: with full row rank every centered vector
     lies in the column space and Mode B degenerates, so regularization is
@@ -122,14 +123,8 @@ def build_metric(data, tau: float, gram: np.ndarray | None = None) -> ShrinkageM
     wide = j > n
     if gram is None:
         gram = (x @ x.T if wide else x.T @ x) / n
-    if tau == 0.0 and j < n:
-        try:
-            low = np.linalg.cholesky(gram)
-            inv = _lower_inverse(low)
-            if np.linalg.norm(gram) * np.vdot(inv, inv) < 1.0 / DEFAULT_RANK_TOLERANCE:
-                return ShrinkageMetric(tau, inv.T, low, None)
-        except np.linalg.LinAlgError:
-            pass  # not positive definite at roundoff: rank deficient
+    if (met := cholesky_metrics(x[None], tau, gram[None])[0]) is not None:
+        return met
     vals, vecs = np.linalg.eigh(gram)  # reads the lower triangle only
     vals, vecs = vals[::-1], vecs[:, ::-1]
     cut = DEFAULT_RANK_TOLERANCE if tau == 0.0 else max(n, j) * np.finfo(float).eps
@@ -147,16 +142,50 @@ def build_metric(data, tau: float, gram: np.ndarray | None = None) -> ShrinkageM
     return ShrinkageMetric(tau, vecs * scale, vecs * (vals * scale), vals)
 
 
-def _lower_inverse(low: np.ndarray, width: int = 32) -> np.ndarray:
-    """L^(-1) of a lower-triangular L: row block k is D_k^(-1) [-L_k,<k L^(-1)_<k | I].
+def gram_stack(x: np.ndarray) -> np.ndarray:
+    """X'X/n of each matrix of a (k, n, J) stack, by build_metric's own expression."""
+    return x.swapaxes(1, 2) @ x / x.shape[1]
 
+
+def cholesky_metrics(x: np.ndarray, tau: float,
+                     grams: np.ndarray | None = None) -> list[ShrinkageMetric | None]:
+    """The Cholesky route for a (k, n, J) stack of centered matrices, or None per member.
+
+    `grams`, when given, stands for their X'X/n. The route is for tau = 0
+    with J < n: one Cholesky factorization, one triangular inverse and one
+    certificate serve the whole stack, and member i is B = L^(-T), cross =
+    L, when its factor certifies full rank: kappa(G) <= ||G||_F
+    ||L^(-1)||_F^2 < 1/DEFAULT_RANK_TOLERANCE. Otherwise it is None, and
+    `build_metric` decides that member alone; so is every member when numpy
+    rejects the stack because one of them is not positive definite at
+    roundoff.
+    """
+    k, n, j = x.shape
+    if tau != 0.0 or j >= n:
+        return [None] * k
+    grams = gram_stack(x) if grams is None else grams
+    try:
+        low = np.linalg.cholesky(grams)
+    except np.linalg.LinAlgError:
+        return [None] * k
+    inv = _lower_inverse(low)
+    bound = np.sqrt(np.einsum("kij,kij->k", grams, grams)) * np.einsum("kij,kij->k", inv, inv)
+    return [ShrinkageMetric(0.0, b.T, l, None) if ok else None
+            for b, l, ok in zip(inv, low, bound < 1.0 / DEFAULT_RANK_TOLERANCE)]
+
+
+def _lower_inverse(low: np.ndarray, width: int = 32) -> np.ndarray:
+    """L^(-1) of each lower-triangular L in a stack.
+
+    Row block k is D_k^(-1) [-L_k,<k L^(-1)_<k | I], and
     D_k^(-1) = inv(D_k')' for the k-th diagonal block D_k: an LU factorization
     of the upper-triangular D_k' does not pivot, so the result is exactly lower
     triangular.
     """
     inv = np.zeros_like(low)
-    for k in range(0, low.shape[0], width):
-        d = inv[k:k + width, k:k + width] = np.linalg.inv(low[k:k + width, k:k + width].T).T
+    for k in range(0, low.shape[-1], width):
+        d = inv[:, k:k + width, k:k + width] = np.linalg.inv(
+            low[:, k:k + width, k:k + width].swapaxes(1, 2)).swapaxes(1, 2)
         if k:
-            inv[k:k + width, :k] = -d @ (low[k:k + width, :k] @ inv[:k, :k])
+            inv[:, k:k + width, :k] = -d @ (low[:, k:k + width, :k] @ inv[:, :k, :k])
     return inv

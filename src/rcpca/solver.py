@@ -24,7 +24,13 @@ superblock weights B_super c and each block's covariance and weights off
 the segments Q_b c, in the block factor's coordinates. `TransformedProblem`
 is the one evaluator of psi and its gradient, and `sphere_maximize` the one
 ascent loop. The operator stacks its segments into a single matrix, so psi
-is one matvec and the gradient one more transposed matvec. The iteration
+is one matvec and the gradient one more transposed matvec, reusing psi's
+product at the iterate it was taken at. Each run of consecutive blocks of
+one width (and, for the metrics, one tau) takes one stacked call per rank:
+for its Mode B Cholesky factors (`metrics.cholesky_metrics`), its Gram
+downdates, its segments, and its weights and components in the back-map.
+A run of one block is the general case; a block whose metric takes the
+eigendecomposition gets `build_metric` alone. The iteration
 and its stop test are scale-invariant, and so are the solver's slacks; the
 monotone, step-bound and sandwich checks run at every iteration. The eigen
 start is the top eigenvector of S'S from a dense eigh below a size gate,
@@ -58,7 +64,7 @@ from .errors import (
     SingularGradientError,
     UndefinedContributionsError,
 )
-from .metrics import ModeSelector, ShrinkageMetric, build_metric
+from .metrics import ModeSelector, ShrinkageMetric, build_metric, cholesky_metrics, gram_stack
 
 # slack of the "the criterion never decreased" and sandwich checks, relative to psi
 _MONOTONE_TOL = 1e-12
@@ -75,7 +81,10 @@ class TransformedProblem:
 
     The Q_b are stacked row-wise into one (sum r_b) x dim matrix `stacked`;
     offsets[b]:offsets[b + 1] are the rows of block b, and ids[b] names it
-    in errors.
+    in errors. value(v) keeps (v, S v) as a memo, matched by the identity of
+    v: grad on that same array, unmodified since, reuses the product, so an
+    ascent step that evaluates psi at v_new and then steps from it pays for
+    S v_new once.
     """
 
     def __init__(self, stacked: np.ndarray, m: float, ids: Sequence[str], offsets: np.ndarray):
@@ -93,6 +102,7 @@ class TransformedProblem:
                                   -stacked.min(axis=1, initial=0.0))
             peak[full] = np.maximum.reduceat(row_peak, offsets[:-1][full])
         self._zero_tol = _ROUNDOFF_TOL * peak * np.sqrt(rows * self.dim)
+        self._last: tuple = (None, None)  # the memo: (v, S v) of the last value(v)
 
     @property
     def dim(self) -> int:
@@ -102,11 +112,15 @@ class TransformedProblem:
         return np.sqrt(np.add.reduceat(sv * sv, self.offsets[:-1]))
 
     def value(self, v: np.ndarray) -> float:
-        return float((self._norms(self.stacked @ v) ** self.m).sum())
+        sv = self.stacked @ v
+        self._last = (v, sv)
+        return float((self._norms(sv) ** self.m).sum())
 
     def grad(self, v: np.ndarray) -> np.ndarray:
         """m * sum_b ||Q_b v||^(m-2) Q_b'Q_b v; satisfies v'grad = m*psi."""
-        sv = self.stacked @ v
+        last, sv = self._last
+        if last is not v:
+            sv = self.stacked @ v
         norms = self._norms(sv)
         zero = norms <= self._zero_tol
         if self.m < 2.0 and zero.any():
@@ -225,15 +239,16 @@ class CarriedSuperblock:
     b's rows of F = X'Y (`cross`) on them, A_b = X_b'Y_b, downdate its rank-1
     Gram G_b = X_b'X_b / n (`grams`), which keeps its relative accuracy
     whatever the superblock's conditioning, to G_b - A_b A_b' / n; a wide
-    block gets Pi_b X_b = X_b - Y_b A_b'.
+    block gets Pi_b X_b = X_b - Y_b A_b'. Both take one stacked call per run
+    of blocks.
     """
 
     def __init__(self, x: np.ndarray, widths: Sequence[int]):
         self.x, self.widths = x, list(widths)
         self.metric: ShrinkageMetric | None = None
         self.off = self.units = self.cross = self.owner = self.bf = None  # E, Y, F, owner, B'F/n
-        self.grams: list | None = None  # G_b, or None for a wide block
-        self.weights: list = [None] * len(widths)  # W_b, the block's own earlier weights
+        self.grams: list | None = None  # per run, its stack of G_b, or None for wide blocks
+        self.weights: np.ndarray | None = None  # W, each block's own earlier weights in its rows
 
     def factor(self) -> ShrinkageMetric:
         if self.metric is None:
@@ -253,8 +268,8 @@ class CarriedSuperblock:
             u = np.column_stack(y_blocks)
             u /= np.linalg.norm(u, axis=0)
             f, owner = self.x.T @ u, np.eye(len(y_blocks))
-            self.weights = [w[:, None] if old is None else np.column_stack([old, w])
-                            for old, w in zip(self.weights, w_blocks)]
+            w = np.concatenate(w_blocks)[:, None]
+            self.weights = w if self.weights is None else np.hstack([self.weights, w])
         new = [u, f, owner, self.metric.factor.T @ f / len(self.x)]
         if self.units is not None:
             new = [np.hstack(p) for p in zip((self.units, self.cross, self.owner, self.bf), new)]
@@ -264,26 +279,34 @@ class CarriedSuperblock:
         """A: F with block b's rows kept on b's columns of Y only."""
         return self.cross * np.repeat(self.owner, self.widths, axis=0)
 
-    def block_data(self, mats: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray | None]]:
-        """(data, Gram or None) of each block deflated on its Y_b, for `build_metric`.
+    def block_data(self, runs: list[slice]) -> list[tuple[np.ndarray, np.ndarray | None]]:
+        """(data, Grams or None) of each run of blocks deflated on its Y_b, for `_block_metrics`.
 
-        The rank-1 Grams are formed here by build_metric's own expression, so
-        rank 1 is the plain solve, byte for byte.
+        Every call passes the same runs. The rank-1 Grams are formed at the
+        first by the plain solve's own expression (`gram_stack`), so rank 1 is
+        the plain solve, byte for byte.
         """
         n = self.x.shape[0]
+        data = _block_views(self.x, self.widths, runs)
         if self.grams is None:
-            self.grams = [mat.T @ mat / n if mat.shape[1] <= n else None for mat in mats]
+            self.grams = [gram_stack(x) if x.shape[2] <= n else None for x in data]
         if self.units is None:
-            return list(zip(mats, self.grams))
-        rows = np.split(self._owned(), np.cumsum(self.widths)[:-1])
-        data = [(mat, g - a @ a.T / n) if g is not None else (mat - self.units @ a.T, None)
-                for mat, g, a in zip(mats, self.grams, rows)]
-        for (_, g), w in zip(data, self.weights):
-            if g is not None and w is not None:  # Pi_b X_b W_b = 0; the downdate's is roundoff
+            return list(zip(data, self.grams))
+        weights = ([None] * len(runs) if self.weights is None
+                   else _row_runs(self.weights, self.widths, runs))
+        out = []
+        for x, g, a, w in zip(data, self.grams, _row_runs(self._owned(), self.widths, runs),
+                              weights):
+            if g is None:
+                out.append((x - self.units @ a.swapaxes(1, 2), None))
+                continue
+            g = g - a @ a.swapaxes(1, 2) / n
+            if w is not None:  # Pi_b X_b W_b = 0; the downdate's is roundoff
                 z = np.linalg.qr(w)[0]
-                g -= z @ (z.T @ g)
-                g -= (g @ z) @ z.T
-        return data
+                g -= z @ (z.swapaxes(1, 2) @ g)
+                g -= (g @ z) @ z.swapaxes(1, 2)
+            out.append((x, g))
+        return out
 
     def rows(self) -> np.ndarray:
         """H: block b's rows X_b'Pi_b P / n = (GB - AC')_b, C = B'F / n, off E, in one product."""
@@ -296,6 +319,57 @@ class CarriedSuperblock:
 
 
 # ---------------------------------------------------------------------------
+# runs of blocks: one stacked call for each
+
+
+def _runs(keys: Sequence) -> list[slice]:
+    """The runs of consecutive equal keys, as slices of their positions."""
+    starts = [b for b in range(len(keys)) if b == 0 or keys[b] != keys[b - 1]]
+    return [slice(s, e) for s, e in zip(starts, starts[1:] + [len(keys)])]
+
+
+def _row_runs(a: np.ndarray, sizes: Sequence[int], runs: list[slice]) -> list[np.ndarray]:
+    """The rows of `a` of each run of blocks of equal `sizes`, as a (k, size, ...) view."""
+    ends = np.cumsum([0, *sizes])
+    return [a[ends[r.start]:ends[r.stop]].reshape(r.stop - r.start, sizes[r.start], *a.shape[1:])
+            for r in runs]
+
+
+def _block_views(x: np.ndarray, widths: Sequence[int], runs: list[slice]) -> list[np.ndarray]:
+    """The columns of x of each run of blocks of one width, as a (k, n, J) view."""
+    return [v.swapaxes(1, 2) for v in _row_runs(x.T, widths, runs)]
+
+
+def _stack(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """(k, J, r) copy of same-shape matrices, each laid out as the first (C or F order).
+
+    The BLAS call on a slice is then the one on the matrix itself, bit for bit.
+    """
+    if mats[0].flags.c_contiguous:
+        return np.array(mats)
+    return np.array([a.T for a in mats]).swapaxes(1, 2)
+
+
+def _factor_runs(metrics: Sequence[ShrinkageMetric]) -> list[slice]:
+    """Runs of block metrics whose factors share a shape and a layout."""
+    return _runs([(met.factor.shape, met.factor.strides) for met in metrics])
+
+
+def _block_metrics(data, taus) -> list[ShrinkageMetric]:
+    """The metrics of each run's blocks, from `data` as `CarriedSuperblock.block_data` gives it.
+
+    Each run takes one `cholesky_metrics` call; each member it leaves
+    without a metric gets `build_metric` alone.
+    """
+    metrics = []
+    for (x, grams), tau in zip(data, taus):
+        gs = [None] * len(x) if grams is None else grams
+        metrics += [met if met is not None else build_metric(xb, tau, g)
+                    for met, xb, g in zip(cholesky_metrics(x, tau, grams), x, gs)]
+    return metrics
+
+
+# ---------------------------------------------------------------------------
 # transform and starts
 
 
@@ -305,9 +379,10 @@ def _transform(whole, widths, ids, metrics, m, superblock=None) -> TransformedPr
     Segment b is B_b' H[rows of b], H = X_B'P_super / n: G B_super, the
     superblock metric's `cross`, when the blocks of `whole` are the
     superblock; a CarriedSuperblock's closed form, off its E; else one
-    product of X_B' with the image of the separate `superblock`. A segment
-    at roundoff of ||P_b||_F ||P_super||_F / n, ||P||_F^2 = n tr(B'GB),
-    raises NonContributingBlockError.
+    product of X_B' with the image of the separate `superblock`. Each run of
+    block factors of one shape and layout takes one product. A segment at
+    roundoff of ||P_b||_F ||P_super||_F / n, ||P||_F^2 = n tr(B'GB), raises
+    NonContributingBlockError naming the first such block.
     """
     sup, off = metrics[-1], None
     if isinstance(superblock, CarriedSuperblock):
@@ -316,19 +391,31 @@ def _transform(whole, widths, ids, metrics, m, superblock=None) -> TransformedPr
         h = sup.cross
     else:
         h = whole.T @ sup.image(superblock).T / superblock.shape[0]
-    if off is None:
-        norm = math.sqrt(np.vdot(sup.factor, sup.cross))
-    else:  # tr(B'GB) of the superblock deflated on E: the rank at tau = 0, less one per component
+    if off is not None:  # tr(B'GB) off E: the rank at tau = 0, less one per component
         norm = math.sqrt(sup.rank - off.shape[1])
-    offsets = np.cumsum([0] + [met.rank for met in metrics[:-1]])
+    else:  # tr(B'GB) without copies: the rank on the Cholesky route, where B'GB = I
+        norm = math.sqrt(sup.rank if sup.variances is None
+                         else np.einsum("ij,ij->", sup.factor, sup.cross))
+    blocks = metrics[:-1]
+    ranks = [met.rank for met in blocks]
+    offsets = np.cumsum([0] + ranks)
     stacked = np.empty((offsets[-1], h.shape[1]))
-    for b, (met, rows) in enumerate(zip(metrics, np.split(h, np.cumsum(widths)[:-1]))):
-        q = np.matmul(met.factor.T, rows, out=stacked[offsets[b]:offsets[b + 1]])
-        if np.linalg.norm(q) <= 1e-14 * math.sqrt(np.vdot(met.factor, met.cross)) * norm:
-            raise NonContributingBlockError(
-                f"block {ids[b]!r} has zero cross-product with the superblock "
-                "and cannot contribute; drop it from the analysis"
-            )
+    spread = np.empty(len(blocks))  # tr(B_b'G_b B_b)
+    runs = _factor_runs(blocks)
+    for run, rows, q in zip(runs, _row_runs(h, widths, runs), _row_runs(stacked, ranks, runs)):
+        factors = _stack([met.factor for met in blocks[run]])
+        np.matmul(factors.swapaxes(1, 2), rows, out=q)
+        spread[run] = np.einsum("kij,kij->k", factors, np.array([met.cross for met in blocks[run]]))
+    # ||Q_b||_F from one reduction over the rows; a segment of no rows is zero
+    norms, full = np.zeros(len(blocks)), np.diff(offsets) > 0
+    if full.any():
+        norms[full] = np.sqrt(np.add.reduceat(np.einsum("ij,ij->i", stacked, stacked),
+                                              offsets[:-1][full]))
+    if (zero := norms <= 1e-14 * np.sqrt(spread) * norm).any():
+        raise NonContributingBlockError(
+            f"block {ids[int(np.argmax(zero))]!r} has zero cross-product with the superblock "
+            "and cannot contribute; drop it from the analysis"
+        )
     return TransformedProblem(stacked, m, ids, offsets)
 
 
@@ -513,9 +600,11 @@ def solve_matrices(
     if smat.shape[0] != blocks.shape[0]:
         raise DimensionError(f"superblock has {smat.shape[0]} rows, not {blocks.shape[0]}")
     names = list(ids) if ids is not None else [str(b + 1) for b in range(len(widths))]
-    mats = np.split(blocks, np.cumsum(widths)[:-1], axis=1)
-    data = [(mat, None) for mat in mats] if carried is None else carried.block_data(mats)
-    metrics = [build_metric(x, tau, gram) for (x, gram), tau in zip(data, modes.block_taus)]
+    widths = list(widths)
+    runs = _runs(list(zip(widths, modes.block_taus)))
+    data = ([(x, None) for x in _block_views(blocks, widths, runs)] if carried is None
+            else carried.block_data(runs))
+    metrics = _block_metrics(data, [modes.block_taus[run.start] for run in runs])
     metrics.append(carried.factor() if carried else build_metric(smat, modes.superblock_tau))
     problem = _transform(blocks, widths, names, metrics, config.m, superblock)
 
@@ -542,10 +631,10 @@ def solve_matrices(
         raise AllStartsFailedError(f"every start failed; last failure: {last_failure}")
     _, _, c, trace = max(results, key=lambda res: res[0])  # ties keep the earliest start
     trace.warnings.extend(warnings)
-    return _back_map(c, trace, problem, mats, smat, names, metrics, config.m, carried)
+    return _back_map(c, trace, problem, blocks, widths, smat, names, metrics, config.m, carried)
 
 
-def _back_map(c, trace, problem, mats, smat, ids, metrics, m, carried) -> Solution:
+def _back_map(c, trace, problem, blocks, widths, smat, ids, metrics, m, carried) -> Solution:
     """Weights and components from the solution c (superblock factor coordinates).
 
     Segment b of problem.stacked @ c is P_b'y_super / n, so its norm is
@@ -556,7 +645,8 @@ def _back_map(c, trace, problem, mats, smat, ids, metrics, m, carried) -> Soluti
     space of smat: the least-norm solution for the deflated superblock, which
     is rank deficient by construction, so no warning says so at ranks >= 2.
     A `carried` superblock's blocks are X_b deflated on Y_b, and each block
-    component is Pi_b (X_b w_b).
+    component is Pi_b (X_b w_b). Each run of block factors of one shape and
+    layout takes one product for its weights and one for its components.
     """
     factor, off = metrics[-1].factor, None if carried is None else carried.off
     w_super = w_smat = factor @ c
@@ -572,22 +662,22 @@ def _back_map(c, trace, problem, mats, smat, ids, metrics, m, carried) -> Soluti
     y_super = smat @ w_smat
 
     covs = problem._norms(segments)
+    if (zero := covs == 0.0).any():
+        raise NonContributingBlockError(
+            f"block {ids[int(np.argmax(zero))]!r} is uncorrelated with the superblock component"
+        )
+    ranks = np.diff(problem.offsets)
+    units = segments / np.repeat(covs, ranks)
+    runs = _factor_runs(metrics[:-1])
+    ys = np.empty((len(widths), smat.shape[0]))
     w_blocks: list[np.ndarray] = []
-    y_blocks: list[np.ndarray] = []
-    for b, (mat, met, seg) in enumerate(
-        zip(mats, metrics[:-1], np.split(segments, problem.offsets[1:-1]))
-    ):
-        if covs[b] == 0.0:
-            raise NonContributingBlockError(
-                f"block {ids[b]!r} is uncorrelated with the superblock component"
-            )
-        w_b = met.factor @ (seg / covs[b])
-        w_blocks.append(w_b)
-        y_blocks.append(mat @ w_b)
+    for run, u, x in zip(runs, _row_runs(units, ranks, runs), _block_views(blocks, widths, runs)):
+        w = np.matmul(_stack([met.factor for met in metrics[run]]), u[..., None])[..., 0]
+        np.matmul(x, w[..., None], out=ys[run, :, None])
+        w_blocks.extend(w)
     if carried is not None and carried.units is not None:  # Pi_b (X_b w_b)
-        ys = np.array(y_blocks)
         ys -= ((ys @ carried.units) * carried.owner) @ carried.units.T
-        y_blocks = list(ys)
+    y_blocks = list(ys)
 
     return Solution(
         w_super=w_super,

@@ -14,7 +14,8 @@ the per-block image products for the transform's closed form.
 `build_metrics`, `transform` and `problem_from_qs` build the metrics and
 the transformed problem outside a solve, as the tests need them.
 `component_correlations` gives the correlations between an extract's ranks
-that the deflation orthogonality tests check.
+that the deflation orthogonality tests check. The `per_block_*` functions
+are the one-block-at-a-time references for the solver's stacked runs.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from rcpca.errors import (
     SingularGradientError,
 )
 from rcpca.metrics import DEFAULT_RANK_TOLERANCE
-from rcpca.solver import CarriedSuperblock, _transform
+from rcpca.solver import CarriedSuperblock, _block_views, _transform
 
 M_GRID = (1.0, 1.5, 2.0, 3.0, 4.0)
 TAU_GRID = (0.0, 0.3, 1.0)
@@ -484,6 +485,48 @@ def reference_auxiliary_solve(blockset, block_taus, m, epsilon=1e-12, max_iter=1
     return y, iterations, values
 
 
+# ---------------------------------------------------------------------------
+# per-block references of the solver's stacked runs
+
+
+def per_block_downdates(carried, mats):
+    """(data, Gram or None) of each block deflated on its Y_b, one block at a time.
+
+    The reference for `CarriedSuperblock.block_data`: block b's rank-1 Gram
+    downdated on its rows A_b of F, then projected off its own earlier
+    weights W_b when it has any; a wide block's data deflated instead.
+    """
+    n = carried.x.shape[0]
+    cuts = np.cumsum(carried.widths)[:-1]
+    rows = np.split(carried.cross * np.repeat(carried.owner, carried.widths, axis=0), cuts)
+    weights = [None] * len(mats) if carried.weights is None else np.split(carried.weights, cuts)
+    out = []
+    for mat, a, w in zip(mats, rows, weights):
+        if mat.shape[1] > n:
+            out.append((mat - carried.units @ a.T, None))
+            continue
+        g = mat.T @ mat / n - a @ a.T / n
+        if w is not None:
+            z = np.linalg.qr(w)[0]
+            g -= z @ (z.T @ g)
+            g -= (g @ z) @ z.T
+        out.append((mat, g))
+    return out
+
+
+def per_block_segments(h, widths, metrics):
+    """Segment b = B_b' times block b's rows of H, one product per block."""
+    rows = np.split(h, np.cumsum(widths)[:-1])
+    return np.vstack([met.factor.T @ r for met, r in zip(metrics, rows)])
+
+
+def per_block_back_map(mats, metrics, segments, covs):
+    """w_b = B_b u_b with u_b the unit segment, and X_b w_b, one block at a time."""
+    segs = np.split(segments, np.cumsum([met.rank for met in metrics])[:-1])
+    w_blocks = [met.factor @ (seg / cov) for met, seg, cov in zip(metrics, segs, covs)]
+    return w_blocks, [mat @ w for mat, w in zip(mats, w_blocks)]
+
+
 class _DeflatedBlocks(CarriedSuperblock):
     """A carried Mode B superblock whose blocks come in deflated, as data.
 
@@ -497,8 +540,8 @@ class _DeflatedBlocks(CarriedSuperblock):
         super().__init__(x, widths)
         self.blocks = x
 
-    def block_data(self, mats):
-        return [(mat, None) for mat in mats]
+    def block_data(self, runs):
+        return [(x, None) for x in _block_views(self.blocks, self.widths, runs)]
 
     def rows(self):
         if self.off is None:  # rank 1 is the plain solve, bit for bit

@@ -463,8 +463,6 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.err == (
             "warning: requested 9 components but the smallest block rank is 4; returning 4\n"
-            "warning: own-component deflation with a Mode B superblock: orthogonality "
-            "guarantees are weakened; check the correlations of the ranks' components\n"
         )
         assert captured.out == f"wrote 4 rank(s) to {out}\n"
 

@@ -14,6 +14,9 @@ from helpers import (
     full_rank_blockset,
     latent_blockset,
     metric_condition,
+    per_block_back_map,
+    per_block_downdates,
+    per_block_segments,
     problem_from_qs,
     q_blocks,
     random_blockset,
@@ -39,10 +42,12 @@ from rcpca import (
     GradientOracle,
     ModeSelector,
     SolverConfig,
+    TransformedProblem,
     build_blockset,
     build_metric,
     contributions,
     deflate,
+    extract,
     from_matrix,
     solve,
     solve_matrices,
@@ -56,7 +61,8 @@ from rcpca.errors import (
     SingularGradientError,
     UndefinedContributionsError,
 )
-from rcpca.solver import _eigen_start, _transform
+from rcpca import solver
+from rcpca.solver import CarriedSuperblock, SolverTrace, _eigen_start, _transform
 
 
 def step(problem, v):
@@ -217,6 +223,129 @@ class TestTransformSources:
             solve(build_blockset([p, q]), uniform_modes("A", "A", 2), cfg)
 
 
+# n, widths, and the block given an exact duplicate column (or None)
+STACKED_CASES = {
+    "mixed_widths": (60, [8, 8, 5, 8, 8, 8, 3, 3], None),
+    "deficient_in_a_run": (60, [8, 8, 8, 8, 5], 2),
+    "wide_block": (40, [8, 8, 70, 8, 8], None),
+}
+
+
+def stacked_case(name, seed=0):
+    """Blocks in runs of equal widths, columns at scales spread over e^(+-2)."""
+    n, widths, deficient = STACKED_CASES[name]
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for b, j in enumerate(widths):
+        x = rng.standard_normal((n, j)) * rng.lognormal(0.0, 1.0, j)
+        if b == deficient:
+            x[:, -1] = x[:, 0]
+        blocks.append(from_matrix(f"b{b + 1}", x))
+    return build_blockset(blocks)
+
+
+def stacked_taus(tau, n_blocks):
+    """tau for every block, or ("mixed") 0, 0.5 and 1 in turn, which splits the width runs."""
+    return [(0.0, 0.5, 1.0)[b % 3] for b in range(n_blocks)] if tau == "mixed" else [tau] * n_blocks
+
+
+def assert_same_metrics(got, ref):
+    assert len(got) == len(ref)
+    for b, (g, r) in enumerate(zip(got, ref)):
+        assert g.tau == r.tau and (g.variances is None) == (r.variances is None), b
+        np.testing.assert_array_equal(g.factor, r.factor, err_msg=str(b))
+        np.testing.assert_array_equal(g.cross, r.cross, err_msg=str(b))
+        if r.variances is not None:
+            np.testing.assert_array_equal(g.variances, r.variances, err_msg=str(b))
+
+
+class TestStackedRuns:
+    """Runs of consecutive same-shape blocks take one stacked call; each equals its block alone."""
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0, "mixed"])
+    @pytest.mark.parametrize("case", sorted(STACKED_CASES))
+    def test_metrics_equal_per_block(self, case, tau):
+        bs = stacked_case(case)
+        widths = [b.n_vars for b in bs.blocks]
+        taus = stacked_taus(tau, len(widths))
+        runs = solver._runs(list(zip(widths, taus)))
+        data = [(x, None) for x in solver._block_views(bs.superblock, widths, runs)]
+        got = solver._block_metrics(data, [taus[run.start] for run in runs])
+        mats = np.split(bs.superblock, np.cumsum(widths)[:-1], axis=1)
+        assert_same_metrics(got, [build_metric(x, t) for x, t in zip(mats, taus)])
+        if case == "deficient_in_a_run" and tau == 0.0:  # the duplicate column takes the eigh
+            assert [met.variances is None for met in got] == [True, True, False, True, True]
+            assert got[2].rank == 7
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0, "mixed"])
+    @pytest.mark.parametrize("case", sorted(STACKED_CASES))
+    def test_segments_and_back_map_equal_per_block(self, case, tau):
+        bs = stacked_case(case)
+        widths = [b.n_vars for b in bs.blocks]
+        modes = ModeSelector(tuple(stacked_taus(tau, len(widths))), 0.5)
+        sol = solve(bs, modes, SolverConfig())
+        metrics = [build_metric(x, t) for x, t in
+                   zip(np.split(bs.superblock, np.cumsum(widths)[:-1], axis=1), modes.block_taus)]
+        metrics.append(build_metric(bs.superblock, 0.5))
+        problem = transform(bs, metrics, 2.0)
+        np.testing.assert_array_equal(
+            problem.stacked, per_block_segments(metrics[-1].cross, widths, metrics[:-1]))
+        c = superblock_coordinates(sol, metrics[-1])
+        trace = SolverTrace(psi=[1.0], step_norm=[], iterations=0, converged=True,
+                            fixed_point_residual=0.0)
+        got = solver._back_map(c, trace, problem, bs.superblock, widths, bs.superblock, bs.ids,
+                               metrics, 2.0, None)
+        w_super = metrics[-1].factor @ c
+        segments = problem.stacked @ c * np.sign(w_super[np.argmax(np.abs(w_super))])
+        mats = np.split(bs.superblock, np.cumsum(widths)[:-1], axis=1)
+        w_blocks, y_blocks = per_block_back_map(mats, metrics[:-1], segments, got.covs)
+        for b in range(len(widths)):
+            np.testing.assert_array_equal(got.w_blocks[b], w_blocks[b], err_msg=str(b))
+            np.testing.assert_array_equal(got.y_blocks[b], y_blocks[b], err_msg=str(b))
+
+    @pytest.mark.parametrize("own", [False, True])
+    @pytest.mark.parametrize("case", sorted(STACKED_CASES))
+    def test_carried_downdates_equal_per_block(self, case, own):
+        bs = stacked_case(case)
+        widths = [b.n_vars for b in bs.blocks]
+        modes = uniform_modes("B", "B", len(widths))
+        carried = CarriedSuperblock(bs.superblock, widths)
+        for _ in range(2):  # two components, so that W_b has two columns under own
+            sol = solve_matrices(bs.superblock, widths, modes, SolverConfig(), ids=bs.ids,
+                                 superblock=carried)
+            carried.deflate(sol.y_super, *((sol.y_blocks, sol.w_blocks) if own else ()))
+        runs = solver._runs(list(zip(widths, modes.block_taus)))
+        got = [(x, g) for xs, gs in carried.block_data(runs)
+               for x, g in zip(xs, [None] * len(xs) if gs is None else gs)]
+        mats = np.split(bs.superblock, np.cumsum(widths)[:-1], axis=1)
+        for b, ((x, g), (x_ref, g_ref)) in enumerate(zip(got, per_block_downdates(carried, mats))):
+            np.testing.assert_array_equal(x, x_ref, err_msg=str(b))
+            assert (g is None) == (g_ref is None), b
+            if g is not None:
+                np.testing.assert_array_equal(g, g_ref, err_msg=str(b))
+
+    def test_one_cholesky_call_per_run(self, monkeypatch):
+        # 50 Mode B blocks of one width: one stacked call per rank, not 50
+        shapes = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: shapes.append(a.shape) or cholesky(a))
+        rng = np.random.default_rng(3)
+        bs = build_blockset([from_matrix(f"b{b + 1}", rng.standard_normal((450, 8)))
+                             for b in range(50)])
+        ms = extract(bs, uniform_modes("B", "B", 50), SolverConfig(), 3, "global")
+        assert ms.achieved_rank == 3
+        assert shapes == [(50, 8, 8), (1, 400, 400), (50, 8, 8), (50, 8, 8)]
+        assert all(met_rank == 8 for met_rank in ms.solutions[0].block_ranks)
+
+    def test_first_non_contributing_block_of_a_run_is_named(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((8, 2))
+        blocks = [from_matrix("good", x), from_matrix("z1", np.zeros((8, 2))),
+                  from_matrix("z2", np.zeros((8, 2)))]
+        with pytest.raises(NonContributingBlockError, match="block 'z1'"):
+            solve(build_blockset(blocks), uniform_modes("A", "A", 3), SolverConfig())
+
+
 class TestCriterion:
     def test_identity_q_any_m(self):
         for m in M_GRID:
@@ -280,6 +409,37 @@ class TestGradient:
         v /= np.linalg.norm(v)
         psi = problem.value(v)
         assert v @ problem.grad(v) == pytest.approx(m * psi, rel=1e-10)
+
+    def test_grad_reuses_the_product_of_value_only_at_the_same_array(self):
+        rng = np.random.default_rng(5)
+        qs = [rng.standard_normal((3, 4)) for _ in range(3)]
+        problem = problem_from_qs(qs, m=3.0)
+        v, w = (x / np.linalg.norm(x) for x in rng.standard_normal((2, 4)))
+        fresh = problem_from_qs(qs, m=3.0).grad(w)
+        problem.value(v)
+        np.testing.assert_array_equal(problem.grad(w), fresh)  # another array: its own product
+        problem.value(w)
+        np.testing.assert_array_equal(problem.grad(w), fresh)  # the memo, byte for byte
+
+    @pytest.mark.parametrize("rewrapped", [False, True])
+    def test_one_product_with_the_operator_per_iteration(self, rewrapped):
+        # psi at v_new forms S v_new and the step from v_new reuses it, also through a
+        # GradientOracle that passes the same array on (as perfbench's tracer does)
+        rng = np.random.default_rng(6)
+        base = problem_from_qs([rng.standard_normal((3, 5)) for _ in range(4)], m=2.0)
+        shapes = []
+
+        class Counted(np.ndarray):
+            def __matmul__(self, other):
+                shapes.append(self.shape)
+                return np.asarray(self) @ other
+
+        problem = TransformedProblem(base.stacked.view(Counted), 2.0, base.ids, base.offsets)
+        oracle = (GradientOracle(value=lambda v: problem.value(v), grad=lambda v: problem.grad(v))
+                  if rewrapped else problem)
+        v, trace = sphere_maximize(oracle, SolverConfig(m=2.0), np.ones(5))
+        assert trace.iterations > 2
+        assert shapes.count(base.stacked.shape) == trace.iterations + 1
 
     def test_singular_for_m_below_two(self):
         problem = problem_from_qs([np.array([[1.0, 0.0]])], m=1.5)
