@@ -122,7 +122,7 @@ def build_metric(data, tau: float, gram: np.ndarray | None = None) -> ShrinkageM
     n, j = x.shape
     wide = j > n
     if gram is None:
-        gram = (x @ x.T if wide else x.T @ x) / n
+        gram = x @ x.T / n if wide else gram_stack(x[None])[0]
     if (met := cholesky_metrics(x[None], tau, gram[None])[0]) is not None:
         return met
     vals, vecs = np.linalg.eigh(gram)  # reads the lower triangle only
@@ -143,7 +143,7 @@ def build_metric(data, tau: float, gram: np.ndarray | None = None) -> ShrinkageM
 
 
 def gram_stack(x: np.ndarray) -> np.ndarray:
-    """X'X/n of each matrix of a (k, n, J) stack, by build_metric's own expression."""
+    """X'X/n of each matrix of a (k, n, J) stack: the one expression for a tall Gram."""
     return x.swapaxes(1, 2) @ x / x.shape[1]
 
 
@@ -156,9 +156,10 @@ def cholesky_metrics(x: np.ndarray, tau: float,
     certificate serve the whole stack, and member i is B = L^(-T), cross =
     L, when its factor certifies full rank: kappa(G) <= ||G||_F
     ||L^(-1)||_F^2 < 1/DEFAULT_RANK_TOLERANCE. Otherwise it is None, and
-    `build_metric` decides that member alone; so is every member when numpy
-    rejects the stack because one of them is not positive definite at
-    roundoff.
+    `build_metric` decides that member alone. numpy rejects a whole stack
+    when one member is not positive definite at roundoff, so such a stack is
+    split in halves until that member stands alone: each slice's factor is
+    the one its member gets alone, and the others keep the route.
     """
     k, n, j = x.shape
     if tau != 0.0 or j >= n:
@@ -167,7 +168,10 @@ def cholesky_metrics(x: np.ndarray, tau: float,
     try:
         low = np.linalg.cholesky(grams)
     except np.linalg.LinAlgError:
-        return [None] * k
+        if k == 1:
+            return [None]
+        h = k // 2
+        return cholesky_metrics(x[:h], tau, grams[:h]) + cholesky_metrics(x[h:], tau, grams[h:])
     inv = _lower_inverse(low)
     bound = np.sqrt(np.einsum("kij,kij->k", grams, grams)) * np.einsum("kij,kij->k", inv, inv)
     return [ShrinkageMetric(0.0, b.T, l, None) if ok else None

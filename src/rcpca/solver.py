@@ -81,10 +81,11 @@ class TransformedProblem:
 
     The Q_b are stacked row-wise into one (sum r_b) x dim matrix `stacked`;
     offsets[b]:offsets[b + 1] are the rows of block b, and ids[b] names it
-    in errors. value(v) keeps (v, S v) as a memo, matched by the identity of
-    v: grad on that same array, unmodified since, reuses the product, so an
-    ascent step that evaluates psi at v_new and then steps from it pays for
-    S v_new once.
+    in errors. value(v) keeps a copy of v and S v as a memo: grad at a v
+    equal to it, entry for entry, reuses the product, so an ascent step that
+    evaluates psi at v_new and then steps from it pays for S v_new once. The
+    O(dim) comparison, not the array's identity, decides, so a v changed in
+    place since gets its own product.
     """
 
     def __init__(self, stacked: np.ndarray, m: float, ids: Sequence[str], offsets: np.ndarray):
@@ -113,13 +114,13 @@ class TransformedProblem:
 
     def value(self, v: np.ndarray) -> float:
         sv = self.stacked @ v
-        self._last = (v, sv)
+        self._last = (np.array(v, copy=True), sv)
         return float((self._norms(sv) ** self.m).sum())
 
     def grad(self, v: np.ndarray) -> np.ndarray:
         """m * sum_b ||Q_b v||^(m-2) Q_b'Q_b v; satisfies v'grad = m*psi."""
         last, sv = self._last
-        if last is not v:
+        if last is None or last.shape != np.shape(v) or not (last == v).all():
             sv = self.stacked @ v
         norms = self._norms(sv)
         zero = norms <= self._zero_tol

@@ -398,16 +398,24 @@ class TestCarriedSuperblock:
     @pytest.mark.parametrize("strategy", ["global", "own"])
     @pytest.mark.parametrize("rank", [1, 3])
     def test_superblock_factored_once(self, monkeypatch, rank, strategy):
-        # the blocks' certified Cholesky factors come from one stacked call per run
-        # and skip build_metric, so the calls are counted by the shape they factor
-        calls = []
-        build = solver.build_metric
+        # each rank builds each block metric once, by a stacked Cholesky call that
+        # certifies it or by build_metric alone, and the superblock's only at rank 1
+        shapes, certified = [], []
+        build, stacked = solver.build_metric, solver.cholesky_metrics
+
+        def counted(x, *args):
+            out = stacked(x, *args)
+            certified.append(sum(met is not None for met in out))
+            return out
+
         monkeypatch.setattr(solver, "build_metric",
-                            lambda x, *args: calls.append(x.shape) or build(x, *args))
+                            lambda x, *args: shapes.append(x.shape) or build(x, *args))
+        monkeypatch.setattr(solver, "cholesky_metrics", counted)
         bs = random_blockset(5, b=4, n=30, js=[3, 4, 3, 5])
         ms = extract(bs, uniform_modes("B", "B", 4), SolverConfig(m=2.0), rank, strategy)
         assert ms.achieved_rank == rank
-        assert calls.count(bs.superblock.shape) == 1
+        assert shapes.count(bs.superblock.shape) == 1
+        assert len(shapes) - 1 + sum(certified) == 4 * rank
 
     @staticmethod
     def assert_matches_deflating_the_data(entry, case, strategy):

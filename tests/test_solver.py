@@ -337,6 +337,24 @@ class TestStackedRuns:
         assert shapes == [(50, 8, 8), (1, 400, 400), (50, 8, 8), (50, 8, 8)]
         assert all(met_rank == 8 for met_rank in ms.solutions[0].block_ranks)
 
+    def test_a_member_numpy_rejects_leaves_the_others_on_the_route(self, monkeypatch):
+        # a zero column makes one Gram not positive definite, so np.linalg.cholesky
+        # rejects the whole stack; the halves that hold it are split off until it
+        # stands alone, and only it takes build_metric
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((7, 60, 8))
+        x[4, :, 3] = 0.0
+        x -= x.mean(axis=1, keepdims=True)
+        calls = []
+        build = solver.build_metric
+        monkeypatch.setattr(solver, "build_metric",
+                            lambda xb, *args: calls.append(xb) or build(xb, *args))
+        got = solver._block_metrics([(x, None)], [0.0])
+        assert len(calls) == 1 and np.shares_memory(calls[0], x[4])
+        assert [met.variances is None for met in got] == [True] * 4 + [False] + [True] * 2
+        assert got[4].rank == 7
+        assert_same_metrics(got, [build_metric(xb, 0.0) for xb in x])
+
     def test_first_non_contributing_block_of_a_run_is_named(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((8, 2))
@@ -410,7 +428,7 @@ class TestGradient:
         psi = problem.value(v)
         assert v @ problem.grad(v) == pytest.approx(m * psi, rel=1e-10)
 
-    def test_grad_reuses_the_product_of_value_only_at_the_same_array(self):
+    def test_grad_reuses_the_product_of_value_only_at_an_equal_array(self):
         rng = np.random.default_rng(5)
         qs = [rng.standard_normal((3, 4)) for _ in range(3)]
         problem = problem_from_qs(qs, m=3.0)
@@ -420,6 +438,11 @@ class TestGradient:
         np.testing.assert_array_equal(problem.grad(w), fresh)  # another array: its own product
         problem.value(w)
         np.testing.assert_array_equal(problem.grad(w), fresh)  # the memo, byte for byte
+        np.testing.assert_array_equal(problem.grad(w.copy()), fresh)  # equal entries: the memo
+        u = v.copy()
+        problem.value(u)
+        u[:] = w  # changed in place after value: the product at its new entries
+        np.testing.assert_array_equal(problem.grad(u), fresh)
 
     @pytest.mark.parametrize("rewrapped", [False, True])
     def test_one_product_with_the_operator_per_iteration(self, rewrapped):
