@@ -17,7 +17,7 @@ from .dataset import (
     from_matrix,
     load_block,
 )
-from .deflation import DeflationStrategy, MultiSolution, deflate, extract
+from .deflation import DeflationStrategy, MultiSolution, extract
 from .methods import (
     RELATED_FIXED_POINT_METHODS,
     MethodPreset,
@@ -77,6 +77,5 @@ __all__ = [
     "verify_stationary",
     "DeflationStrategy",
     "MultiSolution",
-    "deflate",
     "extract",
 ]

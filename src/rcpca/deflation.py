@@ -19,16 +19,17 @@ control what gets deflated:
            of block components within blocks and of superblock components
            at the same time.
 
-Each rank writes one n x J array whose column views are the blocks: the
-deflated superblock (global), or the deflated blocks, which are the
-superblock too except under own, which passes its superblock separately.
-Block metrics are rebuilt at every rank, so the normalization constraints
-keep their meaning. A Mode B superblock under global or own writes no array
-(`solver.CarriedSuperblock`): it is factored once, and block b at rank r is
-Pi_b X_b, Pi_b = I - Y_b Y_b' on the unit components Y_b so far (the
-superblock's under global, b's own under own). Ranks are inherently
-sequential; each per-rank solve is deterministic. The orthogonality above
-holds for the components in the result.
+One record, `solver.Deflation`, keeps for every strategy the unit
+directions each block is projected off: in row space (the superblock
+components, or each block's own) or in column space (its loadings). A
+block's directions are orthonormal, so its rank-r matrix is one orthogonal
+projection of its rank-1 one, and one product, X - Y A', forms all blocks.
+They are the superblock too, except under own, whose superblock is a second
+record, deflated on the superblock components. Block metrics are rebuilt at
+every rank, so the normalization constraints keep their meaning. A Mode B
+superblock under global or own forms no array: the record carries its
+rank-1 factor. Ranks are inherently sequential; each per-rank solve is
+deterministic. The orthogonality above holds for the components in the result.
 """
 
 from __future__ import annotations
@@ -36,11 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from .dataset import BlockSet
 from .metrics import ModeSelector
-from .solver import CarriedSuperblock, Solution, SolverConfig, add_rank_warnings, solve_matrices
+from .solver import Deflation, Solution, SolverConfig, add_rank_warnings, solve_matrices
 
 
 class DeflationStrategy(str, Enum):
@@ -65,37 +64,6 @@ class MultiSolution:
     warnings: list[str] = field(default_factory=list)
 
 
-def deflate(x: np.ndarray, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Residual of the columnwise regression of x on q, written into `out` if given.
-
-    Every column of the result is orthogonal to q; when q is a combination
-    of the columns of x, the combinations of the residual columns are
-    exactly the combinations of x orthogonal to q. (-q c') + x, one array,
-    is x - q c' bit for bit: x + (-p) == x - p in IEEE arithmetic. `out`
-    must not overlap x.
-    """
-    x = np.asarray(x, dtype=float)
-    q = np.asarray(q, dtype=float).ravel()
-    if q.shape[0] != x.shape[0]:
-        raise ValueError(f"q has length {q.shape[0]}, expected {x.shape[0]}")
-    qq = float(q @ q)
-    if qq == 0.0:
-        raise ValueError("cannot deflate on a zero vector")
-    p = np.multiply.outer(q, -((q @ x) / qq), out=out)
-    return np.add(x, p, out=p)
-
-
-def _deflate_loading(x: np.ndarray, y_super: np.ndarray, out: np.ndarray) -> None:
-    # column-space deflation on the unit loading direction p = X'y/|X'y|
-    p = x.T @ y_super
-    nrm = np.linalg.norm(p)
-    if nrm == 0.0:
-        out[...] = x
-        return
-    p = p / nrm
-    np.add(x, np.multiply.outer(x @ p, -p, out=out), out=out)
-
-
 def extract(
     blockset: BlockSet,
     modes: ModeSelector,
@@ -110,30 +78,33 @@ def extract(
     truncated with a warning rather than failing.
 
     Below the cap no deflation annihilates a block, so none is checked for.
-    Every deflation is a rank-one projection, so by Cauchy interlacing a
-    block deflated r < cap times keeps ||X_b^(r)||_F >= sigma_(r+1)(X_b) >=
-    sigma_cap(X_b); the metric's rank cut keeps sigma_cap(X_b) at or above
-    sqrt(eps) ||X_b||_F.
+    A block deflated r < cap times is one orthogonal projection of X_b off
+    r orthonormal directions, so by Cauchy interlacing it keeps
+    ||X_b^(r)||_F >= sigma_(r+1)(X_b) >= sigma_cap(X_b); the metric's rank
+    cut keeps sigma_cap(X_b) at or above sqrt(eps) ||X_b||_F.
     """
     strategy = DeflationStrategy(strategy)
-    own = strategy is DeflationStrategy.OWN
     if rank < 1:
         raise ValueError("rank must be at least 1")
 
-    # smat: own's separate superblock from rank 2 on, or a Mode B superblock carried
-    whole, smat = blockset.superblock, None
     widths = [b.n_vars for b in blockset.blocks]
-    if (strategy in (DeflationStrategy.GLOBAL, DeflationStrategy.OWN)
-            and modes.superblock_tau == 0.0):
-        smat = CarriedSuperblock(whole, widths)
-    cuts = np.cumsum(widths)[:-1]
     ids = list(blockset.ids)
+    blocks = Deflation(blockset.superblock, widths)
+    own = strategy is DeflationStrategy.OWN
+    # a Mode B superblock under global or own is carried: factored once, blocks never formed
+    carried = (own or strategy is DeflationStrategy.GLOBAL) and modes.superblock_tau == 0.0
+    # else own's superblock, apart from its blocks, on its own components
+    sup = Deflation(blockset.superblock, widths) if own and not carried else None
 
     warnings: list[str] = []
     solutions: list[Solution] = []
     target = rank
     for r in range(rank):
-        sol = solve_matrices(whole, widths, modes, config, ids=ids, superblock=smat)
+        if carried:
+            sol = solve_matrices(blocks.x, widths, modes, config, ids=ids, superblock=blocks)
+        else:  # rank 1's superblock is the blocks side by side under every strategy
+            sol = solve_matrices(blocks.deflated(), widths, modes, config, ids=ids,
+                                 superblock=sup.deflated() if sup and r else None)
         solutions.append(sol)
         if r == 0 and rank > (cap := min(sol.block_ranks)):
             target = cap
@@ -143,24 +114,14 @@ def extract(
             ))
         if r + 1 >= target:
             break
-        if isinstance(smat, CarriedSuperblock) and own:  # each block on its own y_b
-            smat.deflate(sol.y_super, sol.y_blocks, sol.w_blocks)
-        elif isinstance(smat, CarriedSuperblock):  # every block on y_super
-            smat.deflate(sol.y_super)
-        elif strategy is DeflationStrategy.GLOBAL:
-            whole = deflate(whole, sol.y_super)
-        else:  # each block on its loading direction or its own y_b, into its columns
-            if own:  # the superblock on its own component
-                smat = deflate(whole if smat is None else smat, sol.y_super)
-            new = np.empty_like(whole)
-            for x, y_b, out in zip(np.split(whole, cuts, axis=1), sol.y_blocks,
-                                   np.split(new, cuts, axis=1)):
-                if strategy is DeflationStrategy.LOADING:
-                    _deflate_loading(x, sol.y_super, out)
-                else:
-                    deflate(x, y_b, out)
-            whole = new
-            del x  # its view would keep the previous array alive through the next solve
+        if strategy is DeflationStrategy.GLOBAL:
+            blocks.add(sol.y_super)
+        elif strategy is DeflationStrategy.LOADING:
+            blocks.add_loadings(sol.y_super)
+        else:
+            blocks.add(sol.y_super, sol.y_blocks, sol.w_blocks)
+        if sup:
+            sup.add(sol.y_super)
 
     add_rank_warnings(solutions, widths, modes, ids)
     return MultiSolution(

@@ -39,11 +39,12 @@ once Lanczos has used up the budget or cannot converge within it. A solve
 is deterministic given its configuration and never modifies the problem it
 reads.
 
-Under `global` and `own` a Mode B superblock is factored once, at rank 1
-(`CarriedSuperblock`), and no deflated block is formed: later ranks solve
-in those coordinates off the earlier components, with block metrics from
-the rank-1 block Grams downdated on the components each block is deflated
-on (the superblock's, or its own).
+`Deflation` records what an extract has deflated under every strategy and
+forms the deflated blocks in one product. Under `global` and `own` it
+carries a Mode B superblock instead, factored once, and forms no block:
+later ranks solve in those coordinates off the earlier components, with
+block metrics from the rank-1 block Grams downdated on the components each
+block is deflated on (the superblock's, or its own).
 """
 
 from __future__ import annotations
@@ -149,7 +150,8 @@ class SolverConfig:
     Additional starts beyond the first are random with seeds seed+1,
     seed+2, ... and the winner is the largest criterion value (ties keep
     the earliest start). When every start fails, the solve raises
-    AllStartsFailedError naming the last failure.
+    AllStartsFailedError naming the last failure. A negative seed, or an init
+    array with a NaN or infinite entry, raises ValueError at construction.
 
     epsilon bounds the step ||v_new - v|| between unit iterates, the
     fixed-point residual at v: the solve stops at the first step no longer
@@ -178,6 +180,10 @@ class SolverConfig:
             raise ValueError("n_starts must be at least 1")
         if isinstance(self.init, str) and self.init not in ("eigen", "random"):
             raise ValueError(f"unknown init {self.init!r}")
+        if not isinstance(self.init, str) and not np.isfinite(np.asarray(self.init, float)).all():
+            raise ValueError("init must hold finite numbers")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -228,26 +234,33 @@ class Solution:
     superblock_rank: int = 0
 
 
-class CarriedSuperblock:
-    """A Mode B superblock X, factored once, and its blocks, deflated on unit components.
+class Deflation:
+    """What an extract has deflated: the directions each block is projected off.
 
-    P = X B, with B the factor the first solve builds, has P'P / n = I. Each
-    superblock component y = P c adds its unit c = P'y / n to E (`off`), and X
-    deflated on them has the column-space projector P (I - EE') P' / n, so
-    later solves keep X's coordinates, off E. Block b is Pi_b X_b, never
-    formed: Pi_b = I - Y_b Y_b', Y_b the columns of Y (`units`) that `owner`
-    marks for b, the superblock's components (`global`) or b's own (`own`).
-    b's rows of F = X'Y (`cross`) on them, A_b = X_b'Y_b, downdate its rank-1
-    Gram G_b = X_b'X_b / n (`grams`), which keeps its relative accuracy
-    whatever the superblock's conditioning, to G_b - A_b A_b' / n; a wide
-    block gets Pi_b X_b = X_b - Y_b A_b'. Both take one stacked call per run
-    of blocks.
+    Each deflation takes rank-one parts u f' off the blocks, and a block's
+    parts are orthogonal, so block b deflated is X_b - Y_b A_b', one
+    orthogonal projection of it. Y (`units`) holds the u, F (`cross`) the f
+    over all of X's columns, `owner` the blocks each column deflates, and A
+    is F with block b's rows kept on b's columns. In row space u is a unit
+    component and f = X'u: the superblock's, every block's (`global`), or
+    b's own (`block`, `own`). In column space (`loading`) f is b's unit
+    loading p_b, zero off b's rows, and u = X p_b.
+
+    A Mode B superblock under `global` or `own` is carried instead, factored
+    once (`factor`). P = X B has P'P / n = I; each superblock component
+    y = P c adds its unit c = P'y / n to E (`off`), so later solves keep X's
+    coordinates, off E. The blocks are not formed: A_b = X_b'Y_b downdates
+    b's rank-1 Gram G_b = X_b'X_b / n (`grams`), which keeps its relative
+    accuracy whatever the superblock's conditioning, to G_b - A_b A_b' / n;
+    a wide block gets X_b - Y_b A_b'. Both take one stacked call per run of
+    blocks. E, B'F / n and W are kept only while a factor is carried.
     """
 
     def __init__(self, x: np.ndarray, widths: Sequence[int]):
         self.x, self.widths = x, list(widths)
         self.metric: ShrinkageMetric | None = None
-        self.off = self.units = self.cross = self.owner = self.bf = None  # E, Y, F, owner, B'F/n
+        self.units = self.cross = self.owner = None  # Y, F, owner
+        self.off = self.bf = None  # E and B'F / n
         self.grams: list | None = None  # per run, its stack of G_b, or None for wide blocks
         self.weights: np.ndarray | None = None  # W, each block's own earlier weights in its rows
 
@@ -256,12 +269,9 @@ class CarriedSuperblock:
             self.metric = build_metric(self.x, 0.0)
         return self.metric
 
-    def deflate(self, y: np.ndarray, y_blocks=None, w_blocks=None) -> None:
-        """Add the superblock component y to E, and to Y y or each block's own y_b (from w_b)."""
+    def add(self, y: np.ndarray, y_blocks=None, w_blocks=None) -> None:
+        """Deflate every block on the superblock component y, or each on its own y_b (from w_b)."""
         xy = self.x.T @ y
-        c = self.metric.factor.T @ xy
-        c = (c / np.linalg.norm(c))[:, None]
-        self.off = c if self.off is None else np.hstack([self.off, c])
         if y_blocks is None:
             nrm = np.linalg.norm(y)
             u, f, owner = (y / nrm)[:, None], (xy / nrm)[:, None], np.ones((len(self.widths), 1))
@@ -269,16 +279,37 @@ class CarriedSuperblock:
             u = np.column_stack(y_blocks)
             u /= np.linalg.norm(u, axis=0)
             f, owner = self.x.T @ u, np.eye(len(y_blocks))
-            w = np.concatenate(w_blocks)[:, None]
-            self.weights = w if self.weights is None else np.hstack([self.weights, w])
-        new = [u, f, owner, self.metric.factor.T @ f / len(self.x)]
-        if self.units is not None:
-            new = [np.hstack(p) for p in zip((self.units, self.cross, self.owner, self.bf), new)]
-        self.units, self.cross, self.owner, self.bf = new
+        if self.metric is not None:
+            c = self.metric.factor.T @ xy
+            self.off = _hstack(self.off, (c / np.linalg.norm(c))[:, None])
+            self.bf = _hstack(self.bf, self.metric.factor.T @ f / len(self.x))
+            if w_blocks is not None:
+                self.weights = _hstack(self.weights, np.concatenate(w_blocks)[:, None])
+        self._record(u, f, owner)
+
+    def add_loadings(self, y: np.ndarray) -> None:
+        """Deflate each block in column space on X_b'y, off its earlier loadings, made unit."""
+        mask = np.repeat(np.eye(len(self.widths)), self.widths, axis=0)
+        p = self.x.T @ y
+        if self.cross is not None:
+            p -= self.cross @ (self.cross.T @ p)
+        p = mask * (p / np.sqrt((p * p) @ mask @ mask.T))[:, None]
+        self._record(self.x @ p, p, np.eye(len(self.widths)))
+
+    def _record(self, u: np.ndarray, f: np.ndarray, owner: np.ndarray) -> None:
+        self.units, self.cross, self.owner = (
+            _hstack(old, new) for old, new in zip((self.units, self.cross, self.owner), (u, f, owner)))
 
     def _owned(self) -> np.ndarray:
         """A: F with block b's rows kept on b's columns of Y only."""
         return self.cross * np.repeat(self.owner, self.widths, axis=0)
+
+    def deflated(self) -> np.ndarray:
+        """The blocks deflated on everything recorded, X - Y A', in one product; X while none is."""
+        if self.units is None:
+            return self.x
+        p = self.units @ self._owned().T
+        return np.subtract(self.x, p, out=p)
 
     def block_data(self, runs: list[slice]) -> list[tuple[np.ndarray, np.ndarray | None]]:
         """(data, Grams or None) of each run of blocks deflated on its Y_b, for `_block_metrics`.
@@ -351,13 +382,18 @@ def _stack(mats: Sequence[np.ndarray]) -> np.ndarray:
     return np.array([a.T for a in mats]).swapaxes(1, 2)
 
 
+def _hstack(old: np.ndarray | None, new: np.ndarray) -> np.ndarray:
+    """`new` as further columns of `old`, or alone while there is none."""
+    return new if old is None else np.hstack([old, new])
+
+
 def _factor_runs(metrics: Sequence[ShrinkageMetric]) -> list[slice]:
     """Runs of block metrics whose factors share a shape and a layout."""
     return _runs([(met.factor.shape, met.factor.strides) for met in metrics])
 
 
 def _block_metrics(data, taus) -> list[ShrinkageMetric]:
-    """The metrics of each run's blocks, from `data` as `CarriedSuperblock.block_data` gives it.
+    """The metrics of each run's blocks, from `data` as `Deflation.block_data` gives it.
 
     Each run takes one `cholesky_metrics` call; each member it leaves
     without a metric gets `build_metric` alone.
@@ -379,14 +415,14 @@ def _transform(whole, widths, ids, metrics, m, superblock=None) -> TransformedPr
 
     Segment b is B_b' H[rows of b], H = X_B'P_super / n: G B_super, the
     superblock metric's `cross`, when the blocks of `whole` are the
-    superblock; a CarriedSuperblock's closed form, off its E; else one
+    superblock; a carried `Deflation`'s closed form, off its E; else one
     product of X_B' with the image of the separate `superblock`. Each run of
     block factors of one shape and layout takes one product. A segment at
     roundoff of ||P_b||_F ||P_super||_F / n, ||P||_F^2 = n tr(B'GB), raises
     NonContributingBlockError naming the first such block.
     """
     sup, off = metrics[-1], None
-    if isinstance(superblock, CarriedSuperblock):
+    if isinstance(superblock, Deflation):
         h, off = superblock.rows(), superblock.off
     elif superblock is None:
         h = sup.cross
@@ -583,20 +619,21 @@ def solve_matrices(
     modes: ModeSelector,
     config: SolverConfig,
     ids: Sequence[str] | None = None,
-    superblock: np.ndarray | CarriedSuperblock | None = None,
+    superblock: np.ndarray | Deflation | None = None,
 ) -> Solution:
     """Solve on the n x J array `blocks`, whose consecutive `widths` columns are the blocks.
 
     The blocks side by side are the superblock unless a separate
     `superblock` is given: from rank 2 on, `own` passes its superblock
     deflated on its own components, and with a Mode B superblock `global`
-    and `own` pass a CarriedSuperblock, which deflates the rank-1 `blocks`.
+    and `own` pass their `Deflation`, which carries its factor and deflates the
+    rank-1 `blocks`.
     """
     if len(modes.block_taus) != len(widths):
         raise DimensionError(f"{len(modes.block_taus)} block taus for {len(widths)} blocks")
     if any(w < 1 for w in widths) or sum(widths) != blocks.shape[1]:
         raise DimensionError(f"widths {list(widths)} must be >= 1 and sum to {blocks.shape[1]}")
-    carried = superblock if isinstance(superblock, CarriedSuperblock) else None
+    carried = superblock if isinstance(superblock, Deflation) else None
     smat = carried.x if carried is not None else blocks if superblock is None else superblock
     if smat.shape[0] != blocks.shape[0]:
         raise DimensionError(f"superblock has {smat.shape[0]} rows, not {blocks.shape[0]}")

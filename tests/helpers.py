@@ -15,7 +15,9 @@ the per-block image products for the transform's closed form.
 the transformed problem outside a solve, as the tests need them.
 `component_correlations` gives the correlations between an extract's ranks
 that the deflation orthogonality tests check. The `per_block_*` functions
-are the one-block-at-a-time references for the solver's stacked runs.
+are the one-block-at-a-time references for the solver's stacked runs, and
+`deflate`, `deflate_loading` and `sequential_extract` the one-regression-
+at-a-time references for `solver.Deflation`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from rcpca import (
     TransformedProblem,
     build_blockset,
     build_metric,
-    deflate,
     from_matrix,
     solve_matrices,
     sphere_maximize,
@@ -43,7 +44,7 @@ from rcpca.errors import (
     SingularGradientError,
 )
 from rcpca.metrics import DEFAULT_RANK_TOLERANCE
-from rcpca.solver import CarriedSuperblock, _block_views, _transform
+from rcpca.solver import Deflation, _block_views, _transform
 
 M_GRID = (1.0, 1.5, 2.0, 3.0, 4.0)
 TAU_GRID = (0.0, 0.3, 1.0)
@@ -492,7 +493,7 @@ def reference_auxiliary_solve(blockset, block_taus, m, epsilon=1e-12, max_iter=1
 def per_block_downdates(carried, mats):
     """(data, Gram or None) of each block deflated on its Y_b, one block at a time.
 
-    The reference for `CarriedSuperblock.block_data`: block b's rank-1 Gram
+    The reference for `Deflation.block_data`: block b's rank-1 Gram
     downdated on its rows A_b of F, then projected off its own earlier
     weights W_b when it has any; a wide block's data deflated instead.
     """
@@ -527,7 +528,64 @@ def per_block_back_map(mats, metrics, segments, covs):
     return w_blocks, [mat @ w for mat, w in zip(mats, w_blocks)]
 
 
-class _DeflatedBlocks(CarriedSuperblock):
+# ---------------------------------------------------------------------------
+# sequential deflation: the references for `Deflation`
+
+
+def deflate(x, q):
+    """Residual of the columnwise regression of x on q, a rank-one regression of its own.
+
+    Every column of the result is orthogonal to q; when q is a combination
+    of the columns of x, the combinations of the residual columns are
+    exactly the combinations of x orthogonal to q.
+    """
+    x = np.asarray(x, dtype=float)
+    q = np.asarray(q, dtype=float).ravel()
+    if q.shape[0] != x.shape[0]:
+        raise ValueError(f"q has length {q.shape[0]}, expected {x.shape[0]}")
+    qq = float(q @ q)
+    if qq == 0.0:
+        raise ValueError("cannot deflate on a zero vector")
+    return x - np.outer(q, (q @ x) / qq)
+
+
+def deflate_loading(x, y):
+    """x deflated in column space on its unit loading direction p = x'y / ||x'y||."""
+    p = x.T @ y
+    p = p / np.linalg.norm(p)
+    return x - np.outer(x @ p, p)
+
+
+def sequential_extract(blockset, modes, config, rank, strategy="global"):
+    """`extract` deflating the data, one array per rank and one regression per block.
+
+    Each rank's blocks are the previous rank's, each deflated on the
+    superblock component (global), on its own block component (block,
+    own) or in column space on its loading (loading); own also deflates
+    its superblock on the superblock component and passes it separately
+    from rank 2 on. Nothing is carried: every rank factors its superblock
+    afresh. No rank cap is applied.
+    """
+    widths = [b.n_vars for b in blockset.blocks]
+    cuts = np.cumsum(widths)[:-1]
+    whole, smat = blockset.superblock, None
+    solutions = []
+    for _ in range(rank):
+        sol = solve_matrices(whole, widths, modes, config, ids=blockset.ids, superblock=smat)
+        solutions.append(sol)
+        mats = np.split(whole, cuts, axis=1)
+        if strategy == "own":
+            smat = deflate(whole if smat is None else smat, sol.y_super)
+        if strategy == "loading":
+            mats = [deflate_loading(x, sol.y_super) for x in mats]
+        else:
+            ys = [sol.y_super] * len(mats) if strategy == "global" else sol.y_blocks
+            mats = [deflate(x, y) for x, y in zip(mats, ys)]
+        whole = np.hstack(mats)
+    return solutions
+
+
+class _DeflatedBlocks(Deflation):
     """A carried Mode B superblock whose blocks come in deflated, as data.
 
     From rank 2 on, the segments' rows are the product of the deflated
@@ -549,9 +607,10 @@ class _DeflatedBlocks(CarriedSuperblock):
         h = self.blocks.T @ self.metric.image(self.x).T / self.x.shape[0]
         return h - (h @ self.off) @ self.off.T  # the superblock deflated on E
 
-    def deflate(self, y, y_blocks=None, w_blocks=None):
-        super().deflate(y, y_blocks, w_blocks)
-        self.units = self.cross = self.owner = None  # the blocks are deflated already
+    def add(self, y, y_blocks=None, w_blocks=None):
+        super().add(y, y_blocks, w_blocks)
+        # the blocks are deflated already
+        self.units = self.cross = self.owner = self.bf = None
         mats = np.split(self.blocks, np.cumsum(self.widths)[:-1], axis=1)
         ys = [y] * len(mats) if y_blocks is None else y_blocks
         self.blocks = np.hstack([deflate(mat, y_b) for mat, y_b in zip(mats, ys)])
@@ -574,7 +633,7 @@ def data_deflation_extract(blockset, modes, config, rank, strategy="global"):
                              superblock=carried)
         solutions.append(sol)
         if strategy == "own":
-            carried.deflate(sol.y_super, sol.y_blocks, sol.w_blocks)
+            carried.add(sol.y_super, sol.y_blocks, sol.w_blocks)
         else:
-            carried.deflate(sol.y_super)
+            carried.add(sol.y_super)
     return solutions

@@ -7,10 +7,13 @@ from helpers import (
     component_correlations,
     data_deflation_extract,
     deficient_superblock,
+    deflate,
+    deflate_loading,
     latent_blockset,
     random_blockset,
     random_modes,
     scaled_blockset,
+    sequential_extract,
     uniform_modes,
     without_cholesky,
 )
@@ -18,8 +21,6 @@ from rcpca import (
     DeflationStrategy,
     SolverConfig,
     build_blockset,
-    deflate,
-    deflation,
     extract,
     from_matrix,
     preset,
@@ -28,7 +29,8 @@ from rcpca import (
     solve_matrices,
     solver,
 )
-from rcpca.metrics import ShrinkageMetric
+from rcpca.metrics import ModeSelector, ShrinkageMetric
+from rcpca.solver import Deflation
 
 CFG = SolverConfig(m=2.0, epsilon=1e-10, max_iter=50_000)
 
@@ -37,76 +39,99 @@ def off_diagonal_max(c):
     return np.abs(c - np.diag(np.diag(c))).max()
 
 
-class TestDeflate:
+def deflated(x, widths, *directions, loading=False):
+    """x's blocks deflated on each direction in turn, by one `Deflation` record."""
+    rec = Deflation(x, widths)
+    for d in directions:
+        if loading:
+            rec.add_loadings(d)
+        elif isinstance(d, list):  # each block on its own
+            rec.add(d[0], d)
+        else:
+            rec.add(d)
+    return rec.deflated()
+
+
+class TestDeflated:
     def test_hand_computed_residual(self):
         x = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         q = np.array([1.0, -1.0, 0.0])
-        e = deflate(x, q)
+        e = deflated(x, [2], q)
         np.testing.assert_allclose(e[:, 0], [0.0, 0.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(e[:, 1], [0.5, 0.5, -1.0], atol=1e-12)
 
     def test_own_column_is_zeroed(self):
         x = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        e = deflate(x, x[:, 0])
-        np.testing.assert_allclose(e[:, 0], 0.0, atol=1e-12)
-        np.testing.assert_allclose(e[:, 1], x[:, 1], atol=1e-12)
+        for widths, q in (([2], x[:, 0]), ([1, 1], [x[:, 0], x[:, 0]])):
+            e = deflated(x, widths, q)
+            np.testing.assert_allclose(e[:, 0], 0.0, atol=1e-12)
+            np.testing.assert_allclose(e[:, 1], x[:, 1], atol=1e-12)
+        # each block on its own column
+        np.testing.assert_allclose(deflated(x, [1, 1], [x[:, 0], x[:, 1]]), 0.0, atol=1e-12)
 
-    def test_orthogonal_q_is_noop(self):
+    def test_orthogonal_direction_is_noop(self):
         x = np.array([[1.0], [-1.0], [0.0]])
         q = np.array([1.0, 1.0, -2.0])
-        np.testing.assert_allclose(deflate(x, q), x, atol=1e-12)
+        np.testing.assert_allclose(deflated(x, [1], q), x, atol=1e-12)
 
-    def test_zero_q_rejected(self):
-        with pytest.raises(ValueError):
-            deflate(np.eye(3), np.zeros(3))
-
-    def test_result_is_orthogonal_to_q(self):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((10, 4))
-        q = rng.standard_normal(10)
-        e = deflate(x, q)
-        assert np.abs(q @ e).max() <= 1e-10 * np.linalg.norm(x)
+    def test_nothing_recorded_is_the_array_itself(self):
+        x = np.random.default_rng(0).standard_normal((6, 3))
+        assert Deflation(x, [1, 2]).deflated() is x
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6))
-    def test_idempotent(self, seed):
+    def test_columns_are_orthogonal_to_every_direction(self, seed):
+        # row space: each block's columns off its directions; column space: X_b p_b = 0
+        rng = np.random.default_rng(seed)
+        x, widths = rng.standard_normal((10, 7)), [3, 4]
+        cols = np.cumsum([0, *widths])
+        y, z = x @ rng.standard_normal(7), x @ rng.standard_normal(7)
+        z -= y * (y @ z) / (y @ y)
+        e = deflated(x, widths, y, z)
+        assert np.abs(np.column_stack([y, z]).T @ e).max() <= 1e-12 * np.linalg.norm(x)
+        ys = [x[:, :3] @ rng.standard_normal(3), x[:, 3:] @ rng.standard_normal(4)]
+        e = deflated(x, widths, ys)
+        for b, y_b in enumerate(ys):
+            assert np.abs(y_b @ e[:, cols[b]:cols[b + 1]]).max() <= 1e-12 * np.linalg.norm(x)
+        rec = Deflation(x, widths)
+        for _ in range(2):
+            rec.add_loadings(rng.standard_normal(10))
+        e, p = rec.deflated(), rec.cross
+        assert np.abs(e @ p).max() <= 1e-12 * np.linalg.norm(x)
+        for b in range(2):  # each block's loadings are orthonormal and zero off its rows
+            p_b = p[cols[b]:cols[b + 1], rec.owner[b] == 1]
+            np.testing.assert_allclose(p_b.T @ p_b, np.eye(2), atol=1e-14)
+            assert not p[cols[b]:cols[b + 1], rec.owner[b] == 0].any()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_deflating_again_on_a_direction_changes_nothing(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((8, 3))
         q = rng.standard_normal(8)
-        once = deflate(x, q)
-        np.testing.assert_allclose(deflate(once, q), once, atol=1e-12)
+        once = deflated(x, [3], q)
+        np.testing.assert_allclose(deflated(once, [3], q), once, atol=1e-12)
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 6),
-        st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e150]), st.booleans(),
-    )
-    def test_one_allocation_is_bit_for_bit_the_subtraction(self, seed, n, j, scale, into_view):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((n, j)) * scale
-        x[rng.random((n, j)) < 0.2] = rng.choice([0.0, -0.0])
-        q = rng.standard_normal(n) * rng.choice([1e-8, 1.0, 1e8])
-        q[rng.random(n) < 0.2] = 0.0
-        if not q.any():
-            q[0] = 1.0
-        expected = x - np.outer(q, (q @ x) / (q @ q))
-        if into_view:  # a block's columns of a wider array, as extract writes them
-            whole = np.full((n, j + 3), np.nan)
-            got = deflate(x, q, whole[:, 2:2 + j])
-            assert np.isnan(whole[:, :2]).all() and np.isnan(whole[:, 2 + j:]).all()
-        else:
-            got = deflate(x, q)
-        assert got.shape == expected.shape
-        assert np.ascontiguousarray(got).tobytes() == expected.tobytes()
-
-    def test_superblock_deflation_matches_the_blocks(self):
-        # global deflates the superblock once; per block is the same regression
+    def test_one_product_is_the_sequential_regressions(self):
+        # global deflates every block on y, block each on its own y_b, loading in column
+        # space; the one product X - Y A' is the regressions one at a time, to roundoff
         for seed in range(30):
             bs = random_blockset(seed)
-            y = solve(bs, random_modes(seed, bs), SolverConfig()).y_super
-            per_block = np.hstack([deflate(b.matrix, y) for b in bs.blocks])
-            whole = deflate(bs.superblock, y)
-            assert np.linalg.norm(whole - per_block) <= 1e-12 * np.linalg.norm(per_block)
+            widths = [b.n_vars for b in bs.blocks]
+            sol = solve(bs, random_modes(seed, bs), SolverConfig())
+            refs = {
+                "global": [deflate(b.matrix, sol.y_super) for b in bs.blocks],
+                "block": [deflate(b.matrix, y) for b, y in zip(bs.blocks, sol.y_blocks)],
+                "loading": [deflate_loading(b.matrix, sol.y_super) for b in bs.blocks],
+            }
+            recs = {name: Deflation(bs.superblock, widths) for name in refs}
+            recs["global"].add(sol.y_super)
+            recs["block"].add(sol.y_super, sol.y_blocks)
+            recs["loading"].add_loadings(sol.y_super)
+            for name, ref in refs.items():
+                per_block = np.hstack(ref)
+                err = np.linalg.norm(recs[name].deflated() - per_block)
+                assert err <= 1e-12 * np.linalg.norm(per_block), (seed, name)
 
 
 class TestExtract:
@@ -449,22 +474,6 @@ class TestCarriedSuperblock:
         # segments' closed form GB - A(F'B)/n where the data was deflated
         self.assert_matches_deflating_the_data(entry, case, "own")
 
-    @pytest.mark.parametrize("strategy", list(DeflationStrategy))
-    @pytest.mark.parametrize("superblock", ["A", "B"])
-    def test_deflated_arrays_per_strategy(self, monkeypatch, strategy, superblock):
-        # 4 blocks, 3 ranks: two deflations of each block (block, own) or of the
-        # superblock (global, own's separate one), none with a Mode B superblock
-        # under global or own
-        calls = []
-        monkeypatch.setattr(deflation, "deflate", lambda *args: calls.append(1) or deflate(*args))
-        bs = random_blockset(5, b=4, n=30, js=[3, 4, 3, 5])
-        ms = extract(bs, uniform_modes("B", superblock, 4), SolverConfig(), 3, strategy)
-        assert ms.achieved_rank == 3
-        mode_b = superblock == "B"
-        expected = {"global": 0 if mode_b else 2, "block": 8, "loading": 0,
-                    "own": 0 if mode_b else 10}[DeflationStrategy(strategy).value]
-        assert len(calls) == expected
-
     @pytest.mark.parametrize("strategy", ["global", "own"])
     @pytest.mark.parametrize("init", ["random", "weights"])
     def test_starts_and_components_stay_off_earlier_ranks(self, monkeypatch, init, strategy):
@@ -528,26 +537,73 @@ class TestCarriedSuperblock:
 
 
 # ---------------------------------------------------------------------------
+# one deflation record for every strategy
+
+
+# "normalized": standardized blocks scaled to O(1) criterion values
+SEQUENTIAL_CASES = {
+    "normalized": lambda seed: random_blockset(seed, b=3, n=30, js=[3, 4, 5]),
+    "column_scales": lambda seed: column_scaled(random_blockset(seed, b=3, n=30, js=[3, 4, 5])),
+}
+
+
+class TestDeflationRecord:
+    @pytest.mark.parametrize("case", list(SEQUENTIAL_CASES))
+    @pytest.mark.parametrize("superblock_tau", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("strategy", list(DeflationStrategy))
+    def test_matches_sequential_deflation(self, strategy, superblock_tau, case):
+        # one projection per rank, or a carried factor, against deflating the data
+        # one rank-one regression at a time and factoring every rank afresh
+        for seed in range(2):
+            bs = SEQUENTIAL_CASES[case](seed)
+            modes = ModeSelector.from_taus([0.0, 0.5, 1.0], superblock_tau)
+            config = SolverConfig(m=2.0)
+            ms = extract(bs, modes, config, 3, strategy)
+            ref = sequential_extract(bs, modes, config, 3, strategy)
+            assert ms.achieved_rank == 3
+            for r, (got, exp) in enumerate(zip(ms.solutions, ref)):
+                assert got.trace.iterations == exp.trace.iterations, (seed, r)
+                assert got.block_ranks == exp.block_ranks, (seed, r)
+                pairs = zip([got.y_super, *got.y_blocks], [exp.y_super, *exp.y_blocks])
+                for b, (y, y_ref) in enumerate(pairs):
+                    assert cosine_gap(y, y_ref) <= 1e-12, (seed, r, b)
+
+    @pytest.mark.parametrize("strategy", list(DeflationStrategy))
+    @pytest.mark.parametrize("superblock", ["A", "B"])
+    def test_deflated_products_per_strategy(self, monkeypatch, strategy, superblock):
+        # 3 ranks: one product of the deflated blocks at each rank >= 2, two under own,
+        # which deflates its superblock apart, and none with a Mode B superblock
+        # under global or own, which carry it instead
+        products = []
+        form = Deflation.deflated
+        monkeypatch.setattr(Deflation, "deflated", lambda rec: products.append(
+            rec.units is not None) or form(rec))
+        bs = random_blockset(5, b=4, n=30, js=[3, 4, 3, 5])
+        ms = extract(bs, uniform_modes("B", superblock, 4), SolverConfig(), 3, strategy)
+        assert ms.achieved_rank == 3
+        carried = superblock == "B" and strategy in ("global", "own")
+        per_rank = 0 if carried else 2 if strategy == "own" else 1
+        assert sum(products) == 2 * per_rank
+
+
+# ---------------------------------------------------------------------------
 # the Cholesky route of a Mode B superblock against the eigendecomposition route
 
 
 def superblocks_per_rank(bs, ms):
     """The superblock each rank of `ms` solved on, deflated as its strategy deflates."""
     widths = [b.n_vars for b in bs.blocks]
-    cols = np.cumsum([0] + widths)
+    cuts = np.cumsum(widths)[:-1]
     smat = bs.superblock
     out = [smat]
     for prev in ms.solutions[:-1]:
+        mats = np.split(smat, cuts, axis=1)
         if ms.strategy in (DeflationStrategy.GLOBAL, DeflationStrategy.OWN):
             smat = deflate(smat, prev.y_super)
+        elif ms.strategy is DeflationStrategy.LOADING:
+            smat = np.hstack([deflate_loading(x, prev.y_super) for x in mats])
         else:
-            new = np.empty_like(smat)
-            for a, b, y_b in zip(cols[:-1], cols[1:], prev.y_blocks):
-                if ms.strategy is DeflationStrategy.LOADING:
-                    deflation._deflate_loading(smat[:, a:b], prev.y_super, new[:, a:b])
-                else:
-                    deflate(smat[:, a:b], y_b, new[:, a:b])
-            smat = new
+            smat = np.hstack([deflate(x, y_b) for x, y_b in zip(mats, prev.y_blocks)])
         out.append(smat)
     return out
 

@@ -248,5 +248,5 @@ def test_public_api_is_pinned():
         "contributions", "solve", "solve_matrices", "sphere_maximize",
         "MethodPreset", "ModeGuidance", "StationaryCheck", "RELATED_FIXED_POINT_METHODS",
         "guide", "preset", "preset_names", "verify_stationary",
-        "DeflationStrategy", "MultiSolution", "deflate", "extract",
+        "DeflationStrategy", "MultiSolution", "extract",
     }

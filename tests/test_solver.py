@@ -10,6 +10,7 @@ from helpers import (
     collinear_blockset,
     component_matrix,
     deficient_superblock,
+    deflate,
     factor_power,
     full_rank_blockset,
     latent_blockset,
@@ -46,7 +47,6 @@ from rcpca import (
     build_blockset,
     build_metric,
     contributions,
-    deflate,
     extract,
     from_matrix,
     solve,
@@ -62,7 +62,7 @@ from rcpca.errors import (
     UndefinedContributionsError,
 )
 from rcpca import solver
-from rcpca.solver import CarriedSuperblock, SolverTrace, _eigen_start, _transform
+from rcpca.solver import Deflation, SolverTrace, _eigen_start, _transform
 
 
 def step(problem, v):
@@ -309,11 +309,11 @@ class TestStackedRuns:
         bs = stacked_case(case)
         widths = [b.n_vars for b in bs.blocks]
         modes = uniform_modes("B", "B", len(widths))
-        carried = CarriedSuperblock(bs.superblock, widths)
+        carried = Deflation(bs.superblock, widths)
         for _ in range(2):  # two components, so that W_b has two columns under own
             sol = solve_matrices(bs.superblock, widths, modes, SolverConfig(), ids=bs.ids,
                                  superblock=carried)
-            carried.deflate(sol.y_super, *((sol.y_blocks, sol.w_blocks) if own else ()))
+            carried.add(sol.y_super, *((sol.y_blocks, sol.w_blocks) if own else ()))
         runs = solver._runs(list(zip(widths, modes.block_taus)))
         got = [(x, g) for xs, gs in carried.block_data(runs)
                for x, g in zip(xs, [None] * len(xs) if gs is None else gs)]
@@ -868,6 +868,9 @@ class TestSolverConfig:
         ({"max_iter": 0}, "max_iter must be at least 1"),
         ({"n_starts": 0}, "n_starts must be at least 1"),
         ({"init": "lanczos"}, "unknown init 'lanczos'"),
+        ({"init": np.array([1.0, np.nan])}, "init must hold finite numbers"),
+        ({"init": np.array([np.inf, 0.0])}, "init must hold finite numbers"),
+        ({"seed": -1, "init": "random"}, "seed must be non-negative, got -1"),
     ])
     def test_rejects(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
