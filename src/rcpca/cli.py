@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
@@ -170,8 +170,8 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _validate(cfg: RunConfig) -> MethodPreset | None:
-    """Check the configuration; return the preset with m and split filled in."""
+def _validate(cfg: RunConfig) -> tuple[ModeSelector, SolverConfig]:
+    """Check the configuration before any block is read; return the modes and the solver's knobs."""
     if not cfg.blocks:
         raise ConfigError("no block files given (--blocks f1.csv,f2.csv)")
     for path in cfg.blocks:
@@ -186,9 +186,6 @@ def _validate(cfg: RunConfig) -> MethodPreset | None:
         raise ConfigError(f"block ids must be names without a path separator, got {ids}")
     if any(p.exists() and not p.is_dir() for p in (Path(cfg.out), *Path(cfg.out).parents)):
         raise ConfigError(f"--out {cfg.out} is a file or lies under one; name a directory")
-    if cfg.m is not None and not (cfg.m >= 1.0 and math.isfinite(cfg.m)):
-        raise ConfigError(f"--m must be a finite number >= 1, got {cfg.m!r}")
-    entry = None
     if cfg.preset is not None:
         base = preset(cfg.preset)
         if cfg.tau is not None or cfg.tau_super is not None:
@@ -197,8 +194,6 @@ def _validate(cfg: RunConfig) -> MethodPreset | None:
             raise ConfigError(f"--preset {cfg.preset} leaves m free; pass --m")
         if cfg.split is None and base.tau_blocks is None:
             raise ConfigError(f"--preset {cfg.preset} needs --split")
-        # CatalogError (exit 1) for an m or a split that the preset fixes
-        entry = preset(cfg.preset, m=cfg.m, split=cfg.split)
     else:
         if cfg.m is None:
             raise ConfigError("pass either --preset or an explicit --m with --tau/--tau-super")
@@ -218,15 +213,31 @@ def _validate(cfg: RunConfig) -> MethodPreset | None:
                           "add --init file")
     if cfg.components < 1:
         raise ConfigError("--components must be at least 1")
-    if cfg.starts < 1:
-        raise ConfigError("--starts must be at least 1")
-    if cfg.max_iter < 1:
-        raise ConfigError("--max-iter must be at least 1")
-    if not cfg.epsilon > 0.0:
-        raise ConfigError(f"--epsilon must be positive, got {cfg.epsilon!r}")
-    if cfg.seed < 0:
-        raise ConfigError(f"--seed must be non-negative, got {cfg.seed}")
-    return entry
+    try:
+        solver_cfg = SolverConfig(m=float(cfg.m if cfg.m is not None else base.m),
+                                  epsilon=cfg.epsilon, max_iter=cfg.max_iter, seed=cfg.seed,
+                                  n_starts=cfg.starts)
+    except ValueError as exc:  # "<field> must ..., got ...": the flag takes the field's place
+        name, rest = str(exc).split(" ", 1)
+        raise ConfigError(f"{_flag('starts' if name == 'n_starts' else name)} {rest}") from None
+    # CatalogError (exit 1) for an m or a split that the preset fixes or a split out of range
+    entry = None if cfg.preset is None else preset(cfg.preset, m=cfg.m, split=cfg.split)
+    modes = _modes(cfg, entry, len(cfg.blocks))  # each file is one block
+    if cfg.init != "file":
+        return modes, replace(solver_cfg, init=cfg.init)
+    path = Path(cfg.init_file)  # a bad start-vector file is a data error, exit 2
+    if not path.is_file():
+        raise DataError(f"start-vector file not found or not a file: {cfg.init_file}")
+    try:
+        values = [float(s) for s in path.read_text(encoding="utf-8").split()]
+    except UnicodeDecodeError:  # a ValueError too
+        raise DataError(f"start-vector file {cfg.init_file} is not UTF-8 text; "
+                        "save it as UTF-8") from None
+    except ValueError:
+        raise DataError(f"start-vector file {cfg.init_file} must hold numbers") from None
+    if not all(map(math.isfinite, values)):
+        raise DataError(f"start-vector file {cfg.init_file} must hold finite numbers")
+    return modes, replace(solver_cfg, init=np.array(values, dtype=float))
 
 
 def _load_blocks(cfg: RunConfig) -> BlockSet:
@@ -237,28 +248,6 @@ def _load_blocks(cfg: RunConfig) -> BlockSet:
         for path, bid in zip(cfg.blocks, ids)
     ]
     return build_blockset(blocks)
-
-
-def _solver_config(cfg: RunConfig, entry: MethodPreset | None) -> SolverConfig:
-    m = entry.m if entry is not None else cfg.m
-    if cfg.init == "file":
-        path = Path(cfg.init_file)
-        if not path.is_file():
-            raise DataError(f"start-vector file not found or not a file: {cfg.init_file}")
-        try:
-            values = [float(s) for s in path.read_text(encoding="utf-8").split()]
-        except UnicodeDecodeError:  # a ValueError too
-            raise DataError(f"start-vector file {cfg.init_file} is not UTF-8 text; "
-                            "save it as UTF-8") from None
-        except ValueError:
-            raise DataError(f"start-vector file {cfg.init_file} must hold numbers") from None
-        if not all(map(math.isfinite, values)):
-            raise DataError(f"start-vector file {cfg.init_file} must hold finite numbers")
-        init = np.array(values, dtype=float)
-    else:
-        init = cfg.init
-    return SolverConfig(m=float(m), epsilon=cfg.epsilon, max_iter=cfg.max_iter, init=init,
-                        seed=cfg.seed, n_starts=cfg.starts)
 
 
 def _modes(cfg: RunConfig, entry: MethodPreset | None, n_blocks: int) -> ModeSelector:
@@ -366,10 +355,8 @@ def _write_outputs(
 
 
 def run(cfg: RunConfig) -> int:
-    entry = _validate(cfg)
+    modes, solver_cfg = _validate(cfg)
     blockset = _load_blocks(cfg)
-    modes = _modes(cfg, entry, blockset.n_blocks)
-    solver_cfg = _solver_config(cfg, entry)
     result = extract(
         blockset, modes, solver_cfg, cfg.components, DeflationStrategy(cfg.deflate)
     )

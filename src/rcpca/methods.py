@@ -149,7 +149,7 @@ def preset(name: str, *, m: float | None = None, split: int | None = None) -> Me
         if entry.m is not None:
             raise CatalogError(f"preset {name!r} fixes m = {entry.m:g}; do not pass m")
         if not (m >= 1.0 and math.isfinite(m)):
-            raise CatalogError(f"exponent m must be finite and >= 1, got {m}")
+            raise CatalogError(f"m must be finite and >= 1, got {m!r}")
         entry = replace(entry, m=float(m))
     if split is not None:
         if entry.tau_blocks is not None:

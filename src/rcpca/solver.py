@@ -91,7 +91,7 @@ class TransformedProblem:
 
     def __init__(self, stacked: np.ndarray, m: float, ids: Sequence[str], offsets: np.ndarray):
         if not (m >= 1.0 and math.isfinite(m)):
-            raise ValueError(f"exponent m must be finite and >= 1, got {m}")
+            raise ValueError(f"m must be finite and >= 1, got {m!r}")
         self.stacked, self.offsets = stacked, offsets
         self.m = m
         self.ids = list(ids)
@@ -150,8 +150,12 @@ class SolverConfig:
     Additional starts beyond the first are random with seeds seed+1,
     seed+2, ... and the winner is the largest criterion value (ties keep
     the earliest start). When every start fails, the solve raises
-    AllStartsFailedError naming the last failure. A negative seed, or an init
-    array with a NaN or infinite entry, raises ValueError at construction.
+    AllStartsFailedError naming the last failure. An init array with a NaN or
+    infinite entry raises ValueError at construction.
+
+    A bad m, epsilon, max_iter, n_starts or seed raises ValueError at
+    construction with the message "<field> must <condition>, got <value!r>",
+    the field's name first: the CLI reports it with the flag in its place.
 
     epsilon bounds the step ||v_new - v|| between unit iterates, the
     fixed-point residual at v: the solve stops at the first step no longer
@@ -171,19 +175,19 @@ class SolverConfig:
 
     def __post_init__(self):
         if not (self.m >= 1.0 and math.isfinite(self.m)):
-            raise ValueError(f"exponent m must be finite and >= 1, got {self.m}")
+            raise ValueError(f"m must be finite and >= 1, got {self.m!r}")
         if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
+            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
         if self.n_starts < 1:
-            raise ValueError("n_starts must be at least 1")
+            raise ValueError(f"n_starts must be at least 1, got {self.n_starts!r}")
         if isinstance(self.init, str) and self.init not in ("eigen", "random"):
             raise ValueError(f"unknown init {self.init!r}")
         if not isinstance(self.init, str) and not np.isfinite(np.asarray(self.init, float)).all():
             raise ValueError("init must hold finite numbers")
         if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
 
 
 @dataclass
@@ -292,6 +296,8 @@ class Deflation:
         mask = np.repeat(np.eye(len(self.widths)), self.widths, axis=0)
         p = self.x.T @ y
         if self.cross is not None:
+            # classical Gram-Schmidt twice: one pass leaves an error of about u ||X_b'y|| / ||p_b||
+            p -= self.cross @ (self.cross.T @ p)
             p -= self.cross @ (self.cross.T @ p)
         p = mask * (p / np.sqrt((p * p) @ mask @ mask.T))[:, None]
         self._record(self.x @ p, p, np.eye(len(self.widths)))

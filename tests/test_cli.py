@@ -28,6 +28,16 @@ def run_demo(out, *extra):
     ])
 
 
+def routed(tmp_path, route, extra):
+    """extra's flag/value pairs as flags, or as the lines of a --config file."""
+    if route == "flag":
+        return list(extra)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{flag[2:].replace('-', '_')} = {value}\n"
+                           for flag, value in zip(extra[::2], extra[1::2])))
+    return ["--config", str(cfg)]
+
+
 class TestRun:
     def test_demo_dataset_succeeds(self, tmp_path):
         out = tmp_path / "out"
@@ -384,8 +394,8 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "extra, message",
-        [(("--starts", "0"), "--starts must be at least 1"),
-         (("--max-iter", "0"), "--max-iter must be at least 1"),
+        [(("--starts", "0"), "--starts must be at least 1, got 0"),
+         (("--max-iter", "0"), "--max-iter must be at least 1, got 0"),
          (("--epsilon", "0"), "--epsilon must be positive, got 0.0"),
          (("--epsilon", "-1"), "--epsilon must be positive, got -1.0"),
          (("--init", "random", "--seed", "-1"), "--seed must be non-negative, got -1"),
@@ -396,8 +406,9 @@ class TestRun:
          (("--init", "random", "--init-file", "v0.txt"),
           "--init-file is read only with --init file, got --init random; add --init file")],
     )
-    def test_solver_values_are_checked(self, tmp_path, capsys, extra, message):
-        assert run_demo(tmp_path / "o", *extra) == 1
+    @pytest.mark.parametrize("route", ["flag", "config-file key"])
+    def test_solver_values_are_checked(self, tmp_path, capsys, extra, message, route):
+        assert run_demo(tmp_path / "o", *routed(tmp_path, route, extra)) == 1
         assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not (tmp_path / "o").exists()
 
@@ -408,13 +419,33 @@ class TestRun:
          (("--m", "inf", "--tau", "1", "--tau-super", "1"), "inf"),
          (("--m", "nan", "--preset", "redundancy_blocks"), "nan")],
     )
-    def test_m_is_checked(self, tmp_path, capsys, extra, shown):
-        code = main(["run", "--blocks", DEMO_BLOCKS, "--id-column", *extra,
-                     "--out", str(tmp_path / "o")])
+    @pytest.mark.parametrize("route", ["flag", "config-file key"])
+    def test_m_is_checked(self, tmp_path, capsys, extra, shown, route):
+        code = main(["run", "--blocks", DEMO_BLOCKS, "--id-column",
+                     *routed(tmp_path, route, extra), "--out", str(tmp_path / "o")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err == f"configuration error: --m must be a finite number >= 1, got {shown}\n"
+        assert err == f"configuration error: --m must be finite and >= 1, got {shown}\n"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        (("--m", "2", "--tau", "1.5", "--tau-super", "1"), "tau must lie in [0, 1], got 1.5"),
+        (("--m", "2", "--tau", "1,1,1", "--tau-super", "1"), "3 tau values for 2 blocks"),
+        (("--preset", "mixed_carroll", "--split", "3"), "split must lie in 1..2, got 3"),
+        (("--preset", "consensus_pca", "--epsilon", "0"), "--epsilon must be positive, got 0.0"),
+        (("--m", "0.5", "--tau", "1", "--tau-super", "1"),
+         "--m must be finite and >= 1, got 0.5"),
+    ], ids=["tau_above_1", "tau_count", "split_out_of_range", "epsilon", "m"])
+    def test_configuration_faults_come_before_data_faults(self, tmp_path, capsys, extra,
+                                                          message):
+        # the second block does not parse: a run that read it would exit 2
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("a,b\n1,2\n3,4\n5,7\n", encoding="utf-8")
+        bad.write_text("c,d\n1,oops\n2,3\n4,5\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["run", "--blocks", f"{good},{bad}", *extra, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["--preset", "consensus_pca"], "no block files given (--blocks f1.csv,f2.csv)"),

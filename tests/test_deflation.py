@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -80,6 +80,11 @@ class TestDeflated:
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6))
+    # the draws on which one Gram-Schmidt pass left loadings 1.9e-14 off orthonormal
+    @example(seed=1011)
+    @example(seed=4130)
+    @example(seed=9417)
+    @example(seed=16338)
     def test_columns_are_orthogonal_to_every_direction(self, seed):
         # row space: each block's columns off its directions; column space: X_b p_b = 0
         rng = np.random.default_rng(seed)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -862,18 +864,20 @@ class TestSphereMaximize:
 
 class TestSolverConfig:
     @pytest.mark.parametrize("kwargs, message", [
-        ({"epsilon": 0.0}, "epsilon must be positive"),
-        ({"epsilon": -1e-6}, "epsilon must be positive"),
-        ({"epsilon": np.nan}, "epsilon must be positive"),
-        ({"max_iter": 0}, "max_iter must be at least 1"),
-        ({"n_starts": 0}, "n_starts must be at least 1"),
+        ({"epsilon": 0.0}, "epsilon must be positive, got 0.0"),
+        ({"epsilon": -1e-6}, "epsilon must be positive, got -1e-06"),
+        ({"epsilon": np.nan}, "epsilon must be positive, got nan"),
+        ({"max_iter": 0}, "max_iter must be at least 1, got 0"),
+        ({"n_starts": 0}, "n_starts must be at least 1, got 0"),
         ({"init": "lanczos"}, "unknown init 'lanczos'"),
         ({"init": np.array([1.0, np.nan])}, "init must hold finite numbers"),
         ({"init": np.array([np.inf, 0.0])}, "init must hold finite numbers"),
         ({"seed": -1, "init": "random"}, "seed must be non-negative, got -1"),
+        ({"m": 0.5}, "m must be finite and >= 1, got 0.5"),
+        ({"m": np.inf}, "m must be finite and >= 1, got inf"),
     ])
     def test_rejects(self, kwargs, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             SolverConfig(**kwargs)
 
 
