@@ -32,7 +32,6 @@ from .metrics import (
     ModeSelector,
     ShrinkageMetric,
     build_metric,
-    mode_tau,
 )
 from .solver import (
     GradientOracle,
@@ -57,7 +56,6 @@ __all__ = [
     "ModeSelector",
     "ShrinkageMetric",
     "build_metric",
-    "mode_tau",
     "GradientOracle",
     "Solution",
     "SolverConfig",

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
@@ -33,34 +34,6 @@ from .methods import (
 from .solver import SolverConfig
 
 _DELIMITERS = {"comma": ",", "tab": "\t"}
-
-
-@dataclass
-class RunConfig:
-    """Everything one run depends on; flags override config-file values."""
-
-    blocks: list[str] = field(default_factory=list)
-    ids: list[str] | None = None
-    preset: str | None = None
-    split: int | None = None
-    m: float | None = None
-    tau: list[float] | None = None
-    tau_super: float | None = None
-    scale: str = "none"
-    delimiter: str = "comma"
-    id_column: bool = False
-    epsilon: float = SolverConfig.epsilon
-    max_iter: int = SolverConfig.max_iter
-    init: str = SolverConfig.init
-    init_file: str | None = None
-    seed: int = SolverConfig.seed
-    starts: int = SolverConfig.n_starts
-    deflate: str = "global"
-    components: int = 1
-    out: str = "rcpca_out"
-    strict: bool = False
-
-
 _NUMBER = "%.12g"  # every number the CLI writes: the result tables and the manifest
 
 
@@ -116,53 +89,77 @@ class _Option(NamedTuple):
     help: str
 
 
-# config key -> option; the key is also the RunConfig field and the argparse
-# destination, and the flag is "--" plus the key with "_" replaced by "-"
-_OPTIONS = {
-    "blocks": _Option(_csv_list, None, "comma-separated block files"),
-    "ids": _Option(_csv_list, None, "comma-separated block names"),
-    "preset": _Option(str, None, "method preset name (see: rcpca explain)"),
-    "split": _Option(int, None, "block count for mixed presets"),
-    "m": _Option(float, None, "criterion exponent (>= 1)"),
-    "tau": _Option(_floats, None, "per-block shrinkage in [0,1]; one value broadcasts"),
-    "tau_super": _Option(float, None, "superblock shrinkage in [0,1]"),
-    "scale": _Option(str, ("none", "unit"), "unit-variance scaling of the columns (default none)"),
-    "delimiter": _Option(str, tuple(_DELIMITERS), "cell delimiter"),
-    "id_column": _Option(_bool, None, "first column holds row identifiers"),
-    "epsilon": _Option(float, None,
-                       "convergence threshold on the step between unit iterates, "
-                       f"independent of the data's units (default {SolverConfig.epsilon:g})"),
-    "max_iter": _Option(int, None, "iteration cap"),
-    "init": _Option(str, ("eigen", "random", "file"), "start vector"),
-    "init_file": _Option(str, None, "file with the start's superblock weights, one per column"),
-    "seed": _Option(int, None, "seed for random starts"),
-    "starts": _Option(int, None, "number of multi-starts"),
-    "deflate": _Option(str, ("global", "block", "loading", "own"),
-                       "deflation strategy for higher ranks"),
-    "components": _Option(int, None, "number of components to extract"),
-    "out": _Option(str, None, "output directory"),
-    "strict": _Option(_bool, None, "exit 3 when any rank fails to converge"),
-}
+def _key(parse, help: str, choices=None, **default) -> Any:
+    """A RunConfig field that is also a config key and, as "--" + key with "-" for "_", a flag."""
+    return field(**default, metadata={"option": _Option(parse, choices, help)})
+
+
+@dataclass
+class RunConfig:
+    """Everything one run depends on; flags override config-file values.
+
+    Each field is a config key and its flag's destination, with its parser, choices and help.
+    """
+
+    blocks: list[str] = _key(_csv_list, "comma-separated block files", default_factory=list)
+    ids: list[str] | None = _key(_csv_list, "comma-separated block names", default=None)
+    preset: str | None = _key(str, "method preset name (see: rcpca explain)", default=None)
+    split: int | None = _key(int, "block count for mixed presets", default=None)
+    m: float | None = _key(float, "criterion exponent (>= 1)", default=None)
+    tau: list[float] | None = _key(_floats, "per-block shrinkage in [0,1]; one value broadcasts",
+                                   default=None)
+    tau_super: float | None = _key(float, "superblock shrinkage in [0,1]", default=None)
+    scale: str = _key(str, "unit-variance scaling of the columns (default none)", ("none", "unit"),
+                      default="none")
+    delimiter: str = _key(str, "cell delimiter", tuple(_DELIMITERS), default="comma")
+    id_column: bool = _key(_bool, "first column holds row identifiers", default=False)
+    epsilon: float = _key(float, "convergence threshold on the step between unit iterates, "
+                          f"independent of the data's units (default {SolverConfig.epsilon:g})",
+                          default=SolverConfig.epsilon)
+    max_iter: int = _key(int, "iteration cap", default=SolverConfig.max_iter)
+    init: str = _key(str, "start vector", ("eigen", "random", "file"), default=SolverConfig.init)
+    init_file: str | None = _key(str, "file with the start's superblock weights, one per column",
+                                 default=None)
+    seed: int = _key(int, "seed for random starts", default=SolverConfig.seed)
+    starts: int = _key(int, "number of multi-starts", default=SolverConfig.n_starts)
+    deflate: str = _key(str, "deflation strategy for higher ranks",
+                        ("global", "block", "loading", "own"), default="global")
+    components: int = _key(int, "number of components to extract", default=1)
+    out: str = _key(str, "output directory", default="rcpca_out")
+    strict: bool = _key(_bool, "exit 3 when any rank fails to converge", default=False)
+
+
+_OPTIONS = {f.name: f.metadata["option"] for f in fields(RunConfig)}  # config key -> option
+# library field -> config key, where the two differ
+_KEYS = {"n_starts": "starts", "block_taus": "tau", "superblock_tau": "tau_super"}
 
 
 def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _apply_config_file(cfg: RunConfig, values: dict[str, str]):
-    for key, value in values.items():
-        if key not in _OPTIONS:
-            raise ConfigError(f"unknown config key {key!r}")
-        try:
-            setattr(cfg, key, _OPTIONS[key].parse(value))
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from None
+def _flagged(exc: Exception) -> ConfigError:
+    """A library fault "<field> must ..., got ..." with the field's flag in its place."""
+    name, _, rest = str(exc).partition(" ")
+    named = re.fullmatch(r"must .*, got .*", rest, re.S)
+    return ConfigError(f"{_flag(_KEYS.get(name, name))} {rest}" if named else str(exc))
 
 
 def _build_run_config(args: argparse.Namespace) -> RunConfig:
+    """The config file's values, each parsed and checked against its choices, then the flags'."""
     cfg = RunConfig()
-    if args.config:
-        _apply_config_file(cfg, _parse_config_file(args.config))
+    for key, text in (_parse_config_file(args.config) if args.config else {}).items():
+        if key not in _OPTIONS:
+            raise ConfigError(f"unknown config key {key!r}")
+        option = _OPTIONS[key]
+        try:
+            value = option.parse(text)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from None
+        if option.choices is not None and value not in option.choices:
+            allowed = ", ".join(option.choices[:-1]) + " or " + option.choices[-1]
+            raise ConfigError(f"{_flag(key)} must be {allowed}, got {value!r}")
+        setattr(cfg, key, value)
     for key in _OPTIONS:
         value = getattr(args, key)
         if value is not None:
@@ -201,11 +198,6 @@ def _validate(cfg: RunConfig) -> tuple[ModeSelector, SolverConfig]:
             raise ConfigError("explicit runs need --m, --tau and --tau-super")
         if cfg.split is not None:
             raise ConfigError("--split applies to mixed presets only; explicit runs set --tau")
-    for key, option in _OPTIONS.items():
-        value = getattr(cfg, key)
-        if option.choices is not None and value not in option.choices:
-            allowed = ", ".join(option.choices[:-1]) + " or " + option.choices[-1]
-            raise ConfigError(f"{_flag(key)} must be {allowed}, got {value!r}")
     if cfg.init == "file" and not cfg.init_file:
         raise ConfigError("--init file needs --init-file PATH")
     if cfg.init != "file" and cfg.init_file:
@@ -217,12 +209,11 @@ def _validate(cfg: RunConfig) -> tuple[ModeSelector, SolverConfig]:
         solver_cfg = SolverConfig(m=float(cfg.m if cfg.m is not None else base.m),
                                   epsilon=cfg.epsilon, max_iter=cfg.max_iter, seed=cfg.seed,
                                   n_starts=cfg.starts)
-    except ValueError as exc:  # "<field> must ..., got ...": the flag takes the field's place
-        name, rest = str(exc).split(" ", 1)
-        raise ConfigError(f"{_flag('starts' if name == 'n_starts' else name)} {rest}") from None
-    # CatalogError (exit 1) for an m or a split that the preset fixes or a split out of range
-    entry = None if cfg.preset is None else preset(cfg.preset, m=cfg.m, split=cfg.split)
-    modes = _modes(cfg, entry, len(cfg.blocks))  # each file is one block
+        # CatalogError for an m or a split that the preset fixes, or a split out of range
+        entry = None if cfg.preset is None else preset(cfg.preset, m=cfg.m, split=cfg.split)
+        modes = _modes(cfg, entry, len(cfg.blocks))  # each file is one block
+    except (ValueError, ConfigError) as exc:
+        raise _flagged(exc) from None
     if cfg.init != "file":
         return modes, replace(solver_cfg, init=cfg.init)
     path = Path(cfg.init_file)  # a bad start-vector file is a data error, exit 2
@@ -258,10 +249,7 @@ def _modes(cfg: RunConfig, entry: MethodPreset | None, n_blocks: int) -> ModeSel
         taus = taus * n_blocks
     if len(taus) != n_blocks:
         raise ConfigError(f"{len(taus)} tau values for {n_blocks} blocks")
-    try:
-        return ModeSelector.from_taus(taus, cfg.tau_super)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return ModeSelector.from_taus(taus, cfg.tau_super)
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -34,6 +34,7 @@ deterministic. The orthogonality above holds for the components in the result.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -84,6 +85,8 @@ def extract(
     cut keeps sigma_cap(X_b) at or above sqrt(eps) ||X_b||_F.
     """
     strategy = DeflationStrategy(strategy)
+    if not isinstance(rank, numbers.Integral):
+        raise ValueError(f"rank must be an integer, got {rank!r}")
     if rank < 1:
         raise ValueError("rank must be at least 1")
 

@@ -20,10 +20,10 @@ import numpy as np
 
 from .dataset import BlockSet
 from .errors import CatalogError, SingularGradientError, UnsupportedVerificationError
-from .metrics import ModeSelector
+from .metrics import MODES, ModeSelector
 from .solver import Solution
 
-MODE_LABEL = {1.0: "A", 0.0: "B"}
+MODE_LABEL = {tau: mode for mode, tau in MODES.items()}
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ for row, (m_val, bmode, smode) in enumerate(
 ):
     name = f"m{m_val:g}_{bmode.lower()}{smode.lower()}"
     _register(MethodPreset(
-        name, m_val, 1.0 if bmode == "A" else 0.0, 1.0 if smode == "A" else 0.0,
+        name, m_val, MODES[bmode], MODES[smode],
         "method grid", grid_row=row,
         notes=f"exponent {m_val:g}, Mode {bmode} blocks, Mode {smode} superblock",
     ))

@@ -36,33 +36,32 @@ from .errors import DimensionError, ModeBInfeasibleError
 
 DEFAULT_RANK_TOLERANCE = 1e-10
 
-_MODE_TAUS = {"A": 1.0, "a": 1.0, "B": 0.0, "b": 0.0}
+# Mode A (tau = 1) normalizes the weight vector, Mode B (tau = 0) the component variance
+MODES = {"A": 1.0, "B": 0.0}
 
 
 def mode_tau(mode) -> float:
-    """Translate 'A'/'B' (or a numeric shrinkage value) into tau."""
+    """Translate 'A'/'B' (either case) or a number into tau; ModeSelector checks its range."""
     if isinstance(mode, str):
         try:
-            return _MODE_TAUS[mode]
+            return MODES[mode.upper()]
         except KeyError:
             raise ValueError(f"unknown mode {mode!r}; expected 'A', 'B' or a number") from None
-    tau = float(mode)
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    return tau
+    return float(mode)
 
 
 @dataclass(frozen=True)
 class ModeSelector:
-    """Per-block shrinkage constants plus the superblock one."""
+    """Per-block shrinkage constants plus the superblock one, each checked to lie in [0, 1]."""
 
     block_taus: tuple[float, ...]
     superblock_tau: float
 
     def __post_init__(self):
-        for tau in (*self.block_taus, self.superblock_tau):
+        for name, tau in [*(("block_taus", t) for t in self.block_taus),
+                          ("superblock_tau", self.superblock_tau)]:
             if not 0.0 <= tau <= 1.0:
-                raise ValueError(f"tau must lie in [0, 1], got {tau}")
+                raise ValueError(f"{name} must lie in [0, 1], got {tau}")
 
     @staticmethod
     def from_taus(block_taus: Sequence, superblock) -> "ModeSelector":

@@ -50,6 +50,7 @@ block is deflated on (the superblock's, or its own).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -81,12 +82,12 @@ class TransformedProblem:
     """psi(v) = sum_b ||Q_b v||^m and its gradient.
 
     The Q_b are stacked row-wise into one (sum r_b) x dim matrix `stacked`;
-    offsets[b]:offsets[b + 1] are the rows of block b, and ids[b] names it
-    in errors. value(v) keeps a copy of v and S v as a memo: grad at a v
-    equal to it, entry for entry, reuses the product, so an ascent step that
-    evaluates psi at v_new and then steps from it pays for S v_new once. The
-    O(dim) comparison, not the array's identity, decides, so a v changed in
-    place since gets its own product.
+    offsets[b]:offsets[b + 1] are the rows of block b, at least one, and
+    ids[b] names it in errors. value(v) keeps a copy of v and S v as a memo:
+    grad at a v equal to it, entry for entry, reuses the product, so an
+    ascent step that evaluates psi at v_new and then steps from it pays for
+    S v_new once. The O(dim) comparison, not the array's identity, decides,
+    so a v changed in place since gets its own product.
     """
 
     def __init__(self, stacked: np.ndarray, m: float, ids: Sequence[str], offsets: np.ndarray):
@@ -95,14 +96,13 @@ class TransformedProblem:
         self.stacked, self.offsets = stacked, offsets
         self.m = m
         self.ids = list(ids)
-        # ||Q_b v|| at or below this counts as zero in the gradient; a block's
-        # largest |entry| from the rows' extremes (no |Q| copy), 0 for a zero-row segment
         rows = np.diff(offsets)
-        peak = np.zeros(rows.size)
-        if (full := rows > 0).any():
-            row_peak = np.maximum(stacked.max(axis=1, initial=0.0),
-                                  -stacked.min(axis=1, initial=0.0))
-            peak[full] = np.maximum.reduceat(row_peak, offsets[:-1][full])
+        if (empty := rows < 1).any():
+            raise ValueError(f"block {self.ids[int(np.argmax(empty))]!r} has an empty segment")
+        # ||Q_b v|| at or below this counts as zero in the gradient; a block's
+        # largest |entry| from the rows' extremes (no |Q| copy)
+        row_peak = np.maximum(stacked.max(axis=1, initial=0.0), -stacked.min(axis=1, initial=0.0))
+        peak = np.maximum.reduceat(row_peak, offsets[:-1])
         self._zero_tol = _ROUNDOFF_TOL * peak * np.sqrt(rows * self.dim)
         self._last: tuple = (None, None)  # the memo: (v, S v) of the last value(v)
 
@@ -153,9 +153,10 @@ class SolverConfig:
     AllStartsFailedError naming the last failure. An init array with a NaN or
     infinite entry raises ValueError at construction.
 
-    A bad m, epsilon, max_iter, n_starts or seed raises ValueError at
-    construction with the message "<field> must <condition>, got <value!r>",
-    the field's name first: the CLI reports it with the flag in its place.
+    A bad m, epsilon, max_iter, n_starts or seed, a count that is not a
+    numbers.Integral included, raises ValueError at construction with the
+    message "<field> must <condition>, got <value!r>", the field's name
+    first: the CLI reports it with the flag in its place.
 
     epsilon bounds the step ||v_new - v|| between unit iterates, the
     fixed-point residual at v: the solve stops at the first step no longer
@@ -178,6 +179,9 @@ class SolverConfig:
             raise ValueError(f"m must be finite and >= 1, got {self.m!r}")
         if not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
+        for name in ("max_iter", "n_starts", "seed"):
+            if not isinstance(value := getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
         if self.n_starts < 1:

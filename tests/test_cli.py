@@ -8,7 +8,7 @@ import pytest
 
 from helpers import sample_cov
 from rcpca import SolverConfig, build_blockset, extract, load_block, preset
-from rcpca.cli import _OPTIONS, RunConfig, _build_run_config, build_parser, main
+from rcpca.cli import _OPTIONS, RunConfig, _build_run_config, _flagged, build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMO = ROOT / "data" / "demo"
@@ -164,6 +164,19 @@ class TestRun:
     def test_config_keys_are_the_run_config_fields(self):
         # each key doubles as its RunConfig field and argparse destination
         assert [f.name for f in dataclasses.fields(RunConfig)] == list(_OPTIONS)
+
+    @pytest.mark.parametrize("message, reported", [
+        ("n_starts must be at least 1, got 0", "--starts must be at least 1, got 0"),
+        ("block_taus must lie in [0, 1], got 2.0", "--tau must lie in [0, 1], got 2.0"),
+        ("superblock_tau must lie in [0, 1], got -1.0", "--tau-super must lie in [0, 1], got -1.0"),
+        ("max_iter must be an integer, got 2.5", "--max-iter must be an integer, got 2.5"),
+        ("3 tau values for 2 blocks", "3 tau values for 2 blocks"),
+        ("preset 'sumcor' takes no split", "preset 'sumcor' takes no split"),
+        ("init must hold finite numbers", "init must hold finite numbers"),
+    ])
+    def test_library_faults_are_reported_under_their_flag(self, message, reported):
+        # only "<field> must ..., got ..." is renamed; any other message passes unchanged
+        assert str(_flagged(ValueError(message))) == reported
 
     def test_readme_lists_every_config_key(self):
         text = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -429,9 +442,9 @@ class TestRun:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("extra, message", [
-        (("--m", "2", "--tau", "1.5", "--tau-super", "1"), "tau must lie in [0, 1], got 1.5"),
+        (("--m", "2", "--tau", "1.5", "--tau-super", "1"), "--tau must lie in [0, 1], got 1.5"),
         (("--m", "2", "--tau", "1,1,1", "--tau-super", "1"), "3 tau values for 2 blocks"),
-        (("--preset", "mixed_carroll", "--split", "3"), "split must lie in 1..2, got 3"),
+        (("--preset", "mixed_carroll", "--split", "3"), "--split must lie in 1..2, got 3"),
         (("--preset", "consensus_pca", "--epsilon", "0"), "--epsilon must be positive, got 0.0"),
         (("--m", "0.5", "--tau", "1", "--tau-super", "1"),
          "--m must be finite and >= 1, got 0.5"),
@@ -456,9 +469,9 @@ class TestRun:
         (["--blocks", DEMO_BLOCKS, "--m", "2", "--tau", "1,1,1", "--tau-super", "1"],
          "3 tau values for 2 blocks"),
         (["--blocks", DEMO_BLOCKS, "--m", "2", "--tau", "1.5", "--tau-super", "1"],
-         "tau must lie in [0, 1], got 1.5"),
+         "--tau must lie in [0, 1], got 1.5"),
         (["--blocks", DEMO_BLOCKS, "--m", "2", "--tau", "1", "--tau-super", "-0.5"],
-         "tau must lie in [0, 1], got -0.5"),
+         "--tau-super must lie in [0, 1], got -0.5"),
         (["--blocks", DEMO_BLOCKS, "--ids", "a/b,c", "--preset", "consensus_pca"],
          "block ids must be names without a path separator, got ['a/b', 'c']"),
         (["--blocks", DEMO_BLOCKS, "--ids", "a,c/", "--preset", "consensus_pca"],

@@ -419,6 +419,10 @@ class TestBlock:
         with pytest.raises(DimensionError, match="block 'a': 2 columns, names for 3"):
             Block("a", np.zeros((4, 2)), self.preprocessing(3))
 
+    def test_no_column_rejected(self):
+        with pytest.raises(DimensionError, match="^block 'a': need at least 1 column$"):
+            from_matrix("a", np.zeros((5, 0)))
+
 
 class TestSampleCov:
     def test_variance_of_centered_pair(self):

@@ -280,6 +280,11 @@ class TestExtract:
         with pytest.raises(ValueError):
             extract(bs, uniform_modes("A", "A", 2), CFG, 0, "own")
 
+    def test_rank_must_be_an_integer(self):
+        bs = random_blockset(10, b=2, n=10, js=[2, 2])
+        with pytest.raises(ValueError, match="^rank must be an integer, got 2.5$"):
+            extract(bs, uniform_modes("A", "A", 2), CFG, 2.5, "own")
+
 
 # ---------------------------------------------------------------------------
 # a Mode B superblock factored once per extract (global and own)

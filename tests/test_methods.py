@@ -194,6 +194,12 @@ class TestVerifyStationaryVanishedTerm:
         check = verify_stationary(preset(name), self.component, self.blockset)
         assert check.residual <= 1e-15
 
+    def test_every_term_vanished_scores_sqrt_2(self):
+        # X_b'y = 0 exactly for both blocks, so the image is zero and has no direction
+        component = SimpleNamespace(y_super=np.array([1.0, 1.0, -1.0, -1.0]))
+        check = verify_stationary(preset("consensus_pca"), component, self.blockset)
+        assert check.residual == np.sqrt(2.0)
+
 
 class TestPresetEquivalences:
     def test_m2_mode_a_component_is_eigenvector_twice(self):
@@ -243,7 +249,7 @@ def test_public_api_is_pinned():
     assert set(rcpca.__all__) == {
         "__version__", "errors",
         "Block", "BlockSet", "build_blockset", "from_matrix", "load_block",
-        "ModeSelector", "ShrinkageMetric", "build_metric", "mode_tau",
+        "ModeSelector", "ShrinkageMetric", "build_metric",
         "GradientOracle", "Solution", "SolverConfig", "SolverTrace", "TransformedProblem",
         "contributions", "solve", "solve_matrices", "sphere_maximize",
         "MethodPreset", "ModeGuidance", "StationaryCheck", "RELATED_FIXED_POINT_METHODS",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,12 +21,11 @@ from rcpca import (
     build_blockset,
     build_metric,
     from_matrix,
-    mode_tau,
     preset,
     solve,
 )
-from rcpca.errors import ModeBInfeasibleError
-from rcpca.metrics import DEFAULT_RANK_TOLERANCE
+from rcpca.errors import DimensionError, ModeBInfeasibleError
+from rcpca.metrics import DEFAULT_RANK_TOLERANCE, mode_tau
 
 
 def random_block_matrix(seed, n=12, j=4):
@@ -78,6 +79,10 @@ class TestBuildMetric:
     def test_tau_out_of_range(self):
         with pytest.raises(ValueError):
             build_metric(random_block_matrix(1), tau=1.5)
+
+    def test_not_a_matrix_rejected(self):
+        with pytest.raises(DimensionError, match="^expected an n x J matrix$"):
+            build_metric(np.ones(3), tau=1.0)
 
     def test_full_row_rank_mode_b_rejected(self):
         with pytest.raises(ModeBInfeasibleError, match="tau"):
@@ -351,6 +356,19 @@ class TestModeSelector:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             ModeSelector((1.2,), 0.0)
+
+    @pytest.mark.parametrize("blocks, superblock, message", [
+        ([1.0, 1.5], "A", "block_taus must lie in [0, 1], got 1.5"),
+        (["B"], -0.5, "superblock_tau must lie in [0, 1], got -0.5"),
+        ([float("nan")], 0.0, "block_taus must lie in [0, 1], got nan"),
+    ])
+    def test_out_of_range_names_the_field(self, blocks, superblock, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ModeSelector.from_taus(blocks, superblock)
+
+    def test_mode_tau_only_translates(self):
+        # the selector is the one range check
+        assert (mode_tau("a"), mode_tau("B"), mode_tau(1.5), mode_tau(-1)) == (1.0, 0.0, 1.5, -1.0)
 
     @pytest.mark.parametrize("letter", ["C", "AB", ""])
     def test_unknown_mode_letter(self, letter):

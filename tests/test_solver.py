@@ -59,6 +59,7 @@ from rcpca.errors import (
     AllStartsFailedError,
     BadStartError,
     DimensionError,
+    InternalAssertionError,
     NonContributingBlockError,
     SingularGradientError,
     UndefinedContributionsError,
@@ -114,6 +115,11 @@ class TestTransform:
     def test_m_below_one_rejected(self):
         with pytest.raises(ValueError):
             problem_from_qs([np.eye(2)], m=0.5)
+
+    def test_empty_segment_rejected(self):
+        # np.add.reduceat would give block 'a' the first row of block 'b'
+        with pytest.raises(ValueError, match="^block 'a' has an empty segment$"):
+            TransformedProblem(np.eye(2), 2.0, ["a", "b"], np.array([0, 0, 2]))
 
     @pytest.mark.parametrize("m", [float("nan"), float("inf"), 0.5])
     def test_m_must_be_finite_and_at_least_one(self, m):
@@ -207,6 +213,7 @@ class TestTransformSources:
         ([2, 2], 6, r"widths \[2, 2\] must be >= 1 and sum to 5"),
         ([5, 0], 6, r"widths \[5, 0\] must be >= 1 and sum to 5"),
         ([2, 3], 7, "superblock has 7 rows, not 6"),
+        ([2, 2, 1], 6, "2 block taus for 3 blocks"),
     ])
     def test_solve_matrices_checks_its_arguments(self, widths, superblock_rows, message):
         rng = np.random.default_rng(0)
@@ -850,6 +857,45 @@ class TestSphereMaximize:
         with pytest.raises(BadStartError, match="^objective is not positive at the start vector$"):
             sphere_maximize(oracle, SolverConfig(), np.array([3.0, 4.0]))
 
+    def test_vanished_gradient_raises(self):
+        oracle = GradientOracle(value=lambda v: 1.0, grad=np.zeros_like)
+        with pytest.raises(SingularGradientError, match="^gradient vanished at an iterate$"):
+            sphere_maximize(oracle, SolverConfig(), np.array([1.0, 0.0]))
+
+    def test_decrease_raises(self):
+        # the value halves at every call, so the first step loses half of psi
+        calls = []
+
+        def value(v):
+            calls.append(v)
+            return 0.5 ** len(calls)
+
+        oracle = GradientOracle(value=value, grad=lambda v: v)
+        with pytest.raises(InternalAssertionError,
+                           match=r"^criterion decreased by 2\.500e-01 in one iteration$"):
+            sphere_maximize(oracle, SolverConfig(), np.array([1.0, 0.0]))
+
+    def test_ascent_bound_violation_raises(self):
+        # a constant value cannot pay for a step to a gradient away from v
+        oracle = GradientOracle(value=lambda v: 1.0, grad=lambda v: np.array([0.0, 1.0]))
+        with pytest.raises(InternalAssertionError,
+                           match=r"^ascent bound violated: step\^2 = 2\.000e\+00 > 0\.000e\+00$"):
+            sphere_maximize(oracle, SolverConfig(), np.array([1.0, 0.0]))
+
+    def test_minorizer_sandwich_violation_raises(self):
+        # psi_new 3e-15 below the minorizer: within the ascent bound's 1e-14 slack,
+        # outside the sandwich's 1e-12 * psi = 1e-15
+        psi, v0 = 1e-3, np.array([1.0, 0.0])
+        g = np.array([np.cos(0.1), np.sin(0.1)])
+
+        def value(v):
+            return psi if (v == v0).all() else psi + float(g @ (v - v0)) - 3e-15
+
+        oracle = GradientOracle(value=value, grad=lambda v: g)
+        with pytest.raises(InternalAssertionError,
+                           match=r"^minorizer sandwich violated: psi=0\.001 G=\S+ psi_new=\S+$"):
+            sphere_maximize(oracle, SolverConfig(), v0)
+
     @pytest.mark.parametrize("delta", [1e-8, 1e-14])
     @pytest.mark.parametrize("seed", [17, 29, 193])
     def test_ascent_bound_holds_down_to_roundoff_steps(self, seed, delta):
@@ -875,10 +921,17 @@ class TestSolverConfig:
         ({"seed": -1, "init": "random"}, "seed must be non-negative, got -1"),
         ({"m": 0.5}, "m must be finite and >= 1, got 0.5"),
         ({"m": np.inf}, "m must be finite and >= 1, got inf"),
+        ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+        ({"n_starts": 1.5}, "n_starts must be an integer, got 1.5"),
+        ({"seed": 1.5, "init": "random"}, "seed must be an integer, got 1.5"),
     ])
     def test_rejects(self, kwargs, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             SolverConfig(**kwargs)
+
+    def test_integral_counts_of_any_type_pass(self):
+        cfg = SolverConfig(max_iter=np.int64(5), n_starts=True, seed=np.uint8(3))
+        assert (cfg.max_iter, cfg.n_starts, cfg.seed) == (5, 1, 3)
 
 
 class TestSolve:
@@ -1195,3 +1248,7 @@ class TestContributions:
     def test_all_zero_rejected(self):
         with pytest.raises(UndefinedContributionsError):
             contributions([0.0, 0.0], 2.0)
+
+    def test_negative_covariance_rejected(self):
+        with pytest.raises(ValueError, match="^covariances must be nonnegative$"):
+            contributions([1.0, -0.5], 2.0)
