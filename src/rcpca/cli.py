@@ -171,9 +171,6 @@ def _validate(cfg: RunConfig) -> tuple[ModeSelector, SolverConfig]:
     """Check the configuration before any block is read; return the modes and the solver's knobs."""
     if not cfg.blocks:
         raise ConfigError("no block files given (--blocks f1.csv,f2.csv)")
-    for path in cfg.blocks:
-        if not Path(path).is_file():
-            raise DataError(f"block file not found or not a file: {path}")
     if cfg.ids is not None and len(cfg.ids) != len(cfg.blocks):
         raise ConfigError(f"{len(cfg.ids)} ids for {len(cfg.blocks)} block files")
     ids = cfg.ids or [Path(p).stem for p in cfg.blocks]
@@ -214,6 +211,9 @@ def _validate(cfg: RunConfig) -> tuple[ModeSelector, SolverConfig]:
         modes = _modes(cfg, entry, len(cfg.blocks))  # each file is one block
     except (ValueError, ConfigError) as exc:
         raise _flagged(exc) from None
+    for path in cfg.blocks:
+        if not Path(path).is_file():
+            raise DataError(f"block file not found or not a file: {path}")
     if cfg.init != "file":
         return modes, replace(solver_cfg, init=cfg.init)
     path = Path(cfg.init_file)  # a bad start-vector file is a data error, exit 2

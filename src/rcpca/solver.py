@@ -14,29 +14,30 @@ limit point is a fixed point of the iteration, i.e. a stationary point of
 the constrained problem.
 
 Every metric is a thin factor B_b with B_b'M_b B_b = I, so P_b = X_b B_b is
-n x r_b and the iterate lives in the superblock factor's coordinates c:
-the segments Q_b = P_b'P_super are r_b x r_super whether the blocks are
-tall or wide, and read off H = X_B'P_super / n, which is the superblock
-metric's G B_super when the superblock is the concatenation of the blocks
-(`_transform`). A random start draws the r_super coordinates, and explicit
-superblock weights w give c = (M B_super)'w. The back-map reads the
-superblock weights B_super c and each block's covariance and weights off
-the segments Q_b c, in the block factor's coordinates. `TransformedProblem`
-is the one evaluator of psi and its gradient, and `sphere_maximize` the one
-ascent loop. The operator stacks its segments into a single matrix, so psi
-is one matvec and the gradient one more transposed matvec, reusing psi's
-product at the iterate it was taken at. Each run of consecutive blocks of
-one width (and, for the metrics, one tau) takes one stacked call per rank:
-for its Mode B Cholesky factors (`metrics.cholesky_metrics`), its Gram
-downdates, its segments, and its weights and components in the back-map.
-A run of one block is the general case; a block whose metric takes the
-eigendecomposition gets `build_metric` alone. The iteration
-and its stop test are scale-invariant, and so are the solver's slacks; the
-monotone, step-bound and sandwich checks run at every iteration. The eigen
-start is the top eigenvector of S'S from a dense eigh below a size gate,
-else from block Lanczos within a basis budget, falling back to the eigh
-once Lanczos has used up the budget or cannot converge within it. A solve
-is deterministic given its configuration and never modifies the problem it
+n x r_b and the iterate lives in the superblock factor's coordinates c: the
+segments Q_b = P_b'P_super are r_b x r_super whether the blocks are tall or
+wide, and read off H = X_B'P_super / n, which is the superblock metric's G
+B_super when the superblock is the concatenation of the blocks
+(`_transform`). A random start is c = B_super'X_super'y for a seeded
+Gaussian y in R^n, whatever basis B_super has; explicit superblock weights
+w give c = (M B_super)'w. The back-map reads the superblock weights B_super
+c and each block's covariance and weights off the segments Q_b c, in the
+block factor's coordinates. `TransformedProblem` is the one evaluator of
+psi and its gradient, and `sphere_maximize` the one ascent loop. The
+operator stacks its segments into a single matrix, so psi is one matvec and
+the gradient one more transposed matvec, reusing psi's product at the
+iterate it was taken at. Each run of consecutive blocks of one width (and,
+for the metrics, one tau) takes one stacked call per rank: for its Mode B
+Cholesky factors (`metrics.cholesky_metrics`), its Gram downdates, its
+segments, and its weights and components in the back-map. A run of one
+block is the general case; a block whose metric takes the
+eigendecomposition gets `build_metric` alone. The iteration and its stop
+test are scale-invariant, and so are the solver's slacks; the monotone,
+step-bound and sandwich checks run at every iteration. The eigen start is
+the top eigenvector of S'S from a dense eigh below a size gate, else from
+block Lanczos within a basis budget, falling back to the eigh once Lanczos
+has used up the budget or cannot converge within it. A solve is
+deterministic given its configuration and never modifies the problem it
 reads.
 
 `Deflation` records what an extract has deflated under every strategy and
@@ -142,16 +143,16 @@ class SolverConfig:
 
     init is "eigen" (dominant eigenvector of sum(Q_b'Q_b): a dense eigh below
     a superblock rank of 256, else block Lanczos within a basis budget, with
-    the eigh as fallback), "random" (Gaussian draw of the superblock factor's
-    coordinates with this seed) or superblock weights w, J_super long, whose
-    M-projection onto the factor's span is the start: a solution's own
-    w_super restarts it. sphere_maximize normalizes the start and rejects it
-    (BadStartError) when it is zero or the criterion is not positive at it.
-    Additional starts beyond the first are random with seeds seed+1,
-    seed+2, ... and the winner is the largest criterion value (ties keep
-    the earliest start). When every start fails, the solve raises
-    AllStartsFailedError naming the last failure. An init array with a NaN or
-    infinite entry raises ValueError at construction.
+    the eigh as fallback), "random" (the component B'X'y of the superblock X
+    for a Gaussian y in R^n with this seed) or superblock weights w, J_super
+    long, whose M-projection onto the factor's span is the start: a solution's
+    own w_super restarts it. sphere_maximize normalizes the start and rejects
+    it (BadStartError) when it is zero or the criterion is not positive at it.
+    Additional starts beyond the first are random with seeds seed+1, seed+2,
+    ... and the winner is the largest criterion value (ties keep the earliest
+    start). When every start fails, the solve raises AllStartsFailedError
+    naming the last failure. An init array with a NaN or infinite entry raises
+    ValueError at construction.
 
     A bad m, epsilon, max_iter, n_starts or seed, a count that is not a
     numbers.Integral included, raises ValueError at construction with the
@@ -431,18 +432,15 @@ def _transform(whole, widths, ids, metrics, m, superblock=None) -> TransformedPr
     roundoff of ||P_b||_F ||P_super||_F / n, ||P||_F^2 = n tr(B'GB), raises
     NonContributingBlockError naming the first such block.
     """
-    sup, off = metrics[-1], None
+    sup = metrics[-1]
     if isinstance(superblock, Deflation):
-        h, off = superblock.rows(), superblock.off
+        h = superblock.rows()
     elif superblock is None:
         h = sup.cross
     else:
         h = whole.T @ sup.image(superblock).T / superblock.shape[0]
-    if off is not None:  # tr(B'GB) off E: the rank at tau = 0, less one per component
-        norm = math.sqrt(sup.rank - off.shape[1])
-    else:  # tr(B'GB) without copies: the rank on the Cholesky route, where B'GB = I
-        norm = math.sqrt(sup.rank if sup.variances is None
-                         else np.einsum("ij,ij->", sup.factor, sup.cross))
+    # tr(B'GB) without copies: the rank at tau = 0, where B'GB = I on every route
+    norm = math.sqrt(sup.rank if sup.tau == 0.0 else np.einsum("ij,ij->", sup.factor, sup.cross))
     blocks = metrics[:-1]
     ranks = [met.rank for met in blocks]
     offsets = np.cumsum([0] + ranks)
@@ -507,15 +505,15 @@ def _eigen_start(problem: TransformedProblem) -> tuple[np.ndarray, bool]:
     return v, degenerate
 
 
-def _start(sup: ShrinkageMetric, off, config: SolverConfig, k: int) -> np.ndarray:
+def _start(sup: ShrinkageMetric, smat, off, config: SolverConfig, k: int) -> np.ndarray:
     """Start k in the superblock factor's coordinates, off E: the init at k = 0, else a draw.
 
-    The draw is standard Gaussian in the factor's r coordinates with seed
-    config.seed + k, a uniform point on the sphere once normalized. Explicit
-    superblock weights w give c = (MB)'w, so that Bc is w's M-projection onto
-    the factor's span. A start at roundoff of ||MB||_F ||w||, or of the
-    draw's norm, is returned as exact zeros, which sphere_maximize rejects
-    as a zero start.
+    The draw is c = B'X'y for the rank's superblock X (`smat`) and a standard
+    Gaussian y in R^n with seed config.seed + k: Bc = M^+ X'y whatever basis or
+    route gave B, and c ~ N(0, nI) at tau = 0. Explicit superblock weights w
+    give c = (MB)'w, so that Bc is w's M-projection onto the factor's span. A
+    start at roundoff of ||MB||_F ||w||, or of the draw's norm before E, is
+    returned as exact zeros, which sphere_maximize rejects as a zero start.
     """
     if k == 0 and not isinstance(config.init, str):
         w = np.asarray(config.init, dtype=float).ravel()
@@ -524,7 +522,8 @@ def _start(sup: ShrinkageMetric, off, config: SolverConfig, k: int) -> np.ndarra
         mb = sup.tau * sup.factor + (1.0 - sup.tau) * sup.cross
         c, size = mb.T @ w, np.linalg.norm(mb) * np.linalg.norm(w)
     else:
-        c = np.random.default_rng(config.seed + k).standard_normal(sup.rank)
+        y = np.random.default_rng(config.seed + k).standard_normal(len(smat))
+        c = sup.factor.T @ (smat.T @ y)
         size = np.linalg.norm(c)
     if off is not None:
         c = c - off @ (off.T @ c)
@@ -669,7 +668,7 @@ def solve_matrices(
                         "multiple; the iterate sequence may not be unique"
                     )
             else:
-                c0 = _start(metrics[-1], carried and carried.off, config, k)
+                c0 = _start(metrics[-1], smat, carried and carried.off, config, k)
             c, trace = sphere_maximize(problem, config, c0)
         except (SingularGradientError, BadStartError) as exc:
             last_failure = exc

@@ -1,4 +1,3 @@
-import dataclasses
 import filecmp
 import re
 from pathlib import Path
@@ -65,6 +64,17 @@ class TestRun:
         ])
         assert code == 2
         assert "nope_missing.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, reported", [
+        (["--blocks", "nope.csv", "--m", "2", "--tau", "1.5", "--tau-super", "1"],
+         "--tau must lie in [0, 1], got 1.5"),
+        (["--blocks", f"{DEMO / 'process.csv'},nope.csv", "--preset", "consensus_pca",
+          "--starts", "0"], "--starts must be at least 1, got 0"),
+    ], ids=["tau", "starts"])
+    def test_configuration_fault_is_reported_before_a_missing_block(self, tmp_path, capsys,
+                                                                     args, reported):
+        assert main(["run", *args, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"configuration error: {reported}\n"
 
     def test_preset_and_m_are_mutually_exclusive(self, tmp_path, capsys):
         code = main([
@@ -160,10 +170,6 @@ class TestRun:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus = 1\n")
         assert main(["run", "--config", str(cfg)]) == 1
-
-    def test_config_keys_are_the_run_config_fields(self):
-        # each key doubles as its RunConfig field and argparse destination
-        assert [f.name for f in dataclasses.fields(RunConfig)] == list(_OPTIONS)
 
     @pytest.mark.parametrize("message, reported", [
         ("n_starts must be at least 1, got 0", "--starts must be at least 1, got 0"),

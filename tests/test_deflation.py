@@ -491,8 +491,8 @@ class TestCarriedSuperblock:
         starts = []
         start = solver._start
 
-        def recorded(sup, off, config, k):
-            c = start(sup, off, config, k)
+        def recorded(sup, smat, off, config, k):
+            c = start(sup, smat, off, config, k)
             starts.append((off, c))
             return c
 
@@ -512,6 +512,29 @@ class TestCarriedSuperblock:
         for r in (1, 2):
             for earlier in ys[:r]:
                 assert abs(ys[r] @ earlier) <= 1e-12, r
+
+    @pytest.mark.parametrize("strategy", ["global", "own"])
+    def test_random_starts_are_the_fresh_routes_start_components(self, monkeypatch, strategy):
+        # a random start's component X B c is n P y, P the projector onto the
+        # deflated superblock's column space, whether the rank-1 factor is
+        # carried off E or the deflated superblock is factored afresh
+        components = []
+        start = solver._start
+
+        def recorded(sup, smat, off, config, k):
+            c = start(sup, smat, off, config, k)
+            components.append(smat @ (sup.factor @ c))
+            return c
+
+        monkeypatch.setattr(solver, "_start", recorded)
+        bs = random_blockset(4, b=3, n=30, js=[3, 4, 5])
+        modes, config = uniform_modes("A", "B", 3), SolverConfig(init="random", n_starts=3, seed=5)
+        extract(bs, modes, config, 2, strategy)
+        sequential_extract(bs, modes, config, 2, strategy)
+        assert len(components) == 12
+        carried, fresh = components[3:6], components[9:]
+        for y, y_ref in zip(carried, fresh):
+            assert np.linalg.norm(y - y_ref) <= 1e-12 * np.linalg.norm(y_ref)
 
     @pytest.mark.parametrize("strategy", ["global", "own"])
     def test_superblock_warning_only_for_a_rank_deficient_rank_one(self, strategy):

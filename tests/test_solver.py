@@ -40,6 +40,7 @@ from helpers import (
     transform,
     uniform_modes,
     wide_blockset,
+    without_cholesky,
 )
 from rcpca import (
     GradientOracle,
@@ -614,6 +615,19 @@ def top_gap_spectrum(gap, d=400):
     return np.concatenate([[1.0, 1.0 - gap], rest])
 
 
+def clustered_superblock(n=60):
+    """Blocks 5 + 5 of singular values 3, 3, 3, 2, 2, 2, 2, 1, 1, 1, and the same
+    moved by a centred perturbation of relative size 1e-13."""
+    rng = np.random.default_rng(0)
+    u = rng.standard_normal((n, 10))
+    u = np.linalg.qr(u - u.mean(axis=0))[0]
+    v = np.linalg.qr(rng.standard_normal((10, 10)))[0]
+    x = u * [3.0, 3.0, 3.0, 2.0, 2.0, 2.0, 2.0, 1.0, 1.0, 1.0] @ v.T
+    e = rng.standard_normal((n, 10))
+    e -= e.mean(axis=0)
+    return x, x + 1e-13 * np.linalg.norm(x) / np.linalg.norm(e) * e
+
+
 # superblock -> (blockset, tau_super), with Mode A blocks and m = 4
 WARM_STARTS = {
     "mode_a": (lambda: random_blockset(7, b=3, n=30, js=[3, 4, 5]), 1.0),
@@ -631,8 +645,8 @@ class TestInitV:
         assert abs(v[1]) <= 1e-12
 
     def test_random_is_deterministic(self):
-        # the seeded draw of the superblock factor's coordinates, J of them for
-        # the Cholesky factor of a full-rank Mode B superblock
+        # the component c = B'X'y of the seeded draw y in R^n, with B the
+        # Cholesky factor of a full-rank Mode B superblock
         bs = random_blockset(5, b=2, n=12, js=[3, 2])
         modes = uniform_modes("A", "B", 2)
         cfg = SolverConfig(m=2.0, init="random", seed=42)
@@ -641,24 +655,60 @@ class TestInitV:
         np.testing.assert_array_equal(s1.w_super, s2.w_super)
         metrics = build_metrics(bs, modes)
         assert metrics[-1].variances is None
-        c = np.random.default_rng(42).standard_normal(5)
+        c = metrics[-1].factor.T @ (bs.superblock.T @ np.random.default_rng(42).standard_normal(12))
         problem = transform(bs, metrics, 2.0)
         assert s1.trace.psi[0] == pytest.approx(problem.value(c / np.linalg.norm(c)), rel=1e-12)
 
     @pytest.mark.parametrize("tau_super, n, rank", [(0.0, 12, 5), (0.5, 12, 5), (0.5, 4, 3)],
                              ids=["cholesky", "eigh", "eigh_wide"])
-    def test_random_is_a_draw_of_the_factor_coordinates(self, tau_super, n, rank):
-        # the seeded standard Gaussian draw of the superblock factor's r
-        # coordinates, whichever route factored it
+    def test_random_is_the_component_of_a_draw_of_y(self, tau_super, n, rank):
+        # start k is c = B'X'y for y in R^n drawn with seed + k, whichever
+        # route factored the superblock: its weights Bc are M^+ X'y
         bs = random_blockset(5, b=2, n=n, js=[3, 2])
         modes = uniform_modes("A", tau_super, 2)
-        sol = solve(bs, modes, SolverConfig(m=2.0, init="random", seed=42))
+        config = SolverConfig(m=2.0, init="random", seed=42)
+        sol = solve(bs, modes, config)
         metrics = build_metrics(bs, modes)
-        assert (metrics[-1].variances is None) == (tau_super == 0.0)
-        assert metrics[-1].rank == rank
-        c = np.random.default_rng(42).standard_normal(rank)
+        sup, x = metrics[-1], bs.superblock
+        assert (sup.variances is None) == (tau_super == 0.0)
+        assert sup.rank == rank
+        starts = []
+        for k in range(2):
+            y = np.random.default_rng(42 + k).standard_normal(n)
+            c = sup.factor.T @ (x.T @ y)
+            starts.append(c)
+            np.testing.assert_array_equal(solver._start(sup, x, None, config, k), c)
+            np.testing.assert_allclose(sup.factor @ c,
+                                       reference_metric_power(x, tau_super, -1.0) @ (x.T @ y),
+                                       rtol=1e-10, atol=0.0)
         problem = transform(bs, metrics, 2.0)
-        assert sol.trace.psi[0] == pytest.approx(problem.value(c / np.linalg.norm(c)), rel=1e-12)
+        c = starts[0] / np.linalg.norm(starts[0])
+        assert sol.trace.psi[0] == pytest.approx(problem.value(c), rel=1e-12)
+
+    @pytest.mark.parametrize("tau_super, eigh", [(0.5, False), (0.0, True)],
+                             ids=["half_shrinkage", "mode_b_eigh"])
+    def test_random_starts_move_at_roundoff_with_the_data(self, monkeypatch, tau_super, eigh):
+        # a clustered spectrum leaves the superblock's eigenbasis free to rotate
+        # under a roundoff change of the data; the starts' weights Bc = M^+ X'y
+        # do not rotate with it
+        if eigh:
+            without_cholesky(monkeypatch)
+        weights = []
+        start = solver._start
+
+        def recorded(sup, smat, off, config, k):
+            c = start(sup, smat, off, config, k)
+            weights.append(sup.factor @ c)
+            return c
+
+        monkeypatch.setattr(solver, "_start", recorded)
+        modes = uniform_modes("A", tau_super, 2)
+        for x in clustered_superblock():
+            assert build_metric(x, tau_super).variances is not None
+            solve_matrices(x, [5, 5], modes, SolverConfig(init="random", n_starts=3, seed=5))
+        assert len(weights) == 6
+        for w, moved in zip(weights[:3], weights[3:]):
+            assert np.linalg.norm(moved - w) <= 1e-10 * np.linalg.norm(w)
 
     def test_given_is_normalized(self):
         # full-rank Mode A superblock: the basis is orthogonal, so ||V'v|| = ||v|| = 5
