@@ -35,22 +35,27 @@ from .solver import SolverConfig
 
 _DELIMITERS = {"comma": ",", "tab": "\t"}
 _NUMBER = "%.12g"  # every number the CLI writes: the result tables and the manifest
+_NEEDS_QUOTES = re.compile('[,"\r\n]')  # the characters csv quotes a cell for
 
 
 def _fmt(x: float) -> str:
     return _NUMBER % x
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
+def _read_text(path: str, what: str, error: type[RcpcaError]) -> str:
+    """The UTF-8 text of the file `what` at `path`, less a leading byte order mark."""
     p = Path(path)
     if not p.is_file():
-        raise ConfigError(f"config file not found or not a file: {path}")
+        raise error(f"{what} not found or not a file: {path}")
     try:
-        text = p.read_text(encoding="utf-8")
+        return p.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
-        raise ConfigError(f"config file {path} is not UTF-8 text; save it as UTF-8") from None
+        raise error(f"{what} {path} is not UTF-8 text; save it as UTF-8") from None
+
+
+def _parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    for i, line in enumerate(text.splitlines(), start=1):
+    for i, line in enumerate(_read_text(path, "config file", ConfigError).splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -216,14 +221,9 @@ def _validate(cfg: RunConfig) -> tuple[ModeSelector, SolverConfig]:
             raise DataError(f"block file not found or not a file: {path}")
     if cfg.init != "file":
         return modes, replace(solver_cfg, init=cfg.init)
-    path = Path(cfg.init_file)  # a bad start-vector file is a data error, exit 2
-    if not path.is_file():
-        raise DataError(f"start-vector file not found or not a file: {cfg.init_file}")
+    text = _read_text(cfg.init_file, "start-vector file", DataError)  # a data error, exit 2
     try:
-        values = [float(s) for s in path.read_text(encoding="utf-8").split()]
-    except UnicodeDecodeError:  # a ValueError too
-        raise DataError(f"start-vector file {cfg.init_file} is not UTF-8 text; "
-                        "save it as UTF-8") from None
+        values = [float(s) for s in text.split()]
     except ValueError:
         raise DataError(f"start-vector file {cfg.init_file} must hold numbers") from None
     if not all(map(math.isfinite, values)):
@@ -250,6 +250,13 @@ def _modes(cfg: RunConfig, entry: MethodPreset | None, n_blocks: int) -> ModeSel
     if len(taus) != n_blocks:
         raise ConfigError(f"{len(taus)} tau values for {n_blocks} blocks")
     return ModeSelector.from_taus(taus, cfg.tau_super)
+
+
+def _quoted(names: Sequence[str]) -> Sequence[str]:
+    """The names as csv writes them: quoted, `"` doubled, where one holds , " CR or LF."""
+    if not _NEEDS_QUOTES.search("".join(names)):  # one scan clears the common case
+        return names
+    return ['"' + s.replace('"', '""') + '"' if _NEEDS_QUOTES.search(s) else s for s in names]
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -280,24 +287,25 @@ def _write_outputs(
     result: MultiSolution,
 ) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    row_ids = blockset.row_ids or tuple(str(i + 1) for i in range(blockset.n))
+    row_ids = _quoted(blockset.row_ids or tuple(str(i + 1) for i in range(blockset.n)))
+    ids, columns = _quoted(blockset.ids), [_quoted(b.columns) for b in blockset.blocks]
+    super_columns = _quoted(blockset.superblock_columns)
 
     for r, sol in enumerate(result.solutions, start=1):
         ys, y_norm, trace = sol.y_super, np.linalg.norm(sol.y_super), sol.trace
-        for block, w in zip(blockset.blocks, sol.w_blocks):
+        for block, names, w in zip(blockset.blocks, columns, sol.w_blocks):
             _write_csv(out_dir / f"rank{r}_weights_{block.id}.csv", ("variable", "weight"),
-                       zip(block.columns, w))
+                       zip(names, w))
         _write_csv(out_dir / f"rank{r}_weights_superblock.csv", ("variable", "weight"),
-                   zip(blockset.superblock_columns, sol.w_super))
-        _write_csv(out_dir / f"rank{r}_components.csv", ("row_id", *blockset.ids, "superblock"),
+                   zip(super_columns, sol.w_super))
+        _write_csv(out_dir / f"rank{r}_components.csv", ("row_id", *ids, "superblock"),
                    zip(row_ids, *sol.y_blocks, ys))
         _write_csv(out_dir / f"rank{r}_blocks.csv", ("block", "cov", "cor", "contribution"), [
-            (block.id, cov, float(yb @ ys) / (np.linalg.norm(yb) * y_norm), contribution)
-            for block, yb, cov, contribution
-            in zip(blockset.blocks, sol.y_blocks, sol.covs, sol.contributions)
+            (bid, cov, float(yb @ ys) / (np.linalg.norm(yb) * y_norm), contribution)
+            for bid, yb, cov, contribution in zip(ids, sol.y_blocks, sol.covs, sol.contributions)
         ])
         correlations = []
-        for name, col in zip(blockset.superblock_columns, blockset.superblock.T):
+        for name, col in zip(super_columns, blockset.superblock.T):
             cn = np.linalg.norm(col)
             correlations.append((name, float(col @ ys) / (cn * y_norm) if cn > 0 else 0.0))
         _write_csv(out_dir / f"rank{r}_variable_correlations.csv", ("variable", "correlation"),

@@ -303,15 +303,16 @@ def load_block(
 ) -> Block:
     """Load one block from a delimiter-separated text table.
 
-    ``source`` is a path to a UTF-8 file or an open text stream; text that
-    does not decode as UTF-8 raises ParseError. The first row must hold
-    column names. When ``id_column`` is true the first column carries row
-    identifiers. Every other cell is read with Python ``float``
-    syntax (``1``, ``-2.5``, ``3e-4``); whitespace around a cell, a name or
-    a row id is ignored. Empty cells are rejected rather than imputed, and
-    ``nan``/``inf`` are rejected. Rows that are blank or hold only empty
-    cells are skipped. The first fault in file order is reported with its
-    column and its row, numbered as a line of the file (skipped lines count).
+    ``source`` is a path to a UTF-8 file or an open text stream; text that does
+    not decode as UTF-8 raises ParseError, and a leading byte order mark is
+    dropped. The first row must hold column names. When ``id_column`` is
+    true the first column carries row identifiers. Every other cell is read
+    with Python ``float`` syntax (``1``, ``-2.5``, ``3e-4``); whitespace
+    around a cell, a name or a row id is ignored. Empty cells are rejected
+    rather than imputed, and ``nan``/``inf`` are rejected. Rows that are
+    blank or hold only empty cells are skipped. The first fault in file
+    order is reported with its column and its row, numbered as a line of the
+    file (skipped lines count).
 
     The source is read once, into its lines (a path with universal
     newlines, so CRLF line ends are plain ones). `_numpy_table` parses a
@@ -336,6 +337,8 @@ def load_block(
                 lines.append(line)
         except UnicodeDecodeError:
             undecodable = True
+    if lines and lines[0].startswith("\ufeff"):  # a byte order mark, not part of a name
+        lines[0] = lines[0][1:]
     table = None if undecodable else _numpy_table(lines, delimiter, id_column)
     if table is None:
         table = _csv_table(_decoded(lines, undecodable, id), id, delimiter, id_column)

@@ -7,22 +7,22 @@ intermediate values interpolate between the two (Ledoit-Wolf style
 shrinkage of the block covariance).
 
 A metric is stored once, as a thin factor B (`factor`, J x r) of the row
-space of X with B'MB = I, and `cross` = GB, G = X'X/n. All the solver
-applies powers of M to lies in that row space: the image B'X' (`image`),
-the segments B_b'(G B_super) and the weights M^(-1) X'y, read off as B u.
-So M is never formed as a J x J matrix, and MB = tau*B + (1 - tau)*GB. Only
-this module knows which route gave B. At tau = 0 with J < n, when G
-certifiably has full rank, B = L^(-T) from G = LL' (`cross` = L):
-`cholesky_metrics` takes that route for a stack of same-shape matrices in
-one call, and `build_metric` for one matrix, as a stack of one. Otherwise
-B = V diag(lambda^(-1/2)): V orthonormal, the eigenvalues of X'X/n on it
-are `variances` g and lambda = tau + (1 - tau) g, and M is tau*I on the
-complement; the eigendecomposition is of the smaller Gram matrix, XX' when
-J > n, so thousands of variables on tens of rows cost an n x n
-eigendecomposition. At tau = 0 a rank-deficient matrix gets Moore-Penrose
-semantics: negative powers annihilate the dropped null directions. Metrics
-are immutable; building metrics for distinct blocks is a pure function of
-the inputs.
+space of X with B'MB = I, and `cross` = GB, G = X'X/n, both C-contiguous on
+every route. All the solver applies powers of M to lies in that row space:
+the image X B, the segments B_b'(G B_super) and the weights M^(-1) X'y, read
+off as B u. So M is never formed as a J x J matrix, and
+MB = tau*B + (1 - tau)*GB. Only this module knows which route gave B. At
+tau = 0 with J < n, when G certifiably has full rank, B = L^(-T) from
+G = LL' (`cross` = L): `cholesky_metrics` takes that route for a stack of
+same-shape matrices in one call, and `build_metric` for one matrix, as a
+stack of one. Otherwise B = V diag(lambda^(-1/2)): V orthonormal, the
+eigenvalues of X'X/n on it are `variances` g and lambda = tau + (1 - tau) g,
+and M is tau*I on the complement; the eigendecomposition is of the smaller
+Gram matrix, XX' when J > n, so thousands of variables on tens of rows cost
+an n x n eigendecomposition. At tau = 0 a rank-deficient matrix gets
+Moore-Penrose semantics: negative powers annihilate the dropped null
+directions. Metrics are immutable; building metrics for distinct blocks is a
+pure function of the inputs.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import numpy as np
 from .errors import DimensionError, ModeBInfeasibleError
 
 DEFAULT_RANK_TOLERANCE = 1e-10
+_INVERSE_BLOCK = 32  # rows of each diagonal block of the blocked triangular inverse
 
 # Mode A (tau = 1) normalizes the weight vector, Mode B (tau = 0) the component variance
 MODES = {"A": 1.0, "B": 0.0}
@@ -72,10 +73,11 @@ class ModeSelector:
 class ShrinkageMetric:
     """M = tau*I + (1-tau)*G, G = (1/n) X'X, kept as a thin factor B with B'MB = I.
 
-    B spans the row space of X, and cross = GB. From an eigendecomposition,
-    B = V diag(lambda^(-1/2)) with V orthonormal, G V = V diag(variances) and
-    lambda = tau + (1 - tau) * variances. From a Cholesky factor G = LL' (tau = 0,
-    full rank), B = L^(-T), cross = L and variances is None.
+    B spans the row space of X, and cross = GB; both are C-contiguous on
+    every route. From an eigendecomposition, B = V diag(lambda^(-1/2)) with
+    V orthonormal, G V = V diag(variances) and
+    lambda = tau + (1 - tau) * variances. From a Cholesky factor G = LL'
+    (tau = 0, full rank), B = L^(-T), cross = L and variances is None.
     """
 
     tau: float
@@ -86,10 +88,6 @@ class ShrinkageMetric:
     @property
     def rank(self) -> int:
         return self.factor.shape[1]
-
-    def image(self, x: np.ndarray) -> np.ndarray:
-        """P' = M^(-1/2) X' in the factor's coordinates: B'X', rank x n."""
-        return self.factor.T @ x.T
 
 
 def build_metric(data, tau: float, gram: np.ndarray | None = None) -> ShrinkageMetric:
@@ -171,24 +169,26 @@ def cholesky_metrics(x: np.ndarray, tau: float,
             return [None]
         h = k // 2
         return cholesky_metrics(x[:h], tau, grams[:h]) + cholesky_metrics(x[h:], tau, grams[h:])
-    inv = _lower_inverse(low)
-    bound = np.sqrt(np.einsum("kij,kij->k", grams, grams)) * np.einsum("kij,kij->k", inv, inv)
-    return [ShrinkageMetric(0.0, b.T, l, None) if ok else None
-            for b, l, ok in zip(inv, low, bound < 1.0 / DEFAULT_RANK_TOLERANCE)]
+    upper = _inverse_transpose(low)
+    bound = np.sqrt(np.einsum("kij,kij->k", grams, grams)) * np.einsum("kij,kij->k", upper, upper)
+    return [ShrinkageMetric(0.0, b, l, None) if ok else None
+            for b, l, ok in zip(upper, low, bound < 1.0 / DEFAULT_RANK_TOLERANCE)]
 
 
-def _lower_inverse(low: np.ndarray, width: int = 32) -> np.ndarray:
-    """L^(-1) of each lower-triangular L in a stack.
+def _inverse_transpose(low: np.ndarray) -> np.ndarray:
+    """L^(-T) of each lower-triangular L in a stack, C-contiguous.
 
-    Row block k is D_k^(-1) [-L_k,<k L^(-1)_<k | I], and
-    D_k^(-1) = inv(D_k')' for the k-th diagonal block D_k: an LU factorization
-    of the upper-triangular D_k' does not pivot, so the result is exactly lower
-    triangular.
+    L^(-1) is written through the result's transposed view, a row block of
+    _INVERSE_BLOCK rows at a time: row block k is D_k^(-1) [-L_k,<k L^(-1)_<k
+    | I], and D_k^(-1) = inv(D_k')' for the k-th diagonal block D_k: an LU
+    factorization of the upper-triangular D_k' does not pivot, so the result
+    is exactly triangular.
     """
-    inv = np.zeros_like(low)
-    for k in range(0, low.shape[-1], width):
-        d = inv[:, k:k + width, k:k + width] = np.linalg.inv(
-            low[:, k:k + width, k:k + width].swapaxes(1, 2)).swapaxes(1, 2)
+    out = np.zeros_like(low)
+    inv, w = out.swapaxes(1, 2), _INVERSE_BLOCK
+    for k in range(0, low.shape[-1], w):
+        d = inv[:, k:k + w, k:k + w] = np.linalg.inv(
+            low[:, k:k + w, k:k + w].swapaxes(1, 2)).swapaxes(1, 2)
         if k:
-            inv[:, k:k + width, :k] = -d @ (low[:, k:k + width, :k] @ inv[:, :k, :k])
-    return inv
+            inv[:, k:k + w, :k] = -d @ (low[:, k:k + w, :k] @ inv[:, :k, :k])
+    return out

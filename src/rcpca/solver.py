@@ -26,11 +26,12 @@ block factor's coordinates. `TransformedProblem` is the one evaluator of
 psi and its gradient, and `sphere_maximize` the one ascent loop. The
 operator stacks its segments into a single matrix, so psi is one matvec and
 the gradient one more transposed matvec, reusing psi's product at the
-iterate it was taken at. Each run of consecutive blocks of one width (and,
-for the metrics, one tau) takes one stacked call per rank: for its Mode B
-Cholesky factors (`metrics.cholesky_metrics`), its Gram downdates, its
-segments, and its weights and components in the back-map. A run of one
-block is the general case; a block whose metric takes the
+iterate it was taken at. Each run of consecutive blocks of one width (for
+the metrics, also of one tau; for the segments and the back-map, of one
+factor shape, whatever route built the factors) takes one stacked call per
+rank: for its Mode B Cholesky factors (`metrics.cholesky_metrics`), its Gram
+downdates, its segments, and its weights and components in the back-map. A
+run of one block is the general case; a block whose metric takes the
 eigendecomposition gets `build_metric` alone. The iteration and its stop
 test are scale-invariant, and so are the solver's slacks; the monotone,
 step-bound and sandwich checks run at every iteration. The eigen start is
@@ -383,24 +384,9 @@ def _block_views(x: np.ndarray, widths: Sequence[int], runs: list[slice]) -> lis
     return [v.swapaxes(1, 2) for v in _row_runs(x.T, widths, runs)]
 
 
-def _stack(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """(k, J, r) copy of same-shape matrices, each laid out as the first (C or F order).
-
-    The BLAS call on a slice is then the one on the matrix itself, bit for bit.
-    """
-    if mats[0].flags.c_contiguous:
-        return np.array(mats)
-    return np.array([a.T for a in mats]).swapaxes(1, 2)
-
-
 def _hstack(old: np.ndarray | None, new: np.ndarray) -> np.ndarray:
     """`new` as further columns of `old`, or alone while there is none."""
     return new if old is None else np.hstack([old, new])
-
-
-def _factor_runs(metrics: Sequence[ShrinkageMetric]) -> list[slice]:
-    """Runs of block metrics whose factors share a shape and a layout."""
-    return _runs([(met.factor.shape, met.factor.strides) for met in metrics])
 
 
 def _block_metrics(data, taus) -> list[ShrinkageMetric]:
@@ -427,10 +413,10 @@ def _transform(whole, widths, ids, metrics, m, superblock=None) -> TransformedPr
     Segment b is B_b' H[rows of b], H = X_B'P_super / n: G B_super, the
     superblock metric's `cross`, when the blocks of `whole` are the
     superblock; a carried `Deflation`'s closed form, off its E; else one
-    product of X_B' with the image of the separate `superblock`. Each run of
-    block factors of one shape and layout takes one product. A segment at
-    roundoff of ||P_b||_F ||P_super||_F / n, ||P||_F^2 = n tr(B'GB), raises
-    NonContributingBlockError naming the first such block.
+    product of X_B' with the image X_super B_super of the separate
+    `superblock`. Each run of block factors of one shape takes one product.
+    A segment at roundoff of ||P_b||_F ||P_super||_F / n, ||P||_F^2 = n
+    tr(B'GB), raises NonContributingBlockError naming the first such block.
     """
     sup = metrics[-1]
     if isinstance(superblock, Deflation):
@@ -438,7 +424,7 @@ def _transform(whole, widths, ids, metrics, m, superblock=None) -> TransformedPr
     elif superblock is None:
         h = sup.cross
     else:
-        h = whole.T @ sup.image(superblock).T / superblock.shape[0]
+        h = whole.T @ (superblock @ sup.factor) / superblock.shape[0]
     # tr(B'GB) without copies: the rank at tau = 0, where B'GB = I on every route
     norm = math.sqrt(sup.rank if sup.tau == 0.0 else np.einsum("ij,ij->", sup.factor, sup.cross))
     blocks = metrics[:-1]
@@ -446,9 +432,9 @@ def _transform(whole, widths, ids, metrics, m, superblock=None) -> TransformedPr
     offsets = np.cumsum([0] + ranks)
     stacked = np.empty((offsets[-1], h.shape[1]))
     spread = np.empty(len(blocks))  # tr(B_b'G_b B_b)
-    runs = _factor_runs(blocks)
+    runs = _runs([met.factor.shape for met in blocks])
     for run, rows, q in zip(runs, _row_runs(h, widths, runs), _row_runs(stacked, ranks, runs)):
-        factors = _stack([met.factor for met in blocks[run]])
+        factors = np.array([met.factor for met in blocks[run]])
         np.matmul(factors.swapaxes(1, 2), rows, out=q)
         spread[run] = np.einsum("kij,kij->k", factors, np.array([met.cross for met in blocks[run]]))
     # ||Q_b||_F from one reduction over the rows; a segment of no rows is zero
@@ -692,8 +678,8 @@ def _back_map(c, trace, problem, blocks, widths, smat, ids, metrics, m, carried)
     space of smat: the least-norm solution for the deflated superblock, which
     is rank deficient by construction, so no warning says so at ranks >= 2.
     A `carried` superblock's blocks are X_b deflated on Y_b, and each block
-    component is Pi_b (X_b w_b). Each run of block factors of one shape and
-    layout takes one product for its weights and one for its components.
+    component is Pi_b (X_b w_b). Each run of block factors of one shape takes
+    one product for its weights and one for its components.
     """
     factor, off = metrics[-1].factor, None if carried is None else carried.off
     w_super = w_smat = factor @ c
@@ -715,11 +701,11 @@ def _back_map(c, trace, problem, blocks, widths, smat, ids, metrics, m, carried)
         )
     ranks = np.diff(problem.offsets)
     units = segments / np.repeat(covs, ranks)
-    runs = _factor_runs(metrics[:-1])
+    runs = _runs([met.factor.shape for met in metrics[:-1]])
     ys = np.empty((len(widths), smat.shape[0]))
     w_blocks: list[np.ndarray] = []
     for run, u, x in zip(runs, _row_runs(units, ranks, runs), _block_views(blocks, widths, runs)):
-        w = np.matmul(_stack([met.factor for met in metrics[run]]), u[..., None])[..., 0]
+        w = np.matmul(np.array([met.factor for met in metrics[run]]), u[..., None])[..., 0]
         np.matmul(x, w[..., None], out=ys[run, :, None])
         w_blocks.extend(w)
     if carried is not None and carried.units is not None:  # Pi_b (X_b w_b)

@@ -359,8 +359,8 @@ def reference_q_blocks(mats, smat, metrics):
     image over the n rows (r_b x n x r_super), the reference for the
     transform's closed form.
     """
-    p_super = metrics[-1].image(smat)
-    return [met.image(mat) @ p_super.T / smat.shape[0] for mat, met in zip(mats, metrics)]
+    p_super = metrics[-1].factor.T @ smat.T
+    return [(met.factor.T @ mat.T) @ p_super.T / smat.shape[0] for mat, met in zip(mats, metrics)]
 
 
 def reference_dense_q_blocks(mats, smat, modes):
@@ -604,7 +604,7 @@ class _DeflatedBlocks(Deflation):
     def rows(self):
         if self.off is None:  # rank 1 is the plain solve, bit for bit
             return super().rows()
-        h = self.blocks.T @ self.metric.image(self.x).T / self.x.shape[0]
+        h = self.blocks.T @ (self.metric.factor.T @ self.x.T).T / self.x.shape[0]
         return h - (h @ self.off) @ self.off.T  # the superblock deflated on E
 
     def add(self, y, y_blocks=None, w_blocks=None):

@@ -361,7 +361,7 @@ def test_criterion_10_mode_b_superblock_equivalence():
         modes = uniform_modes(block_mode, "B", bs.n_blocks)
         metrics = build_metrics(bs, modes)
         c0, _ = _eigen_start(transform(bs, metrics, m))
-        y0 = metrics[-1].image(bs.superblock).T @ c0
+        y0 = (metrics[-1].factor.T @ bs.superblock.T).T @ c0
         cfg = SolverConfig(m=m, epsilon=1e-10, max_iter=200_000)
         sol = solve(bs, modes, cfg)
         y_aux, _, _ = reference_auxiliary_solve(

@@ -1,3 +1,4 @@
+import csv
 import filecmp
 import re
 from pathlib import Path
@@ -124,6 +125,35 @@ class TestRun:
             f2 = out2 / f1.name
             assert filecmp.cmp(f1, f2, shallow=False), f1.name
 
+    def test_names_that_need_quotes_round_trip(self, tmp_path):
+        # names with a comma, a quote or a line break are written quoted, as csv reads them
+        rng = np.random.default_rng(11)
+        columns = [["temp, C", 'say "hi"', "line\nbreak"], ["plain", "p2"]]
+        ids, row_ids = ["b1", 'q"2'], ["r1, x", 'r"2', *(f"r{i}" for i in range(3, 9))]
+        paths = [tmp_path / f"in{b + 1}.csv" for b in range(2)]
+        for path, names in zip(paths, columns):
+            with path.open("w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(["id", *names])
+                writer.writerows([rid, *rng.standard_normal(len(names))] for rid in row_ids)
+        out = tmp_path / "o"
+        assert main(["run", "--blocks", ",".join(map(str, paths)), "--ids", ",".join(ids),
+                     "--id-column", "--preset", "consensus_pca", "--out", str(out)]) == 0
+        tables = {f.name: list(csv.reader(f.open(encoding="utf-8", newline="")))
+                  for f in out.glob("*.csv")}
+        assert len(tables) == 7
+        for name, (header, *rows) in tables.items():
+            assert all(len(row) == len(header) for row in rows), name
+        first = {name: [row[0] for row in rows[1:]] for name, rows in tables.items()}
+        assert first["rank1_weights_b1.csv"] == columns[0]
+        assert first["rank1_weights_q\"2.csv"] == columns[1]
+        qualified = [f"{bid}:{c}" for bid, names in zip(ids, columns) for c in names]
+        assert first["rank1_weights_superblock.csv"] == qualified
+        assert first["rank1_variable_correlations.csv"] == qualified
+        assert first["rank1_components.csv"] == row_ids
+        assert tables["rank1_components.csv"][0] == ["row_id", *ids, "superblock"]
+        assert first["rank1_blocks.csv"] == ids
+
     def test_manifest_round_trip(self, tmp_path):
         out = tmp_path / "out"
         assert run_demo(out) == 0
@@ -165,6 +195,16 @@ class TestRun:
         override = tmp_path / "override"
         assert main(["run", "--config", str(cfg), "--out", str(override)]) == 0
         assert (override / "manifest.txt").exists()
+
+    def test_config_file_with_a_byte_order_mark(self, tmp_path):
+        text = (f"blocks = {DEMO_BLOCKS}\nids = process,quality\nid_column = true\n"
+                "preset = consensus_pca\nscale = unit\n")
+        for name, mark in (("plain", ""), ("marked", "\ufeff")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(f"{mark}{text}out = {tmp_path / name}\n", encoding="utf-8")
+            assert main(["run", "--config", str(cfg)]) == 0
+        for f in sorted((tmp_path / "plain").iterdir()):
+            assert filecmp.cmp(f, tmp_path / "marked" / f.name, shallow=False), f.name
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -286,6 +326,16 @@ class TestRun:
         lines = (tmp_path / "o" / "manifest.txt").read_text().splitlines()
         at = lines.index("init = file")
         assert lines[at + 1:at + 3] == [f"init_file = {vec}", "seed = 0"]
+
+    def test_init_file_with_a_byte_order_mark(self, tmp_path):
+        for name, mark in (("plain", ""), ("marked", "\ufeff")):
+            vec = tmp_path / f"{name}.txt"
+            vec.write_text(mark + "\n".join(["0.3", "-0.1", "0.2"] * 3) + "\n", encoding="utf-8")
+            assert run_demo(tmp_path / name, "--init", "file", "--init-file", str(vec)) == 0
+        for f in sorted((tmp_path / "plain").iterdir()):
+            got, expected = ((d / f.name).read_text().replace(f"{tmp_path / d.name}.txt", "")
+                             for d in (tmp_path / "marked", tmp_path / "plain"))
+            assert got == expected, f.name
 
     def test_own_superblock_weights_restart_the_run(self, tmp_path):
         # a file start holds superblock weights, so a run's own restart it at its

@@ -177,6 +177,18 @@ class TestLoadBlock:
                                              r"save the file with one line ending per row$"):
             load_block(io.StringIO("x,y\n1,2\n3\r,4\n5,6\n"))
 
+    @pytest.mark.parametrize("text", [
+        "a,b\n3,1\n1,2\n2,6\n",  # the numpy reader's table
+        '"a","b"\n3,1\n1,"2"\n2,6\n',  # the csv reader's
+    ], ids=["clean", "quoted"])
+    @pytest.mark.parametrize("source", ["path", "stream"])
+    def test_byte_order_mark_is_not_data(self, tmp_path, text, source):
+        read = {"path": lambda t: load_block(write_csv(tmp_path, "a.csv", t)),
+                "stream": lambda t: load_block(io.StringIO(t))}[source]
+        got, expected = read("\ufeff" + text), read(text)
+        assert got.columns == expected.columns == ("a", "b")
+        np.testing.assert_array_equal(got.matrix, expected.matrix)
+
     def test_file_like_source(self):
         block = load_block(io.StringIO("x\n4\n0\n"), id="mem")
         np.testing.assert_allclose(block.matrix[:, 0], [2.0, -2.0])

@@ -29,7 +29,7 @@ from rcpca import (
     solve_matrices,
     solver,
 )
-from rcpca.metrics import ModeSelector, ShrinkageMetric
+from rcpca.metrics import ModeSelector
 from rcpca.solver import Deflation
 
 CFG = SolverConfig(m=2.0, epsilon=1e-10, max_iter=50_000)
@@ -145,8 +145,9 @@ class TestExtract:
         # only `own` ranks after the first pass a separate superblock, and only
         # there does the transform take the product with the superblock image
         images = []
-        image = ShrinkageMetric.image
-        monkeypatch.setattr(ShrinkageMetric, "image", lambda met, x: images.append(x) or image(met, x))
+        transform = solver._transform
+        monkeypatch.setattr(solver, "_transform", lambda *args: (
+            isinstance(args[-1], np.ndarray) and images.append(args[-1])) or transform(*args))
         bs = random_blockset(13, b=4, n=30, js=[3, 5, 4, 3])
         modes = uniform_modes("A", "A", 4)
         expected = solve(bs, modes, CFG)

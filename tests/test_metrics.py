@@ -25,7 +25,7 @@ from rcpca import (
     solve,
 )
 from rcpca.errors import DimensionError, ModeBInfeasibleError
-from rcpca.metrics import DEFAULT_RANK_TOLERANCE, mode_tau
+from rcpca.metrics import DEFAULT_RANK_TOLERANCE, cholesky_metrics, mode_tau
 
 
 def random_block_matrix(seed, n=12, j=4):
@@ -162,6 +162,16 @@ EIGH_ROUTE_INPUTS = {
     "kappa_above_1e10": (lambda: spectrum_matrix([1.0, 0.5, 1.0, 1e-12]), 3, True),
 }
 
+# (matrix, tau) for every route of build_metric: Cholesky, tall and wide eigh
+LAYOUT_INPUTS = {
+    "cholesky": (lambda: random_block_matrix(26, n=110, j=33), 0.0),
+    "tall_deficient": (EIGH_ROUTE_INPUTS["duplicated_column"][0], 0.0),
+    "tall_half": (lambda: random_block_matrix(26, n=110, j=33), 0.5),
+    "tall_mode_a": (lambda: random_block_matrix(26, n=110, j=33), 1.0),
+    "wide_deficient": (EIGH_ROUTE_INPUTS["wide"][0], 0.0),
+    "wide_half": (EIGH_ROUTE_INPUTS["wide"][0], 0.5),
+}
+
 
 class TestFactorRoute:
     """tau = 0 with J < n: a Cholesky factor when G = X'X/n is certifiably of full rank."""
@@ -180,6 +190,21 @@ class TestFactorRoute:
         np.testing.assert_allclose(gram @ b, met.cross, atol=1e-12)
         inverse = np.linalg.inv(gram)  # BB' = G^(-1)
         assert np.linalg.norm(b @ b.T - inverse) <= 1e-13 * np.linalg.norm(inverse)
+
+    @pytest.mark.parametrize("name", sorted(LAYOUT_INPUTS))
+    def test_factor_and_cross_are_c_contiguous(self, name):
+        # one memory layout whatever the route, so callers never tell routes apart
+        make, tau = LAYOUT_INPUTS[name]
+        met = build_metric(make(), tau)
+        assert (met.variances is None) == (name == "cholesky")
+        assert met.factor.flags.c_contiguous and met.cross.flags.c_contiguous
+
+    def test_stacked_cholesky_factors_are_c_contiguous(self):
+        rng = np.random.default_rng(27)
+        x = rng.standard_normal((3, 110, 33))  # two diagonal blocks of the triangular inverse
+        x -= x.mean(axis=1, keepdims=True)
+        for met in cholesky_metrics(x, 0.0):
+            assert met.factor.flags.c_contiguous and met.cross.flags.c_contiguous
 
     def test_certified_bound_decides_the_route(self):
         # kappa = 5e9 and 8.3e9, both below 1 / DEFAULT_RANK_TOLERANCE; with

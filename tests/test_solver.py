@@ -255,7 +255,7 @@ def stacked_case(name, seed=0):
 
 
 def stacked_taus(tau, n_blocks):
-    """tau for every block, or ("mixed") 0, 0.5 and 1 in turn, which splits the width runs."""
+    """tau for every block, or ("mixed") 0, 0.5 and 1 in turn, which splits the metric runs."""
     return [(0.0, 0.5, 1.0)[b % 3] for b in range(n_blocks)] if tau == "mixed" else [tau] * n_blocks
 
 
@@ -333,6 +333,28 @@ class TestStackedRuns:
             assert (g is None) == (g_ref is None), b
             if g is not None:
                 np.testing.assert_array_equal(g, g_ref, err_msg=str(b))
+
+    def test_cholesky_and_eigh_factors_of_one_shape_take_one_run(self, monkeypatch):
+        # tau 0 (Cholesky) and 0.5 (eigh) in turn: one metric run per block, but
+        # the factors share one shape, so the segments take one product,
+        # and the back-map one for the weights and one for the components
+        rng = np.random.default_rng(9)
+        bs = build_blockset([from_matrix(f"b{b + 1}", rng.standard_normal((60, 8)))
+                             for b in range(6)])
+        modes = ModeSelector((0.0, 0.5) * 3, 0.5)
+        metrics = build_metrics(bs, modes)
+        assert [met.variances is None for met in metrics[:-1]] == [True, False] * 3
+        shapes = []
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda a, *args, **kw: shapes.append(a.shape) or matmul(
+            a, *args, **kw))
+        problem = transform(bs, metrics, 2.0)
+        assert shapes == [(6, 8, 8)]
+        np.testing.assert_array_equal(
+            problem.stacked, per_block_segments(metrics[-1].cross, [8] * 6, metrics[:-1]))
+        shapes.clear()
+        solve(bs, modes, SolverConfig())
+        assert shapes == [(6, 8, 8), (6, 8, 8), (6, 60, 8)]
 
     def test_one_cholesky_call_per_run(self, monkeypatch):
         # 50 Mode B blocks of one width: one stacked call per rank, not 50
@@ -1267,7 +1289,7 @@ class TestAuxiliarySolve:
             modes = uniform_modes(block_mode, "B", bs.n_blocks)
             metrics = build_metrics(bs, modes)
             c0, _ = _eigen_start(transform(bs, metrics, m))
-            y0 = metrics[-1].image(bs.superblock).T @ c0
+            y0 = (metrics[-1].factor.T @ bs.superblock.T).T @ c0
             self.assert_residual_is_loop_step(bs, modes, m, y0=y0)
 
 
